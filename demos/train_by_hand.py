@@ -51,11 +51,10 @@ def fit(optimizer_name, steps=400):
     x = Tensor(XOR_X)
     trace = []
     for step in range(steps):
-        net.zero_grad()
-        with Tape() as tape:  # a tape is good for one backward; build fresh
+        with Tape(wrt=opt.params) as tape:  # a tape is good for one backward; build fresh
             loss = cce_loss(net(x), XOR_Y)
         tape.backward(loss)
-        opt.step()
+        opt.step()  # reads the gradients and clears them
         if step % 100 == 0 or step == steps - 1:
             trace.append((step, loss.item()))
 

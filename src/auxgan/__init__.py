@@ -13,7 +13,7 @@ The package has three layers:
   measures conditional fidelity.
 """
 
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, Tensor
 from .divergence import (
     DiscreteDistribution,
     DistributionFamily,
@@ -29,7 +29,6 @@ from .harness import ExperimentConfig, run_experiment
 __all__ = [
     "Tape",
     "Tensor",
-    "backward",
     "DiscreteDistribution",
     "DistributionFamily",
     "generalized_jsd",

@@ -196,8 +196,7 @@ def train_probe(train, test, hidden, epochs, rng, batch_size=128, learning_rate=
     opt = Adam(network.params(), learning_rate=learning_rate, beta1=0.9)
     for _ in range(epochs):
         for batch in minibatches(train, batch_size, rng):
-            network.zero_grad()
-            with Tape() as tape:
+            with Tape(wrt=opt.params) as tape:
                 loss = cce_loss(network(Tensor(batch.features)), batch.labels)
             tape.backward(loss)
             opt.step()

@@ -4,7 +4,8 @@ Defaults follow the experimental setup this package reproduces: ADAM at
 learning rate 2e-4 with beta1=0.5, beta2=0.999 for generator and
 discriminator, Nesterov momentum at learning rate 0.01 with momentum 0.9
 for the classifier.  Steps are deterministic: identical (params, grads,
-state) give bit-identical updates.
+state) give bit-identical updates.  A step consumes the gradients it reads:
+it clears .grad on every parameter it updates.
 """
 
 import numpy as np
@@ -34,11 +35,15 @@ class Adam:
                 continue
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / (1.0 - b1 ** self.t)
-            v_hat = self.v[i] / (1.0 - b2 ** self.t)
+            m, v = self.m[i], self.v[i]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** self.t)
+            v_hat = v / (1.0 - b2 ** self.t)
             p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            p.grad = None
 
     def zero_grad(self):
         for p in self.params:
@@ -64,8 +69,11 @@ class NesterovMomentum:
                 continue
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-            self.velocity[i] = mu * self.velocity[i] - lr * g
-            p.data += mu * self.velocity[i] - lr * g
+            v = self.velocity[i]
+            v *= mu
+            v -= lr * g
+            p.data += mu * v - lr * g
+            p.grad = None
 
     def zero_grad(self):
         for p in self.params:

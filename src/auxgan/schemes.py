@@ -139,16 +139,9 @@ class TrioState:
     step: int = 0
 
     def all_params(self):
-        params = self.generator.params() + self.discriminator.params()
-        if isinstance(self.classifier, MLP):
-            params += self.classifier.params()
-        elif isinstance(self.classifier, SharedTrunkClassifier):
-            params += self.classifier.head.params()
-        return params
-
-    def zero_grads(self):
-        for p in self.all_params():
-            p.zero_grad()
+        """Every trained parameter once (the acgan trunk is in two optimizers)."""
+        opts = [opt for opt in (self.g_opt, self.d_opt, self.c_opt) if opt is not None]
+        return list(dict.fromkeys(p for opt in opts for p in opt.params))
 
 
 def build_trio(config, data_dim, rng, generator_hidden=(32, 32),
@@ -233,17 +226,16 @@ class StepLosses:
 def classifier_step(generated, labels, trio, real_batch=None):
     """One Nesterov step of the classifier on the generated batch.
 
-    `generated` is treated as a constant (the generator is updated by the
+    `generated` is a constant on this step's tape, which differentiates only
+    the classifier's parameters (the generator is updated by the
     cross-entropy term of its own loss, never by this step).  When
     `real_batch` is given, its labelled cross-entropy is added, anchoring
     class identities to the data classes.
     """
     if trio.classifier is None:
         raise ValueError(f"scheme {trio.config.scheme!r} has no classifier")
-    generated_const = generated.detach() if isinstance(generated, Tensor) else Tensor(generated)
-    trio.zero_grads()
-    with Tape() as tape:
-        loss = cce_loss(trio.classifier(generated_const), labels)
+    with Tape(wrt=trio.c_opt.params) as tape:
+        loss = cce_loss(trio.classifier(generated), labels)
         if real_batch is not None:
             loss = loss + cce_loss(trio.classifier(Tensor(real_batch.features)), real_batch.labels)
     tape.backward(loss)
@@ -273,8 +265,7 @@ def train_step(real_batch, labels_for_fake, trio, config, rng):
         d_in_fake = cgan_condition(fake_d, labels_for_fake, config.n_classes)
     else:
         d_in_real, d_in_fake = real_x, fake_d
-    trio.zero_grads()
-    with Tape() as tape:
+    with Tape(wrt=trio.d_opt.params) as tape:
         d_loss = discriminator_loss(trio.discriminator(d_in_real), trio.discriminator(d_in_fake))
     _check_finite(d_loss.item(), "discriminator", trio.step)
     tape.backward(d_loss)
@@ -287,8 +278,7 @@ def train_step(real_batch, labels_for_fake, trio, config, rng):
         _check_finite(c_loss, "classifier", trio.step)
 
     # Generator step; gradient flows through discriminator and classifier.
-    trio.zero_grads()
-    with Tape() as tape:
+    with Tape(wrt=trio.g_opt.params) as tape:
         fake_g = trio.generator(z_g)
         d_in = (cgan_condition(fake_g, labels_for_fake, config.n_classes)
                 if scheme == "cgan" else fake_g)

@@ -2,9 +2,12 @@
 
 The engine is deliberately small: a Tensor wraps a numpy array, a Tape
 records every differentiable operation in execution order, and backward()
-replays the records in exact reverse order, accumulating gradients into
-every tensor that requires them.  Only the operations needed by the GAN
-schemes are provided (dense algebra, the usual activations, BCE/CCE).
+replays the records in exact reverse order.  `Tape(wrt=params)` writes .grad
+only on the listed leaves and computes only the backward products that lead
+to them; a plain `Tape()` differentiates every tensor that requires
+gradients.  A gradient lives until the optimizer step that reads it clears
+it.  Only the operations needed by the GAN schemes are provided (dense
+algebra, the usual activations, BCE/CCE).
 
 Everything is float64.  Ops are pure functions of their inputs apart from
 appending a backward rule to the active tape.
@@ -35,13 +38,8 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
-    def detach(self):
-        """Copy of the value with no gradient tracking."""
-        return Tensor(self.data.copy())
+        # never in place: add gives the same out.grad array to both inputs
+        self.grad = g if self.grad is None else self.grad + g
 
     def item(self):
         if self.data.size != 1:
@@ -77,11 +75,14 @@ class Tape:
     Records append in execution order, so every node's inputs precede it and
     the reverse sweep is a valid topological order.  A tape may be replayed
     backward exactly once; training steps build a fresh tape each time.
+    With `wrt`, only those leaves and the outputs that depend on them get
+    gradients; every other input is a constant on this tape.
     """
 
-    def __init__(self):
+    def __init__(self, wrt=None):
         self._records = []  # backward closures, execution order
         self._spent = False
+        self._needed = None if wrt is None else set(wrt)
 
     def __enter__(self):
         _TAPES.append(self)
@@ -99,7 +100,7 @@ class Tape:
         return len(self._records)
 
     def backward(self, loss):
-        """Populate .grad on every requires_grad tensor reachable from loss."""
+        """Populate .grad on the leaves this tape differentiates (see `wrt`)."""
         if not isinstance(loss, Tensor) or loss.data.ndim != 0:
             shape = getattr(loss, "shape", None)
             raise ValueError(f"backward() needs a scalar Tensor loss, got shape {shape}")
@@ -111,26 +112,29 @@ class Tape:
             backward_fn()
 
 
-def backward(loss, tape):
-    """Free-function alias for Tape.backward."""
-    tape.backward(loss)
-
-
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _active_tape():
-    return _TAPES[-1] if _TAPES else None
-
-
 def _track(out, inputs, backward_fn):
-    """Mark the output and record the rule if anything needs gradients."""
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    """Record the rule if any input needs a gradient; returns the per-input needs.
+
+    The needs are fixed here, at record time: a rule computes only the
+    input gradients its tape asked for.
+    """
+    if not _TAPES:
+        return (False,) * len(inputs)
+    tape = _TAPES[-1]
+    if tape._needed is None:
+        needs = tuple(t.requires_grad for t in inputs)
+    else:
+        needs = tuple(t in tape._needed for t in inputs)
+    if any(needs):
         out.requires_grad = True
+        if tape._needed is not None:
+            tape._needed.add(out)
         tape._record(backward_fn)
-    return out
+    return needs
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +147,13 @@ def matmul(a, b):
     out = Tensor(a.data @ b.data)
 
     def bwd():
-        if a.requires_grad:
+        if need_a:
             a.accumulate_grad(out.grad @ b.data.T)
-        if b.requires_grad:
+        if need_b:
             b.accumulate_grad(a.data.T @ out.grad)
 
-    return _track(out, (a, b), bwd)
+    need_a, need_b = _track(out, (a, b), bwd)
+    return out
 
 
 def add(a, b):
@@ -163,12 +168,13 @@ def add(a, b):
     out = Tensor(a.data + b.data)
 
     def bwd():
-        if a.requires_grad:
+        if need_a:
             a.accumulate_grad(_unbroadcast(out.grad, a.shape))
-        if b.requires_grad:
+        if need_b:
             b.accumulate_grad(_unbroadcast(out.grad, b.shape))
 
-    return _track(out, (a, b), bwd)
+    need_a, need_b = _track(out, (a, b), bwd)
+    return out
 
 
 def _unbroadcast(grad, shape):
@@ -193,12 +199,13 @@ def mul(a, b):
     out = Tensor(a.data * b.data)
 
     def bwd():
-        if a.requires_grad:
+        if need_a:
             a.accumulate_grad(_unbroadcast(out.grad * b.data, a.shape))
-        if b.requires_grad:
+        if need_b:
             b.accumulate_grad(_unbroadcast(out.grad * a.data, b.shape))
 
-    return _track(out, (a, b), bwd)
+    need_a, need_b = _track(out, (a, b), bwd)
+    return out
 
 
 def concat_cols(a, b):
@@ -209,12 +216,13 @@ def concat_cols(a, b):
     split = a.shape[1]
 
     def bwd():
-        if a.requires_grad:
+        if need_a:
             a.accumulate_grad(out.grad[:, :split])
-        if b.requires_grad:
+        if need_b:
             b.accumulate_grad(out.grad[:, split:])
 
-    return _track(out, (a, b), bwd)
+    need_a, need_b = _track(out, (a, b), bwd)
+    return out
 
 
 def tsum(x):
@@ -222,10 +230,10 @@ def tsum(x):
     out = Tensor(x.data.sum())
 
     def bwd():
-        if x.requires_grad:
-            x.accumulate_grad(np.full_like(x.data, out.grad))
+        x.accumulate_grad(np.full_like(x.data, out.grad))
 
-    return _track(out, (x,), bwd)
+    _track(out, (x,), bwd)
+    return out
 
 
 def tmean(x):
@@ -234,10 +242,10 @@ def tmean(x):
     n = x.data.size
 
     def bwd():
-        if x.requires_grad:
-            x.accumulate_grad(np.full_like(x.data, out.grad / n))
+        x.accumulate_grad(np.full_like(x.data, out.grad / n))
 
-    return _track(out, (x,), bwd)
+    _track(out, (x,), bwd)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +255,10 @@ def relu(x):
     out = Tensor(np.maximum(x.data, 0.0))
 
     def bwd():
-        if x.requires_grad:
-            x.accumulate_grad(out.grad * (x.data > 0.0))
+        x.accumulate_grad(out.grad * (x.data > 0.0))
 
-    return _track(out, (x,), bwd)
+    _track(out, (x,), bwd)
+    return out
 
 
 def leaky_relu(x, alpha=0.2):
@@ -258,24 +266,24 @@ def leaky_relu(x, alpha=0.2):
     out = Tensor(np.where(x.data > 0.0, x.data, alpha * x.data))
 
     def bwd():
-        if x.requires_grad:
-            x.accumulate_grad(out.grad * np.where(x.data > 0.0, 1.0, alpha))
+        x.accumulate_grad(out.grad * np.where(x.data > 0.0, 1.0, alpha))
 
-    return _track(out, (x,), bwd)
+    _track(out, (x,), bwd)
+    return out
 
 
 def sigmoid(x):
     # Split by sign to avoid overflow in exp for large |x|.
     d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    y = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(y)
 
     def bwd():
-        if x.requires_grad:
-            x.accumulate_grad(out.grad * y * (1.0 - y))
+        x.accumulate_grad(out.grad * y * (1.0 - y))
 
-    return _track(out, (x,), bwd)
+    _track(out, (x,), bwd)
+    return out
 
 
 def tanh(x):
@@ -283,10 +291,10 @@ def tanh(x):
     out = Tensor(y)
 
     def bwd():
-        if x.requires_grad:
-            x.accumulate_grad(out.grad * (1.0 - y * y))
+        x.accumulate_grad(out.grad * (1.0 - y * y))
 
-    return _track(out, (x,), bwd)
+    _track(out, (x,), bwd)
+    return out
 
 
 def softmax_rows(x):
@@ -299,11 +307,11 @@ def softmax_rows(x):
     out = Tensor(y)
 
     def bwd():
-        if x.requires_grad:
-            dy = out.grad
-            x.accumulate_grad(y * (dy - (dy * y).sum(axis=1, keepdims=True)))
+        dy = out.grad
+        x.accumulate_grad(y * (dy - (dy * y).sum(axis=1, keepdims=True)))
 
-    return _track(out, (x,), bwd)
+    _track(out, (x,), bwd)
+    return out
 
 
 ACTIVATIONS = {
@@ -336,12 +344,12 @@ def bce_loss(prediction, target):
     out = Tensor(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).mean())
 
     def bwd():
-        if prediction.requires_grad:
-            inside = (prediction.data > EPS) & (prediction.data < 1.0 - EPS)
-            g = -(t / p - (1.0 - t) / (1.0 - p)) / n
-            prediction.accumulate_grad(out.grad * g * inside)
+        inside = (prediction.data > EPS) & (prediction.data < 1.0 - EPS)
+        g = -(t / p - (1.0 - t) / (1.0 - p)) / n
+        prediction.accumulate_grad(out.grad * g * inside)
 
-    return _track(out, (prediction,), bwd)
+    _track(out, (prediction,), bwd)
+    return out
 
 
 def cce_loss(probabilities, labels):
@@ -359,8 +367,8 @@ def cce_loss(probabilities, labels):
         raise ValueError(f"cce_loss labels shape {labels.shape} does not match batch {batch}")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"cce_loss labels must lie in [0, {n_classes})")
-    row_sums = probabilities.data.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-6):
+    # `<=` is False on NaN, so a NaN row fails the check too
+    if not (np.abs(probabilities.data.sum(axis=1) - 1.0) <= 1e-6).all():
         raise ValueError("cce_loss probability rows must sum to 1 within 1e-6")
     rows = np.arange(batch)
     picked = probabilities.data[rows, labels]
@@ -368,10 +376,10 @@ def cce_loss(probabilities, labels):
     out = Tensor(-np.log(p).mean())
 
     def bwd():
-        if probabilities.requires_grad:
-            g = np.zeros_like(probabilities.data)
-            inside = (picked > EPS) & (picked < 1.0 - EPS)
-            g[rows, labels] = -(inside / (batch * p))
-            probabilities.accumulate_grad(out.grad * g)
+        g = np.zeros_like(probabilities.data)
+        inside = (picked > EPS) & (picked < 1.0 - EPS)
+        g[rows, labels] = -(inside / (batch * p))
+        probabilities.accumulate_grad(out.grad * g)
 
-    return _track(out, (probabilities,), bwd)
+    _track(out, (probabilities,), bwd)
+    return out

@@ -158,3 +158,51 @@ def test_zero_grad_clears_gradients():
     p.grad = np.array([2.0])
     Adam([p]).zero_grad()
     assert p.grad is None
+
+
+def _random_params(rng):
+    return [_param(rng.normal(size=shape)) for shape in ((4, 3), (3,), ())]
+
+
+def test_adam_in_place_state_matches_textbook_formulas_over_50_steps():
+    rng = np.random.default_rng(2)
+    params = _random_params(rng)
+    lr, b1, b2, eps = 2e-4, 0.5, 0.999, 1e-8
+    opt = Adam(params, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros_like(r) for r in ref]
+    v = [np.zeros_like(r) for r in ref]
+    for t in range(1, 51):
+        grads = [rng.normal(size=r.shape) for r in ref]
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            m_hat = m[i] / (1.0 - b1 ** t)
+            v_hat = v[i] / (1.0 - b2 ** t)
+            ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.array_equal(opt.m[i], m[i]) and np.array_equal(opt.v[i], v[i])
+            assert np.array_equal(params[i].data, ref[i])
+            assert params[i].grad is None
+
+
+def test_nesterov_in_place_state_matches_textbook_formulas_over_50_steps():
+    rng = np.random.default_rng(3)
+    params = _random_params(rng)
+    lr, mu = 0.01, 0.9
+    opt = NesterovMomentum(params, learning_rate=lr, momentum=mu)
+    ref = [p.data.copy() for p in params]
+    vel = [np.zeros_like(r) for r in ref]
+    for _ in range(50):
+        grads = [rng.normal(size=r.shape) for r in ref]
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        for i, g in enumerate(grads):
+            vel[i] = mu * vel[i] - lr * g
+            ref[i] = ref[i] + (mu * vel[i] - lr * g)
+            assert np.array_equal(opt.velocity[i], vel[i])
+            assert np.array_equal(params[i].data, ref[i])
+            assert params[i].grad is None

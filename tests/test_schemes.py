@@ -175,8 +175,8 @@ def test_gradient_routing_through_classifier_term():
     def grads_for(theta, zeta):
         loss_cfg = SchemeConfig(scheme="vacgan", n_classes=2, noise_dim=4,
                                 theta=theta, zeta=zeta)
-        trio.zero_grads()
-        with Tape() as tape:
+        trio.generator.zero_grad()
+        with Tape(wrt=trio.g_opt.params) as tape:
             fake = trio.generator(z)
             loss = generator_loss_vacgan(trio.discriminator(fake),
                                          trio.classifier(fake), labels, loss_cfg)
@@ -187,8 +187,8 @@ def test_gradient_routing_through_classifier_term():
     assert any(np.abs(g).max() > 0.0 for g in cce_only)
 
     bce_only = grads_for(theta=1.0, zeta=0.0)
-    trio.zero_grads()
-    with Tape() as tape:
+    trio.generator.zero_grad()
+    with Tape(wrt=trio.g_opt.params) as tape:
         plain = bce_loss(trio.discriminator(trio.generator(z)), 1.0)
     tape.backward(plain)
     for got, want in zip(bce_only, (p.grad for p in trio.generator.params())):
@@ -271,8 +271,7 @@ def test_discriminator_step_never_touches_classifier():
     # re-running only the D portion via a fresh trio and a manual tape
     real = sample_mixture(spec, rng, 16)
     fake = Tensor(trio.generator(sample_latent(trio.partition, real.labels, rng)).data)
-    trio.zero_grads()
-    with Tape() as tape:
+    with Tape(wrt=trio.d_opt.params) as tape:
         loss = discriminator_loss(trio.discriminator(Tensor(real.features)),
                                   trio.discriminator(fake))
     tape.backward(loss)
@@ -286,6 +285,19 @@ def test_train_step_gan_has_no_classifier_loss():
     losses = _run(cfg, trio, 3)
     assert all(s.c_loss is None for s in losses)
     assert losses[-1].step == 3
+
+
+@pytest.mark.parametrize("scheme", ["vacgan", "acgan"])
+def test_train_step_leaves_no_gradient_behind(scheme):
+    # each optimizer step clears what it read, and no step writes a
+    # gradient that its optimizer does not read
+    cfg, trio = _mixture_setup(scheme)
+    params = trio.all_params()
+    assert len(params) == len({id(p) for p in params})
+    every = trio.generator.params() + trio.discriminator.params() + trio.c_opt.params
+    assert {id(p) for p in every} == {id(p) for p in params}
+    _run(cfg, trio, 2)
+    assert all(p.grad is None for p in params)
 
 
 def test_train_step_deterministic():

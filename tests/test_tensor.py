@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from auxgan.tensor import (EPS, Tape, Tensor, add, backward, bce_loss, cce_loss,
+from auxgan.tensor import (EPS, Tape, Tensor, add, bce_loss, cce_loss,
                            concat_cols, leaky_relu, matmul, mul, relu, sigmoid,
                            softmax_rows, tanh, tmean, tsum)
 from gradcheck import check_input_gradient, relative_error
@@ -70,12 +70,60 @@ def test_backward_requires_scalar_loss():
         tape.backward(y)
 
 
-def test_free_backward_function():
-    x = Tensor(np.ones(3), requires_grad=True)
+def test_tape_wrt_matches_full_backward_on_listed_leaves_only():
+    # a generator-step shape: the loss reads both nets, only `first` is listed
+    rng = np.random.default_rng(5)
+    first = [Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+             Tensor(rng.normal(size=4), requires_grad=True)]
+    second = [Tensor(rng.normal(size=(4, 1)), requires_grad=True),
+              Tensor(rng.normal(size=1), requires_grad=True)]
+    x = Tensor(rng.normal(size=(6, 3)))
+
+    def loss():
+        h = tanh(add(matmul(x, first[0]), first[1]))
+        return bce_loss(sigmoid(add(matmul(h, second[0]), second[1])), 1.0)
+
     with Tape() as tape:
-        loss = tsum(x)
-    backward(loss, tape)
-    assert np.array_equal(x.grad, np.ones(3))
+        full_loss = loss()
+    tape.backward(full_loss)
+    full = [p.grad for p in first]
+    for p in first + second:
+        p.zero_grad()
+
+    with Tape(wrt=first) as tape:
+        partial_loss = loss()
+    tape.backward(partial_loss)
+    assert partial_loss.item() == full_loss.item()
+    for p, want in zip(first, full):
+        assert np.array_equal(p.grad, want)
+    assert all(p.grad is None for p in second)
+    assert x.grad is None
+
+
+def test_tape_wrt_records_nothing_that_misses_the_listed_leaves():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    frozen = Tensor(np.ones((2, 2)), requires_grad=True)
+    with Tape(wrt=[w]) as tape:
+        constant = matmul(frozen, frozen)  # no listed leaf below it
+        loss = tsum(matmul(constant, w))
+    assert len(tape) == 2
+    assert not constant.requires_grad
+    tape.backward(loss)
+    assert frozen.grad is None and constant.grad is None
+    assert np.array_equal(w.grad, np.full((2, 2), 4.0))
+
+
+def test_shared_first_gradient_is_not_changed_by_a_later_contribution():
+    # add hands one out.grad array to both a and b; a later second
+    # contribution to a must leave b's gradient as it was
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        scaled = mul(a, 3.0)  # replayed last: a's second contribution
+        loss = tsum(add(add(a, b), scaled))
+    tape.backward(loss)
+    assert np.array_equal(b.grad, np.ones(3))
+    assert np.array_equal(a.grad, np.full(3, 4.0))
 
 
 def test_activation_values():
@@ -162,6 +210,17 @@ def test_cce_validation():
         cce_loss(Tensor(np.full((2, 3), 0.5)), np.array([0, 1]))  # rows sum to 1.5
     with pytest.raises(ValueError):
         cce_loss(Tensor(np.zeros(3)), np.array([0]))  # rank
+
+
+def test_cce_row_sum_tolerance_is_absolute_1e6():
+    labels = np.array([0, 1])
+    near = np.array([[0.5, 0.5], [0.5, 0.5 + 5e-7]])
+    assert np.isfinite(cce_loss(Tensor(near), labels).item())
+    off = np.array([[0.5, 0.5], [0.5, 0.5 + 5e-6]])
+    with pytest.raises(ValueError, match="1e-6"):
+        cce_loss(Tensor(off), labels)
+    with pytest.raises(ValueError):
+        cce_loss(Tensor(np.array([[0.5, 0.5], [np.nan, 0.5]])), labels)
 
 
 def test_cce_gradient_matches_closed_form():
