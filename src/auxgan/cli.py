@@ -9,23 +9,22 @@ Subcommands:
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from .divergence import random_family, verify_identity
 from .harness import (ExperimentConfig, Probe, class_match_rate, emit_sample_grid,
-                      probe_match_rate, run_experiment)
+                      probe_match_rate, rng_stream, run_experiment)
 from .data import GaussianMixtureSpec
 from .schemes import TrainingDiverged, load_checkpoint, load_probe_checkpoint
 
 
 def _cmd_train(args):
-    config = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.output_dir = args.out
+    overrides = {"seed": args.seed, "output_dir": args.out}
+    config = dataclasses.replace(ExperimentConfig.from_file(args.config),
+                                 **{k: v for k, v in overrides.items() if v is not None})
     try:
         run_experiment(config, mnist_dir=args.mnist_dir)
     except TrainingDiverged as e:
@@ -50,7 +49,7 @@ def _cmd_verify_identities(args):
 
 def _cmd_eval(args):
     trio, info = load_checkpoint(args.checkpoint)
-    rng = np.random.default_rng([info["seed"], 2, info["step"], 9])
+    rng = rng_stream(info["seed"], "cli_eval", info["step"])
     if args.probe is not None:
         network, accuracy = load_probe_checkpoint(args.probe)
         probe = Probe(network=network, test_accuracy=accuracy)
@@ -77,7 +76,7 @@ def _cmd_eval(args):
 def _cmd_grid(args):
     trio, info = load_checkpoint(args.checkpoint)
     out = args.out or f"samples_step{info['step']:04d}.pgm"
-    rng = np.random.default_rng([info["seed"], 2, info["step"], 2])
+    rng = rng_stream(info["seed"], "grid", info["step"])
     emit_sample_grid(trio.generator, trio.partition, args.cols, out, rng)
     print(out)
     return 0

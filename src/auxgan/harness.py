@@ -28,18 +28,23 @@ from .data import (GaussianMixtureSpec, load_mnist, minibatches,
 from .divergence import DistributionFamily, generalized_jsd
 from .nn import MLP
 from .optim import Adam
-from .schemes import (SchemeConfig, build_trio, sample_latent,
+from .schemes import (SchemeConfig, build_trio, check_field, sample_latent,
                       save_checkpoint, save_probe_checkpoint, train_step)
 from .tensor import Tape, Tensor, cce_loss
 
 DATASETS = ("mixture2d", "mnist")
 
-# rng stream tags; a stream is np.random.default_rng([seed, tag, ...])
-_TAG_BUILD = 0
-_TAG_TRAIN = 1
-_TAG_EVAL = 2
-_TAG_PROBE = 3
-_TAG_DATA = 4
+# rng streams by name: the run-wide ones are default_rng([seed, tag]), the
+# evaluation ones at a step are default_rng([seed, 2, step, *sub_tags]).
+_RUN_STREAMS = {"build": 0, "train": 1, "probe": 3}
+_EVAL_STREAMS = {"match": (), "jsd": (1,), "grid": (2,), "cli_eval": (9,)}
+
+
+def rng_stream(seed, name, step=None):
+    """The rng of one named stream; evaluation streams also take their step."""
+    if name in _RUN_STREAMS:
+        return np.random.default_rng([seed, _RUN_STREAMS[name]])
+    return np.random.default_rng([seed, 2, step, *_EVAL_STREAMS[name]])
 
 # The JSD histogram box is fixed: it covers the default mixture layout at
 # more than ten standard deviations, and a fixed box keeps runs comparable.
@@ -64,9 +69,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dataset not in DATASETS:
             raise ValueError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
-        if self.eval_every <= 0:
-            raise ValueError("eval_every must be positive")
-        self.probe_hidden = tuple(int(h) for h in self.probe_hidden)
+        for name, least in (("seed", 0), ("eval_every", 1), ("probe_epochs", 1)):
+            check_field(name, getattr(self, name), int, least)
+        if not isinstance(self.probe_hidden, (list, tuple)):
+            raise ValueError(f"probe_hidden must be a list of widths, got {self.probe_hidden!r}")
+        self.probe_hidden = tuple(self.probe_hidden)
+        for width in self.probe_hidden:
+            check_field("probe_hidden", width, int, 1)
 
     def to_json(self):
         d = dict(self.__dict__)
@@ -83,19 +92,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        allowed = {"dataset", "scheme", "seed", "output_dir", "eval_every",
-                   "probe_hidden", "probe_epochs"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         raw = dict(raw)
         scheme_raw = raw.pop("scheme", None)
         if not isinstance(scheme_raw, dict):
             raise ValueError("config needs a 'scheme' object")
-        scheme_allowed = {f for f in SchemeConfig.__dataclass_fields__}
-        scheme_unknown = set(scheme_raw) - scheme_allowed
-        if scheme_unknown:
-            raise ValueError(f"unknown scheme keys: {sorted(scheme_unknown)}")
+        for what, given, known in (("config", raw, cls), ("scheme", scheme_raw, SchemeConfig)):
+            unknown = set(given) - set(known.__dataclass_fields__)
+            if unknown:
+                raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
         return cls(scheme=SchemeConfig(**scheme_raw), **raw)
 
     @classmethod
@@ -249,16 +253,6 @@ def jsd_snapshot(generator, partition, rng, samples_per_class=500,
     return round(generalized_jsd(family), 9)
 
 
-def jsd_trend(generators, partition, bins=JSD_BINS, box=JSD_BOX,
-              samples_per_class=500, seed=0):
-    """Per-snapshot JSD estimates, aligned with the given generator snapshots."""
-    return [
-        jsd_snapshot(g, partition, np.random.default_rng([seed, _TAG_EVAL, i]),
-                     samples_per_class, bins, box)
-        for i, g in enumerate(generators)
-    ]
-
-
 def probe_label_jsd(generator, partition, probe, rng, samples_per_class=500):
     """JSD between per-class probe-label distributions (image-run analog).
 
@@ -303,11 +297,9 @@ def emit_sample_grid(generator, partition, rows_per_class, path, rng,
 # ---------------------------------------------------------------------------
 # the run itself
 
-_ARCH = {
-    # data_dim, generator hidden, discriminator hidden, classifier hidden, output
-    "mixture2d": (2, (32, 32), (32, 32), (32,), "linear"),
-    "mnist": (784, (256,), (256,), (128,), "sigmoid"),
-}
+# Network widths of image runs; mixture runs use build_trio's defaults.
+_IMAGE_ARCH = {"generator_hidden": (256,), "discriminator_hidden": (256,),
+               "classifier_hidden": (128,), "generator_output": "sigmoid"}
 
 
 def _resolve_mnist_files(config, mnist_dir):
@@ -334,16 +326,15 @@ def _resolve_mnist_files(config, mnist_dir):
 
 
 def _evaluate(trio, config, mixture_spec, probe, step, losses, t0):
-    eval_rng = np.random.default_rng([config.seed, _TAG_EVAL, step])
+    eval_rng = rng_stream(config.seed, "match", step)
+    jsd_rng = rng_stream(config.seed, "jsd", step)
     if config.dataset == "mixture2d":
         match, confusion = class_match_rate(
             trio.generator, trio.partition, mixture_spec, 500, eval_rng)
-        jsd = jsd_snapshot(trio.generator, trio.partition,
-                           np.random.default_rng([config.seed, _TAG_EVAL, step, 1]))
+        jsd = jsd_snapshot(trio.generator, trio.partition, jsd_rng)
     else:
         match, confusion = probe_match_rate(trio.generator, trio.partition, probe, 200, eval_rng)
-        jsd = probe_label_jsd(trio.generator, trio.partition, probe,
-                              np.random.default_rng([config.seed, _TAG_EVAL, step, 1]), 200)
+        jsd = probe_label_jsd(trio.generator, trio.partition, probe, jsd_rng, 200)
     record = MetricsRecord(
         step=step,
         d_loss=None if losses is None else losses.d_loss,
@@ -374,6 +365,7 @@ def run_experiment(config, mnist_dir=None, log=print):
             raise ValueError("the ring layout supports at most 8 well-separated classes")
         mixture_spec = GaussianMixtureSpec.ring(n_classes=scheme_cfg.n_classes)
         steps_per_epoch = scheme_cfg.steps_per_epoch
+        data_dim, arch = mixture_spec.means.shape[1], {}
     else:
         paths = _resolve_mnist_files(config, mnist_dir)
         train_set = load_mnist(paths["train_images"], paths["train_labels"])
@@ -382,22 +374,17 @@ def run_experiment(config, mnist_dir=None, log=print):
         if n_classes != scheme_cfg.n_classes:
             raise ValueError(f"dataset has {n_classes} classes, "
                              f"config says {scheme_cfg.n_classes}")
-        probe_rng = np.random.default_rng([config.seed, _TAG_PROBE])
         probe = train_probe(train_set, test_set, config.probe_hidden,
-                            config.probe_epochs, probe_rng)
+                            config.probe_epochs, rng_stream(config.seed, "probe"))
         log(f"probe test accuracy: {probe.test_accuracy:.4f}")
         save_probe_checkpoint(os.path.join(config.output_dir, "probe"),
                               probe.network, probe.test_accuracy, config.seed)
         # one epoch = one full shuffled pass over the real training set
         steps_per_epoch = train_set.labels.size // scheme_cfg.batch_size
+        data_dim, arch = train_set.features.shape[1], _IMAGE_ARCH
 
-    data_dim, g_hidden, d_hidden, c_hidden, g_out = _ARCH[config.dataset]
-    trio = build_trio(scheme_cfg, data_dim,
-                      rng=np.random.default_rng([config.seed, _TAG_BUILD]),
-                      generator_hidden=g_hidden, discriminator_hidden=d_hidden,
-                      classifier_hidden=c_hidden, generator_output=g_out)
-
-    train_rng = np.random.default_rng([config.seed, _TAG_TRAIN])
+    trio = build_trio(scheme_cfg, data_dim, rng=rng_stream(config.seed, "build"), **arch)
+    train_rng = rng_stream(config.seed, "train")
     total_steps = steps_per_epoch * scheme_cfg.epochs
     metrics_path = os.path.join(config.output_dir, "metrics.csv")
 
@@ -434,10 +421,9 @@ def run_experiment(config, mnist_dir=None, log=print):
         f.write(confusion.to_csv())
     save_checkpoint(config.output_dir, trio, config.seed)
     if config.dataset == "mnist":
-        grid_rng = np.random.default_rng([config.seed, _TAG_EVAL, total_steps, 2])
         emit_sample_grid(trio.generator, trio.partition, 8,
                          os.path.join(config.output_dir,
                                       f"samples_step{total_steps:04d}.pgm"),
-                         grid_rng)
+                         rng_stream(config.seed, "grid", total_steps))
     log(f"run finished in {time.time() - t0:.1f}s; artifacts in {config.output_dir}")
     return record

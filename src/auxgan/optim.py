@@ -14,8 +14,6 @@ import numpy as np
 class Adam:
     """ADAM with bias correction; one (m, v) pair per parameter."""
 
-    kind = "adam"
-
     def __init__(self, params, learning_rate=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8):
         self.params = list(params)
         self.learning_rate = learning_rate
@@ -45,15 +43,9 @@ class Adam:
             p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
             p.grad = None
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
 
 class NesterovMomentum:
     """Nesterov momentum: v <- mu*v - lr*g; param += mu*v - lr*g."""
-
-    kind = "nesterov_momentum"
 
     def __init__(self, params, learning_rate=0.01, momentum=0.9):
         self.params = list(params)
@@ -74,7 +66,3 @@ class NesterovMomentum:
             v -= lr * g
             p.data += mu * v - lr * g
             p.grad = None
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()

@@ -19,6 +19,8 @@ generator and discriminator take ADAM steps; the classifier takes Nesterov
 momentum steps.  Runs are bit-for-bit reproducible for a fixed seed.
 """
 
+import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -26,11 +28,15 @@ from typing import Optional
 
 import numpy as np
 
-from .nn import MLP, DenseLayer
+from .nn import MLP
 from .optim import Adam, NesterovMomentum
 from .tensor import Tape, Tensor, bce_loss, cce_loss, concat_cols
 
 SCHEMES = ("gan", "cgan", "acgan", "vacgan")
+
+# The network each classifier scheme trains as its classifier, by its
+# checkpoint name; acgan's is a softmax head on the discriminator trunk.
+_CLASSIFIER_NET = {"vacgan": "classifier", "acgan": "classifier_head"}
 
 
 class TrainingDiverged(RuntimeError):
@@ -43,10 +49,6 @@ class LatentPartition:
 
     n_classes: int
     noise_dim: int
-
-    @property
-    def dim(self):
-        return self.n_classes + self.noise_dim
 
     def one_hot(self, labels):
         labels = np.asarray(labels)
@@ -71,6 +73,21 @@ def cgan_condition(real_or_fake, labels, n_classes):
     return concat_cols(real_or_fake, Tensor(partition.one_hot(labels)))
 
 
+def check_field(name, value, kind, least):
+    """Raise ValueError naming `name` unless `value` is a `kind` (int or float) >= least.
+
+    bool does not count as an int, and a float must be finite.
+    """
+    if kind is int:
+        ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    else:
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and math.isfinite(value))
+    if not ok or value < least:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}"
+                         f" >= {least}, got {value!r}")
+
+
 @dataclass
 class SchemeConfig:
     """Which scheme to train plus its loss weights and step budget."""
@@ -84,21 +101,22 @@ class SchemeConfig:
     steps_per_epoch: int = 100
     epochs: int = 20
 
+    # type and least value of each numeric field
+    _RANGES = {"n_classes": (int, 2), "noise_dim": (int, 0), "theta": (float, 0.0),
+               "zeta": (float, 0.0), "batch_size": (int, 1), "steps_per_epoch": (int, 1),
+               "epochs": (int, 0)}
+
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.theta < 0.0 or self.zeta < 0.0 or self.theta + self.zeta <= 0.0:
-            raise ValueError("need theta >= 0, zeta >= 0, theta + zeta > 0")
-        if self.n_classes < 2:
-            raise ValueError("need at least two classes")
+        for name, (kind, least) in self._RANGES.items():
+            check_field(name, getattr(self, name), kind, least)
+        if self.theta + self.zeta <= 0.0:
+            raise ValueError("need theta + zeta > 0")
 
     @property
     def has_classifier(self):
-        return self.scheme in ("acgan", "vacgan")
-
-    @property
-    def total_steps(self):
-        return self.steps_per_epoch * self.epochs
+        return self.scheme in _CLASSIFIER_NET
 
 
 class SharedTrunkClassifier:
@@ -163,20 +181,26 @@ def build_trio(config, data_dim, rng, generator_hidden=(32, 32),
     d_acts = ("leaky_relu:0.2",) * len(discriminator_hidden) + ("sigmoid",)
     discriminator = MLP(d_dims, d_acts, rng=rng)
 
-    classifier = None
-    c_opt = None
+    classifier_net = None
     if config.scheme == "vacgan":
         c_dims = (data_dim, *classifier_hidden, n)
-        classifier = MLP(c_dims, ("relu",) * len(classifier_hidden) + ("softmax",), rng=rng)
-        c_opt = NesterovMomentum(classifier.params())
+        classifier_net = MLP(c_dims, ("relu",) * len(classifier_hidden) + ("softmax",), rng=rng)
     elif config.scheme == "acgan":
-        head = MLP((d_dims[-2], n), ("softmax",), rng=rng)
-        classifier = SharedTrunkClassifier(discriminator, head)
-        c_opt = NesterovMomentum(classifier.params())
+        classifier_net = MLP((d_dims[-2], n), ("softmax",), rng=rng)
+    return _assemble(config, data_dim, generator, discriminator, classifier_net)
 
+
+def _assemble(config, data_dim, generator, discriminator, classifier_net, step=0):
+    """Wire built or loaded networks into a TrioState with fresh optimizers."""
+    classifier = classifier_net
+    if config.scheme == "acgan":
+        classifier = SharedTrunkClassifier(discriminator, classifier_net)
+    # C's optimizer state is allocated before G's and D's: with it last, digit
+    # evaluations read 3-6% slower in the benchmark (heap layout, not work)
+    c_opt = None if classifier is None else NesterovMomentum(classifier.params())
     return TrioState(
         config=config,
-        partition=LatentPartition(n_classes=n, noise_dim=config.noise_dim),
+        partition=LatentPartition(n_classes=config.n_classes, noise_dim=config.noise_dim),
         data_dim=data_dim,
         generator=generator,
         discriminator=discriminator,
@@ -184,6 +208,7 @@ def build_trio(config, data_dim, rng, generator_hidden=(32, 32),
         g_opt=Adam(generator.params()),
         d_opt=Adam(discriminator.params()),
         c_opt=c_opt,
+        step=step,
     )
 
 
@@ -195,18 +220,19 @@ def discriminator_loss(d_real, d_fake):
     return bce_loss(d_real, 1.0) + bce_loss(d_fake, 0.0)
 
 
-def generator_loss_vacgan(d_fake, class_probs, labels, config):
-    """theta * BCE(fake, 1) + zeta * CCE(classifier(fake), requested labels).
+def generator_loss(d_fake, class_probs, labels, config):
+    """theta * BCE(fake, 1), plus zeta * CCE(class_probs, labels) if the scheme has a classifier.
 
     Both terms differentiate into the generator: the classifier reads the
     generated sample, so its cross-entropy reaches the generator parameters
     whenever zeta > 0.
     """
+    loss = config.theta * bce_loss(d_fake, 1.0)
     if not config.has_classifier:
-        raise ValueError(f"scheme {config.scheme!r} has no classifier loss term")
+        return loss
     if class_probs is None:
         raise ValueError("classifier outputs are required for this scheme")
-    return config.theta * bce_loss(d_fake, 1.0) + config.zeta * cce_loss(class_probs, labels)
+    return loss + config.zeta * cce_loss(class_probs, labels)
 
 
 def _check_finite(value, name, step):
@@ -283,11 +309,8 @@ def train_step(real_batch, labels_for_fake, trio, config, rng):
         d_in = (cgan_condition(fake_g, labels_for_fake, config.n_classes)
                 if scheme == "cgan" else fake_g)
         d_fake = trio.discriminator(d_in)
-        if config.has_classifier:
-            g_loss = generator_loss_vacgan(d_fake, trio.classifier(fake_g),
-                                           labels_for_fake, config)
-        else:
-            g_loss = config.theta * bce_loss(d_fake, 1.0)
+        class_probs = trio.classifier(fake_g) if config.has_classifier else None
+        g_loss = generator_loss(d_fake, class_probs, labels_for_fake, config)
     _check_finite(g_loss.item(), "generator", trio.step)
     tape.backward(g_loss)
     trio.g_opt.step()
@@ -297,95 +320,100 @@ def train_step(real_batch, labels_for_fake, trio, config, rng):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: manifest.txt (plain text) + checkpoint.bin (length-prefixed
-# little-endian float64 arrays, declaration order)
+# checkpoints: one bundle format for trios and probes.  manifest.txt holds
+# "format", "kind", key lines, "payload" and one "network NAME SPEC" line per
+# network; checkpoint.bin holds each network's parameters in manifest order,
+# as length-prefixed little-endian float64 arrays.
 
 MANIFEST_NAME = "manifest.txt"
 PAYLOAD_NAME = "checkpoint.bin"
 _FORMAT_LINE = "auxgan-checkpoint-v1"
 
 
-def _write_arrays(f, params):
-    for p in params:
-        flat = np.ascontiguousarray(p.data, dtype="<f8").ravel()
-        f.write(struct.pack("<Q", flat.size))
-        f.write(flat.tobytes())
+class _Manifest(dict):
+    """Manifest entries; a missing one is a ValueError naming it and the file."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, key):
+        raise ValueError(f"checkpoint manifest {self.path} has no {key!r}")
 
 
-def _read_array(f, shape):
-    size = int(np.prod(shape))
-    header = f.read(8)
-    if len(header) != 8:
-        raise ValueError("checkpoint payload truncated at a length prefix")
-    declared = struct.unpack("<Q", header)[0]
-    if declared != size:
-        raise ValueError(f"checkpoint array length {declared} does not match shape {shape}")
-    raw = f.read(8 * size)
-    if len(raw) != 8 * size:
-        raise ValueError("checkpoint payload truncated inside an array")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+def _write_bundle(directory, kind, keys, networks):
+    """Write one bundle; `keys` and `networks` are dicts in manifest order."""
+    os.makedirs(directory, exist_ok=True)
+    lines = [f"format {_FORMAT_LINE}", f"kind {kind}"]
+    lines += [f"{key} {value}" for key, value in keys.items()]
+    lines.append(f"payload {PAYLOAD_NAME}")
+    lines += [f"network {name} {net.spec()}" for name, net in networks.items()]
+    with open(os.path.join(directory, MANIFEST_NAME), "w") as f:
+        f.write("\n".join(lines) + "\n")
+    with open(os.path.join(directory, PAYLOAD_NAME), "wb") as f:
+        for net in networks.values():
+            for p in net.params():
+                flat = np.ascontiguousarray(p.data, dtype="<f8").ravel()
+                f.write(struct.pack("<Q", flat.size))
+                f.write(flat.tobytes())
 
 
-def _network_names(trio):
-    names = [("generator", trio.generator), ("discriminator", trio.discriminator)]
-    if trio.config.scheme == "vacgan":
-        names.append(("classifier", trio.classifier))
-    elif trio.config.scheme == "acgan":
-        names.append(("classifier_head", trio.classifier.head))
-    return names
+def _read_bundle(path, kind):
+    """Check and load one bundle; `path` is the manifest or its directory.
+
+    Returns (keys, networks): the manifest keys and a dict of name -> MLP
+    with the saved weights.  The payload must hold exactly the arrays the
+    manifest declares, no fewer bytes and no more.
+    """
+    manifest = os.path.join(path, MANIFEST_NAME) if os.path.isdir(path) else path
+    keys, specs = _Manifest(manifest), {}
+    with open(manifest) as f:
+        for line in f:
+            key, _, rest = line.strip().partition(" ")
+            if key == "network":
+                name, _, spec = rest.partition(" ")
+                specs[name] = spec
+            elif key:
+                keys[key] = rest
+    if keys.get("format") != _FORMAT_LINE:
+        raise ValueError(f"not a recognized checkpoint manifest: {manifest}")
+    if keys.get("kind") != kind:
+        raise ValueError(f"expected a {kind} checkpoint, found kind {keys.get('kind')!r}")
+    networks = _Manifest(manifest)
+    networks.update((name, MLP.from_spec(spec)) for name, spec in specs.items())
+    payload = os.path.join(os.path.dirname(manifest), keys["payload"])
+    with open(payload, "rb") as f:
+        raw = f.read()
+    offset = 0
+    for net in networks.values():
+        for p in net.params():
+            size = p.data.size
+            end = offset + 8 + 8 * size
+            if end > len(raw):
+                raise ValueError(f"checkpoint payload {payload} ends at byte {len(raw)}, "
+                                 f"inside the array that starts at byte {offset}")
+            declared = struct.unpack_from("<Q", raw, offset)[0]
+            if declared != size:
+                raise ValueError(f"checkpoint array at byte {offset} declares {declared} "
+                                 f"values, its shape {p.data.shape} needs {size}")
+            p.data = np.frombuffer(raw, "<f8", size, offset + 8).reshape(p.data.shape).copy()
+            offset = end
+    if offset != len(raw):
+        raise ValueError(f"checkpoint payload {payload} has {len(raw) - offset} bytes "
+                         f"after its last array (byte {offset})")
+    return keys, networks
 
 
 def save_checkpoint(directory, trio, seed):
     """Write manifest.txt + checkpoint.bin; reload reproduces forwards bit-for-bit."""
-    os.makedirs(directory, exist_ok=True)
-    networks = _network_names(trio)
     cfg = trio.config
-    lines = [
-        f"format {_FORMAT_LINE}",
-        "kind trio",
-        f"scheme {cfg.scheme}",
-        f"n_classes {cfg.n_classes}",
-        f"noise_dim {cfg.noise_dim}",
-        f"theta {cfg.theta!r}",
-        f"zeta {cfg.zeta!r}",
-        f"data_dim {trio.data_dim}",
-        f"step {trio.step}",
-        f"seed {seed}",
-        f"payload {PAYLOAD_NAME}",
-    ]
-    lines += [f"network {name} {net.spec()}" for name, net in networks]
-    with open(os.path.join(directory, MANIFEST_NAME), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    with open(os.path.join(directory, PAYLOAD_NAME), "wb") as f:
-        for _, net in networks:
-            _write_arrays(f, net.params())
-
-
-def _parse_manifest(path):
-    keys, networks = {}, []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            key, rest = line.split(" ", 1)
-            if key == "network":
-                name, spec = rest.split(" ", 1)
-                networks.append((name, spec))
-            else:
-                keys[key] = rest
-    if keys.get("format") != _FORMAT_LINE:
-        raise ValueError(f"not a recognized checkpoint manifest: {path}")
-    return keys, networks
-
-
-def _manifest_path(path):
-    return os.path.join(path, MANIFEST_NAME) if os.path.isdir(path) else path
-
-
-def _load_params_into(f, network):
-    for p in network.params():
-        p.data = _read_array(f, p.data.shape)
+    keys = {"scheme": cfg.scheme, "n_classes": cfg.n_classes, "noise_dim": cfg.noise_dim,
+            "theta": cfg.theta, "zeta": cfg.zeta, "data_dim": trio.data_dim,
+            "step": trio.step, "seed": seed}
+    networks = {"generator": trio.generator, "discriminator": trio.discriminator}
+    if cfg.scheme in _CLASSIFIER_NET:  # acgan stores its head; the trunk is D's
+        networks[_CLASSIFIER_NET[cfg.scheme]] = getattr(trio.classifier, "head", trio.classifier)
+    _write_bundle(directory, "trio", keys, networks)
 
 
 def load_checkpoint(path):
@@ -394,10 +422,7 @@ def load_checkpoint(path):
     `path` may be the manifest file or its directory.  Returns (trio, info)
     where info carries the manifest's step and seed.
     """
-    manifest = _manifest_path(path)
-    keys, network_specs = _parse_manifest(manifest)
-    if keys.get("kind") != "trio":
-        raise ValueError(f"expected a trio checkpoint, found kind {keys.get('kind')!r}")
+    keys, nets = _read_bundle(path, "trio")
     config = SchemeConfig(
         scheme=keys["scheme"],
         n_classes=int(keys["n_classes"]),
@@ -405,62 +430,19 @@ def load_checkpoint(path):
         theta=float(keys["theta"]),
         zeta=float(keys["zeta"]),
     )
-    nets = {name: MLP.from_spec(spec) for name, spec in network_specs}
-    payload = os.path.join(os.path.dirname(manifest), keys["payload"])
-    with open(payload, "rb") as f:
-        for name, _ in network_specs:
-            _load_params_into(f, nets[name])
-
-    classifier = None
-    c_opt = None
-    if config.scheme == "vacgan":
-        classifier = nets["classifier"]
-        c_opt = NesterovMomentum(classifier.params())
-    elif config.scheme == "acgan":
-        classifier = SharedTrunkClassifier(nets["discriminator"], nets["classifier_head"])
-        c_opt = NesterovMomentum(classifier.params())
-    trio = TrioState(
-        config=config,
-        partition=LatentPartition(config.n_classes, config.noise_dim),
-        data_dim=int(keys["data_dim"]),
-        generator=nets["generator"],
-        discriminator=nets["discriminator"],
-        classifier=classifier,
-        g_opt=Adam(nets["generator"].params()),
-        d_opt=Adam(nets["discriminator"].params()),
-        c_opt=c_opt,
-        step=int(keys["step"]),
-    )
-    return trio, {"step": int(keys["step"]), "seed": int(keys["seed"])}
+    name = _CLASSIFIER_NET.get(config.scheme)
+    trio = _assemble(config, int(keys["data_dim"]), nets["generator"], nets["discriminator"],
+                     None if name is None else nets[name], step=int(keys["step"]))
+    return trio, {"step": trio.step, "seed": int(keys["seed"])}
 
 
 def save_probe_checkpoint(directory, network, test_accuracy, seed):
     """Persist a standalone classifier network (the evaluation probe)."""
-    os.makedirs(directory, exist_ok=True)
-    lines = [
-        f"format {_FORMAT_LINE}",
-        "kind network",
-        "name probe",
-        f"test_accuracy {test_accuracy!r}",
-        f"seed {seed}",
-        f"payload {PAYLOAD_NAME}",
-        f"network probe {network.spec()}",
-    ]
-    with open(os.path.join(directory, MANIFEST_NAME), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    with open(os.path.join(directory, PAYLOAD_NAME), "wb") as f:
-        _write_arrays(f, network.params())
+    keys = {"name": "probe", "test_accuracy": test_accuracy, "seed": seed}
+    _write_bundle(directory, "network", keys, {"probe": network})
 
 
 def load_probe_checkpoint(path):
     """Returns (network, test_accuracy) for a saved probe."""
-    manifest = _manifest_path(path)
-    keys, network_specs = _parse_manifest(manifest)
-    if keys.get("kind") != "network":
-        raise ValueError(f"expected a network checkpoint, found kind {keys.get('kind')!r}")
-    name, spec = network_specs[0]
-    network = MLP.from_spec(spec)
-    payload = os.path.join(os.path.dirname(manifest), keys["payload"])
-    with open(payload, "rb") as f:
-        _load_params_into(f, network)
-    return network, float(keys["test_accuracy"])
+    keys, nets = _read_bundle(path, "network")
+    return nets[keys["name"]], float(keys["test_accuracy"])

@@ -83,6 +83,15 @@ def test_train_then_eval_mixture(tmp_path, capsys):
     assert sum(int(v) for r in rows for v in r.split(",")) == 100
 
 
+def test_train_checks_the_seed_override(tmp_path):
+    config_path = tmp_path / "run.json"
+    config_path.write_text('{"dataset": "mixture2d", "scheme": {"scheme": "gan", "n_classes": 2}}')
+    with pytest.raises(ValueError, match="seed"):
+        main(["train", "--config", str(config_path), "--seed", "-1",
+              "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_image_checkpoint_needs_probe(image_checkpoint, capsys):
     rc = main(["eval", "--checkpoint", str(image_checkpoint)])
     assert rc == 2

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import auxgan.harness as harness
+from auxgan.cli import main
 from auxgan.data import GaussianMixtureSpec, write_synthetic_digit_files
 from auxgan.harness import (ConfusionMatrix, ExperimentConfig, MetricsRecord,
                             Probe, class_match_rate, emit_sample_grid,
-                            jsd_snapshot, jsd_trend, probe_label_jsd,
+                            jsd_snapshot, probe_label_jsd,
                             probe_match_rate, run_experiment)
 from auxgan.schemes import (LatentPartition, SchemeConfig, TrainingDiverged,
                             build_trio, load_checkpoint, load_probe_checkpoint)
@@ -69,6 +70,18 @@ def test_config_rejects_bad_dataset():
     with pytest.raises(ValueError, match="dataset"):
         ExperimentConfig(dataset="cifar",
                          scheme=SchemeConfig(scheme="gan", n_classes=2))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", 0), ("batch_size", "64"), ("epochs", -1), ("noise_dim", -3),
+    ("theta", float("nan")), ("n_classes", 2.5), ("steps_per_epoch", 0), ("seed", "x"),
+    ("eval_every", True), ("probe_epochs", 0), ("probe_hidden", (0,)),
+])
+def test_config_rejects_bad_value_naming_the_key(key, value):
+    raw = {"dataset": "mixture2d", "scheme": {"scheme": "vacgan", "n_classes": 4}}
+    (raw["scheme"] if key in SchemeConfig.__dataclass_fields__ else raw)[key] = value
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(raw)
 
 
 def test_config_rejects_nonpositive_eval_every():
@@ -176,16 +189,6 @@ def test_jsd_snapshot_disjoint_classes_is_log_n():
     assert value == pytest.approx(np.log(4.0), abs=1e-9)
 
 
-def test_jsd_trend_aligns_with_generator_snapshots():
-    partition = LatentPartition(n_classes=4, noise_dim=2)
-    collapsed = LabelMapGenerator(np.full((4, 2), 0.5), 4)
-    corners = LabelMapGenerator(
-        np.array([[-3.0, -3.0], [-3.0, 3.0], [3.0, -3.0], [3.0, 3.0]]), 4)
-    trend = jsd_trend([collapsed, corners], partition, seed=1)
-    assert trend[0] == 0.0
-    assert trend[1] == pytest.approx(np.log(4.0), abs=1e-9)
-
-
 def test_probe_label_jsd_extremes():
     partition = LatentPartition(n_classes=3, noise_dim=2)
     probe = Probe(network=IdentityNetwork(), test_accuracy=1.0)
@@ -286,7 +289,11 @@ def test_run_mnist_writes_probe_grid_and_metrics(tmp_path, digits_dir):
     assert record.step == 2560 // 64
     _, accuracy = load_probe_checkpoint(out / "probe")
     assert accuracy >= 0.95
-    assert (out / "samples_step0040.pgm").read_bytes().startswith(b"P5\n")
+    grid = (out / "samples_step0040.pgm").read_bytes()
+    assert grid.startswith(b"P5\n")
+    # the grid subcommand draws the same rng stream from the checkpoint
+    assert main(["grid", "--checkpoint", str(out), "--out", str(tmp_path / "again.pgm")]) == 0
+    assert (tmp_path / "again.pgm").read_bytes() == grid
     lines = (out / "metrics.csv").read_text().splitlines()
     assert len(lines) == 4  # header plus steps 0, 20, 40
     confusion = np.loadtxt(out / "confusion.csv", delimiter=",", dtype=int)

@@ -147,19 +147,6 @@ def test_nesterov_gradient_shape_mismatch():
         opt.step()
 
 
-def test_optimizer_kinds():
-    p = _param([0.0])
-    assert Adam([p]).kind == "adam"
-    assert NesterovMomentum([p]).kind == "nesterov_momentum"
-
-
-def test_zero_grad_clears_gradients():
-    p = _param([1.0])
-    p.grad = np.array([2.0])
-    Adam([p]).zero_grad()
-    assert p.grad is None
-
-
 def _random_params(rng):
     return [_param(rng.normal(size=shape)) for shape in ((4, 3), (3,), ())]
 

@@ -1,12 +1,18 @@
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auxgan.data import GaussianMixtureSpec, LabeledBatch, sample_mixture
 from auxgan.nn import MLP
 from auxgan.schemes import (LatentPartition, SchemeConfig, SharedTrunkClassifier,
                             TrainingDiverged, build_trio, cgan_condition,
                             classifier_step, discriminator_loss,
-                            generator_loss_vacgan, load_checkpoint,
+                            generator_loss, load_checkpoint,
                             load_probe_checkpoint, sample_latent,
                             save_checkpoint, save_probe_checkpoint, train_step)
 from auxgan.tensor import Tape, Tensor, bce_loss
@@ -142,7 +148,7 @@ def test_generator_loss_value():
     cfg = SchemeConfig(scheme="vacgan", n_classes=10, theta=0.2, zeta=0.8)
     d_fake = Tensor(np.full((4, 1), 0.5))
     probs = Tensor(np.full((4, 10), 0.1))
-    loss = generator_loss_vacgan(d_fake, probs, np.array([0, 1, 2, 3]), cfg)
+    loss = generator_loss(d_fake, probs, np.array([0, 1, 2, 3]), cfg)
     expected = 0.2 * np.log(2.0) + 0.8 * np.log(10.0)
     assert loss.item() == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(1.980697, abs=1e-6)
@@ -153,17 +159,18 @@ def test_generator_loss_zeta_zero_reduces_to_scaled_bce():
     rng = np.random.default_rng(6)
     d_fake = Tensor(rng.uniform(0.2, 0.8, size=(6, 1)))
     probs = Tensor(np.full((6, 4), 0.25))
-    loss = generator_loss_vacgan(d_fake, probs, np.zeros(6, dtype=int), cfg)
+    loss = generator_loss(d_fake, probs, np.zeros(6, dtype=int), cfg)
     assert loss.item() == 0.2 * bce_loss(d_fake, 1.0).item()
 
 
 def test_generator_loss_requires_classifier_scheme():
     gan_cfg = SchemeConfig(scheme="gan", n_classes=4)
-    with pytest.raises(ValueError):
-        generator_loss_vacgan(Tensor([[0.5]]), Tensor([[0.25] * 4]), np.array([0]), gan_cfg)
+    d_fake = Tensor([[0.5], [0.25]])
+    loss = generator_loss(d_fake, None, np.array([0, 1]), gan_cfg)
+    assert loss.item() == gan_cfg.theta * bce_loss(d_fake, 1.0).item()
     vac_cfg = SchemeConfig(scheme="vacgan", n_classes=4)
     with pytest.raises(ValueError):
-        generator_loss_vacgan(Tensor([[0.5]]), None, np.array([0]), vac_cfg)
+        generator_loss(Tensor([[0.5]]), None, np.array([0]), vac_cfg)
 
 
 def test_gradient_routing_through_classifier_term():
@@ -178,8 +185,8 @@ def test_gradient_routing_through_classifier_term():
         trio.generator.zero_grad()
         with Tape(wrt=trio.g_opt.params) as tape:
             fake = trio.generator(z)
-            loss = generator_loss_vacgan(trio.discriminator(fake),
-                                         trio.classifier(fake), labels, loss_cfg)
+            loss = generator_loss(trio.discriminator(fake),
+                                  trio.classifier(fake), labels, loss_cfg)
         tape.backward(loss)
         return [p.grad.copy() for p in trio.generator.params()]
 
@@ -376,13 +383,16 @@ def _forward_probe(trio, seed=17):
 def test_checkpoint_round_trip_reproduces_forward(scheme, tmp_path):
     cfg, trio = _mixture_setup(scheme, n_classes=3)
     _run(cfg, trio, 3)
-    save_checkpoint(tmp_path, trio, seed=3)
-    back, info = load_checkpoint(tmp_path)
+    save_checkpoint(tmp_path / "a", trio, seed=3)
+    back, info = load_checkpoint(tmp_path / "a")
     assert info["step"] == 3 and info["seed"] == 3
     assert np.array_equal(_forward_probe(trio), _forward_probe(back))
     if scheme in ("acgan", "vacgan"):
         x = Tensor(np.random.default_rng(18).normal(size=(4, 2)))
         assert np.array_equal(trio.classifier(x).data, back.classifier(x).data)
+    save_checkpoint(tmp_path / "b", back, seed=info["seed"])
+    for name in ("manifest.txt", "checkpoint.bin"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_checkpoint_rejects_foreign_manifest(tmp_path):
@@ -400,8 +410,50 @@ def test_checkpoint_kind_mismatch(tmp_path):
 
 def test_probe_checkpoint_round_trip(tmp_path):
     net = MLP((4, 8, 3), ("relu", "softmax"), rng=np.random.default_rng(20))
-    save_probe_checkpoint(tmp_path, net, test_accuracy=0.9785, seed=2)
-    back, accuracy = load_probe_checkpoint(tmp_path)
+    save_probe_checkpoint(tmp_path / "a", net, test_accuracy=0.9785, seed=2)
+    back, accuracy = load_probe_checkpoint(tmp_path / "a")
     assert accuracy == 0.9785
     x = Tensor(np.random.default_rng(21).normal(size=(5, 4)))
     assert np.array_equal(net(x).data, back(x).data)
+    save_probe_checkpoint(tmp_path / "b", back, accuracy, seed=2)
+    for name in ("manifest.txt", "checkpoint.bin"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_checkpoint_names_a_missing_key(tmp_path):
+    _, trio = _mixture_setup("vacgan")
+    save_checkpoint(tmp_path, trio, seed=3)
+    manifest = tmp_path / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines if not line.startswith("seed ")))
+    with pytest.raises(ValueError, match="'seed'") as e:
+        load_checkpoint(tmp_path)
+    assert str(manifest) in str(e.value)
+
+
+@pytest.fixture(scope="module")
+def saved_bundles(tmp_path_factory):
+    """A trained acgan trio and a probe, saved once for the corruption test."""
+    root = tmp_path_factory.mktemp("bundles")
+    cfg, trio = _mixture_setup("acgan", n_classes=3)
+    _run(cfg, trio, 2)
+    save_checkpoint(root / "trio", trio, seed=3)
+    net = MLP((4, 8, 3), ("relu", "softmax"), rng=np.random.default_rng(22))
+    save_probe_checkpoint(root / "probe", net, test_accuracy=0.97, seed=2)
+    return root
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["trio", "probe"]), data=st.data())
+def test_truncated_or_extended_payload_never_loads(saved_bundles, kind, data):
+    load = load_checkpoint if kind == "trio" else load_probe_checkpoint
+    payload = (saved_bundles / kind / "checkpoint.bin").read_bytes()
+    if data.draw(st.booleans(), label="extend"):
+        damaged = payload + data.draw(st.binary(min_size=1, max_size=64), label="suffix")
+    else:
+        damaged = payload[:data.draw(st.integers(0, len(payload) - 1), label="length")]
+    with tempfile.TemporaryDirectory() as directory:
+        shutil.copy(saved_bundles / kind / "manifest.txt", directory)
+        Path(directory, "checkpoint.bin").write_bytes(damaged)
+        with pytest.raises(ValueError):
+            load(directory)
