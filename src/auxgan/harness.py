@@ -71,6 +71,11 @@ class ExperimentConfig:
             raise ValueError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
         for name, least in (("seed", 0), ("eval_every", 1), ("probe_epochs", 1)):
             check_field(name, getattr(self, name), int, least)
+        # an image epoch is one full pass over the training set
+        default_steps = SchemeConfig.steps_per_epoch
+        if self.dataset == "mnist" and self.scheme.steps_per_epoch != default_steps:
+            raise ValueError(f"steps_per_epoch is set by the training set size on mnist runs; "
+                             f"leave it at {default_steps}, got {self.scheme.steps_per_epoch!r}")
         if not isinstance(self.probe_hidden, (list, tuple)):
             raise ValueError(f"probe_hidden must be a list of widths, got {self.probe_hidden!r}")
         self.probe_hidden = tuple(self.probe_hidden)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .tensor import ACTIVATIONS, Tensor, add, leaky_relu, matmul
+from .tensor import ACTIVATIONS, Tensor, _check_leaky_slope, add, leaky_relu, matmul
 
 
 def glorot_uniform(fan_in, fan_out, rng):
@@ -34,13 +34,22 @@ class DenseLayer:
         return [self.weights, self.bias]
 
 
+def _check_activation(name):
+    """Raise ValueError unless `_apply_activation` can run `name`.
+
+    Names also come from checkpoint manifests, so a `leaky_relu:ALPHA` slope
+    is checked here, when the network is built, not at its first forward.
+    """
+    if name.startswith("leaky_relu:"):
+        _check_leaky_slope(float(name.split(":", 1)[1]))
+    elif name not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}")
+
+
 def _apply_activation(name, x):
     if name.startswith("leaky_relu:"):
         return leaky_relu(x, alpha=float(name.split(":", 1)[1]))
-    try:
-        return ACTIVATIONS[name](x)
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}") from None
+    return ACTIVATIONS[name](x)
 
 
 class MLP:
@@ -56,6 +65,8 @@ class MLP:
         if len(activations) != len(dims) - 1:
             raise ValueError(f"{len(dims) - 1} layers need {len(dims) - 1} activations, "
                              f"got {len(activations)}")
+        for name in activations:
+            _check_activation(name)
         if layers is None:
             layers = [DenseLayer(dims[i], dims[i + 1], rng=rng) for i in range(len(dims) - 1)]
         self.dims = dims

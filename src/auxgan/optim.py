@@ -5,10 +5,21 @@ learning rate 2e-4 with beta1=0.5, beta2=0.999 for generator and
 discriminator, Nesterov momentum at learning rate 0.01 with momentum 0.9
 for the classifier.  Steps are deterministic: identical (params, grads,
 state) give bit-identical updates.  A step consumes the gradients it reads:
-it clears .grad on every parameter it updates.
+it clears .grad on every parameter it updates.  A step allocates no arrays:
+it works in place and in two scratch buffers made by the constructor.
 """
 
 import numpy as np
+
+
+def _scratch(params):
+    """Two work arrays per parameter, as views into two buffers of the largest size.
+
+    A step handles one parameter at a time, so all parameters share the buffers.
+    """
+    size = max((p.data.size for p in params), default=0)
+    buffers = np.empty(size), np.empty(size)
+    return [tuple(b[:p.data.size].reshape(p.data.shape) for b in buffers) for p in params]
 
 
 class Adam:
@@ -23,6 +34,7 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = _scratch(self.params)
 
     def step(self):
         self.t += 1
@@ -34,13 +46,23 @@ class Adam:
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
             m, v = self.m[i], self.v[i]
+            a, b = self._scratch[i]
+            # the textbook op order, so updates are bit-identical to
+            # p -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.multiply(g, 1.0 - b1, out=a)
             m *= b1
-            m += (1.0 - b1) * g
+            m += a
             v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v += a
+            np.divide(v, 1.0 - b2 ** self.t, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += self.epsilon
+            np.divide(m, 1.0 - b1 ** self.t, out=a)  # m_hat
+            a *= self.learning_rate
+            a /= b
+            p.data -= a
             p.grad = None
 
 
@@ -52,6 +74,7 @@ class NesterovMomentum:
         self.learning_rate = learning_rate
         self.momentum = momentum
         self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = _scratch(self.params)
 
     def step(self):
         lr, mu = self.learning_rate, self.momentum
@@ -62,7 +85,11 @@ class NesterovMomentum:
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
             v = self.velocity[i]
+            lr_g, step = self._scratch[i]
+            np.multiply(g, lr, out=lr_g)
             v *= mu
-            v -= lr * g
-            p.data += mu * v - lr * g
+            v -= lr_g
+            np.multiply(v, mu, out=step)
+            step -= lr_g
+            p.data += step
             p.grad = None

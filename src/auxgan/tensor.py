@@ -11,6 +11,12 @@ algebra, the usual activations, BCE/CCE).
 
 Everything is float64.  Ops are pure functions of their inputs apart from
 appending a backward rule to the active tape.
+
+Ownership: `Tensor(a)` wraps a float64 array `a` without copying, so the
+tensor and the caller share memory; ops never write into their inputs.  A
+leaf built with `requires_grad=True` owns a copy of its data, because the
+optimizers update parameters in place: an array passed in as initial
+weights (e.g. `DenseLayer(weights=...)`) is never written.
 """
 
 import numpy as np
@@ -26,7 +32,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.array(data, dtype=np.float64)
+        # a leaf the optimizers update in place owns its array; others wrap theirs
+        convert = np.array if requires_grad else np.asarray
+        self.data = convert(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -261,22 +269,35 @@ def relu(x):
     return out
 
 
+def _check_leaky_slope(alpha):
+    """Raise ValueError naming `alpha` unless 0 < alpha <= 1.
+
+    Only there do the max forms in leaky_relu select x for x > 0 and alpha * x
+    otherwise; at alpha = 0 the forward would give 0 * inf = NaN for x = +inf.
+    """
+    if not 0.0 < alpha <= 1.0:  # also False on NaN
+        raise ValueError(f"leaky_relu alpha must lie in (0, 1], got {alpha!r}")
+
+
 def leaky_relu(x, alpha=0.2):
     """Leaky rectifier; the 0.2 slope is the discriminator default."""
-    out = Tensor(np.where(x.data > 0.0, x.data, alpha * x.data))
+    _check_leaky_slope(alpha)
+    # with 0 < alpha <= 1 the max is x for x > 0 and alpha * x otherwise, bit for bit
+    out = Tensor(np.maximum(x.data, alpha * x.data))
 
     def bwd():
-        x.accumulate_grad(out.grad * np.where(x.data > 0.0, 1.0, alpha))
+        x.accumulate_grad(out.grad * np.maximum(x.data > 0.0, alpha))
 
     _track(out, (x,), bwd)
     return out
 
 
 def sigmoid(x):
-    # Split by sign to avoid overflow in exp for large |x|.
+    # exp(-|x|) never overflows.  The numerator is 1 where x >= 0 and e
+    # elsewhere, because 0 <= e <= 1; NaN propagates through both.
     d = x.data
     e = np.exp(-np.abs(d))
-    y = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = np.maximum(e, d >= 0.0) / (e + 1.0)
     out = Tensor(y)
 
     def bwd():

@@ -84,6 +84,18 @@ def test_config_rejects_bad_value_naming_the_key(key, value):
         ExperimentConfig.from_dict(raw)
 
 
+def test_mnist_config_rejects_steps_per_epoch_it_would_ignore():
+    raw = {"dataset": "mnist",
+           "scheme": {"scheme": "vacgan", "n_classes": 10, "steps_per_epoch": 20}}
+    with pytest.raises(ValueError, match="steps_per_epoch.*got 20"):
+        ExperimentConfig.from_dict(raw)
+    raw["scheme"]["steps_per_epoch"] = 100  # the default, spelled out
+    assert ExperimentConfig.from_dict(raw).scheme.steps_per_epoch == 100
+    # the acceptance digit run leaves it out
+    ExperimentConfig(dataset="mnist", scheme=SchemeConfig(scheme="vacgan", n_classes=10,
+                                                          noise_dim=16, epochs=5))
+
+
 def test_config_rejects_nonpositive_eval_every():
     with pytest.raises(ValueError, match="eval_every"):
         _config(eval_every=0)

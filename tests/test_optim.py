@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from auxgan.nn import DenseLayer
 from auxgan.optim import Adam, NesterovMomentum
 from auxgan.tensor import Tensor
 
@@ -193,3 +196,30 @@ def test_nesterov_in_place_state_matches_textbook_formulas_over_50_steps():
             assert np.array_equal(opt.velocity[i], vel[i])
             assert np.array_equal(params[i].data, ref[i])
             assert params[i].grad is None
+
+
+@pytest.mark.parametrize("optimizer", [Adam, NesterovMomentum])
+def test_step_allocates_no_arrays(optimizer):
+    p = _param(np.ones((256, 64)))
+    opt = optimizer([p])
+    for _ in range(2):
+        p.grad = np.full(p.shape, 0.5)
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.data.nbytes // 16
+
+
+@pytest.mark.parametrize("optimizer", [Adam, NesterovMomentum])
+def test_step_never_writes_the_arrays_given_as_initial_weights(optimizer):
+    weights, bias = np.ones((3, 2)), np.zeros(2)
+    layer = DenseLayer(3, 2, weights=weights, bias=bias)
+    opt = optimizer(layer.params())
+    for p in layer.params():
+        p.grad = np.ones(p.shape)
+    opt.step()
+    assert not np.array_equal(layer.weights.data, weights)
+    assert np.array_equal(weights, np.ones((3, 2))) and np.array_equal(bias, np.zeros(2))

@@ -431,6 +431,18 @@ def test_checkpoint_names_a_missing_key(tmp_path):
     assert str(manifest) in str(e.value)
 
 
+@pytest.mark.parametrize("slope", ["1.5", "0", "-0.2", "nan", "inf"])
+def test_checkpoint_with_a_bad_leaky_slope_never_loads(tmp_path, slope):
+    _, trio = _mixture_setup("vacgan")
+    save_checkpoint(tmp_path, trio, seed=3)
+    manifest = tmp_path / "manifest.txt"
+    text = manifest.read_text()
+    assert "leaky_relu:0.2" in text
+    manifest.write_text(text.replace("leaky_relu:0.2", f"leaky_relu:{slope}"))
+    with pytest.raises(ValueError, match=f"got {float(slope)!r}"):
+        load_checkpoint(tmp_path)
+
+
 @pytest.fixture(scope="module")
 def saved_bundles(tmp_path_factory):
     """A trained acgan trio and a probe, saved once for the corruption test."""

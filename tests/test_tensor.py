@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from auxgan.tensor import (EPS, Tape, Tensor, add, bce_loss, cce_loss,
                            concat_cols, leaky_relu, matmul, mul, relu, sigmoid,
@@ -131,6 +134,62 @@ def test_activation_values():
     assert leaky_relu(Tensor(-1.0)).item() == pytest.approx(-0.2)
     out = softmax_rows(Tensor([[0.0, 0.0, 0.0, 0.0]]))
     assert np.allclose(out.data, 0.25, atol=1e-15)
+
+
+def test_tensor_wraps_its_array_and_a_parameter_owns_a_copy():
+    a = np.arange(6.0).reshape(2, 3)
+    assert np.shares_memory(Tensor(a).data, a)
+    assert not np.shares_memory(Tensor(a, requires_grad=True).data, a)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5, float("nan"), float("inf"), -float("inf")])
+def test_leaky_relu_rejects_a_slope_outside_the_unit_interval(alpha):
+    with pytest.raises(ValueError, match=f"got {alpha!r}"):
+        leaky_relu(Tensor([1.0, -1.0]), alpha=alpha)
+
+
+# The sign-selecting formulas the branch-free kernels replaced; the kernels
+# must reproduce them bit for bit, forward and backward.
+def _where_sigmoid(d):
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _where_leaky_relu(d, alpha):
+    return np.where(d > 0.0, d, alpha * d), np.where(d > 0.0, 1.0, alpha)
+
+
+_EDGES = [0.0, -0.0, 1e-17, -1e-17, 800.0, -800.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+_inputs = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+    elements=st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, width=64)))
+
+
+def _forward_and_backward(op, data, upstream):
+    x = Tensor(data, requires_grad=True)
+    with Tape() as tape, np.errstate(over="ignore", invalid="ignore"):
+        out = op(x)
+        loss = tsum(mul(out, Tensor(upstream)))  # may be inf or NaN; it is not compared
+    tape.backward(loss)  # out.grad is `upstream`, bit for bit
+    return out.data, x.grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_inputs, seed=st.integers(0, 2**32 - 1),
+       alpha=st.one_of(st.sampled_from([0.2, 1.0, 5e-324]),
+                       st.floats(0.0, 1.0, exclude_min=True)))
+def test_activation_kernels_equal_the_sign_selecting_formulas_bit_for_bit(data, seed, alpha):
+    upstream = np.random.default_rng(seed).normal(size=data.shape)
+
+    y, grad = _forward_and_backward(sigmoid, data, upstream)
+    ref = _where_sigmoid(data)
+    assert y.tobytes() == ref.tobytes()
+    assert grad.tobytes() == (upstream * ref * (1.0 - ref)).tobytes()
+
+    y, grad = _forward_and_backward(lambda t: leaky_relu(t, alpha), data, upstream)
+    ref, slope = _where_leaky_relu(data, alpha)
+    assert y.tobytes() == ref.tobytes()
+    assert grad.tobytes() == (upstream * slope).tobytes()
 
 
 def test_softmax_rows_sum_to_one_and_stay_in_unit_interval():
