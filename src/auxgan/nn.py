@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .tensor import ACTIVATIONS, Tensor, _check_leaky_slope, add, leaky_relu, matmul
+from .tensor import ACTIVATIONS, Tensor, _check_leaky_slope, dense
 
 
 def glorot_uniform(fan_in, fan_out, rng):
@@ -28,28 +28,28 @@ class DenseLayer:
         self.bias = Tensor(bias, requires_grad=True)
 
     def __call__(self, x):
-        return add(matmul(x, self.weights), self.bias)
+        return dense(x, self.weights, self.bias)
 
     def params(self):
         return [self.weights, self.bias]
 
 
-def _check_activation(name):
-    """Raise ValueError unless `_apply_activation` can run `name`.
+def _parse_activation(name):
+    """(kind, alpha) of an activation name: an ACTIVATIONS key or `leaky_relu:ALPHA`.
 
-    Names also come from checkpoint manifests, so a `leaky_relu:ALPHA` slope
-    is checked here, when the network is built, not at its first forward.
+    Names also come from checkpoint manifests, so they are parsed and checked
+    once, when the network is built, not at its first forward.
     """
-    if name.startswith("leaky_relu:"):
-        _check_leaky_slope(float(name.split(":", 1)[1]))
-    elif name not in ACTIVATIONS:
+    kind, colon, slope = name.partition(":")
+    if kind not in ACTIVATIONS or (colon and kind != "leaky_relu"):
         raise ValueError(f"unknown activation {name!r}")
-
-
-def _apply_activation(name, x):
-    if name.startswith("leaky_relu:"):
-        return leaky_relu(x, alpha=float(name.split(":", 1)[1]))
-    return ACTIVATIONS[name](x)
+    if kind != "leaky_relu":
+        return kind, None
+    try:
+        alpha = float(slope) if colon else 0.2  # leaky_relu's default slope
+    except ValueError:
+        raise ValueError(f"leaky_relu slope {slope!r} is not a number") from None
+    return kind, _check_leaky_slope(alpha)
 
 
 class MLP:
@@ -65,8 +65,7 @@ class MLP:
         if len(activations) != len(dims) - 1:
             raise ValueError(f"{len(dims) - 1} layers need {len(dims) - 1} activations, "
                              f"got {len(activations)}")
-        for name in activations:
-            _check_activation(name)
+        self._kinds = [_parse_activation(name) for name in activations]
         if layers is None:
             layers = [DenseLayer(dims[i], dims[i + 1], rng=rng) for i in range(len(dims) - 1)]
         self.dims = dims
@@ -78,8 +77,8 @@ class MLP:
         if not isinstance(x, Tensor):
             x = Tensor(x)
         n = len(self.layers) if upto is None else upto
-        for layer, act in zip(self.layers[:n], self.activations[:n]):
-            x = _apply_activation(act, layer(x))
+        for layer, (kind, alpha) in zip(self.layers[:n], self._kinds[:n]):
+            x = dense(x, layer.weights, layer.bias, kind, alpha)
         return x
 
     __call__ = forward
@@ -99,8 +98,19 @@ class MLP:
 
     @classmethod
     def from_spec(cls, line):
-        fields = dict(part.split("=", 1) for part in line.split())
-        dims = [int(d) for d in fields["dims"].split(",")]
+        """Rebuild from `spec()`; a malformed line raises ValueError naming the bad part."""
+        fields = {}
+        for part in line.split():
+            key, eq, value = part.partition("=")
+            if not eq:
+                raise ValueError(f"network spec field {part!r} is not KEY=VALUE")
+            fields[key] = value
+        for key in ("dims", "activations"):
+            if key not in fields:
+                raise ValueError(f"network spec {line!r} has no {key!r}")
+        dims = fields["dims"].split(",")
+        if not all(d.isdecimal() and int(d) > 0 for d in dims):
+            raise ValueError(f"network spec dims {fields['dims']!r} are not positive integers")
         activations = fields["activations"].split(",")
         # Weights are placed afterwards by the checkpoint reader.
         return cls(dims, activations, rng=np.random.default_rng(0))

@@ -380,7 +380,11 @@ def _read_bundle(path, kind):
     if keys.get("kind") != kind:
         raise ValueError(f"expected a {kind} checkpoint, found kind {keys.get('kind')!r}")
     networks = _Manifest(manifest)
-    networks.update((name, MLP.from_spec(spec)) for name, spec in specs.items())
+    for name, spec in specs.items():
+        try:
+            networks[name] = MLP.from_spec(spec)
+        except ValueError as e:
+            raise ValueError(f"checkpoint manifest {manifest}, network {name}: {e}") from None
     payload = os.path.join(os.path.dirname(manifest), keys["payload"])
     with open(payload, "rb") as f:
         raw = f.read()

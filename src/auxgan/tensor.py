@@ -7,7 +7,8 @@ only on the listed leaves and computes only the backward products that lead
 to them; a plain `Tape()` differentiates every tensor that requires
 gradients.  A gradient lives until the optimizer step that reads it clears
 it.  Only the operations needed by the GAN schemes are provided (dense
-algebra, the usual activations, BCE/CCE).
+algebra, the usual activations, BCE/CCE).  A dense layer, act(x @ W + b),
+is one op, `dense`, and so one tape record.
 
 Everything is float64.  Ops are pure functions of their inputs apart from
 appending a backward rule to the active tape.
@@ -16,7 +17,11 @@ Ownership: `Tensor(a)` wraps a float64 array `a` without copying, so the
 tensor and the caller share memory; ops never write into their inputs.  A
 leaf built with `requires_grad=True` owns a copy of its data, because the
 optimizers update parameters in place: an array passed in as initial
-weights (e.g. `DenseLayer(weights=...)`) is never written.
+weights (e.g. `DenseLayer(weights=...)`) is never written.  Backward rules
+build their products in arrays they own.  `dense` owns its pre-activation
+z = x @ W + b: the bias is added into it in place, once, and the backward
+rule overwrites it with the activation's product.  It is never handed out,
+except as the output itself of a `linear` layer, whose rule does not write it.
 """
 
 import numpy as np
@@ -257,82 +262,94 @@ def tmean(x):
 
 
 # ---------------------------------------------------------------------------
-# activations
-
-def relu(x):
-    out = Tensor(np.maximum(x.data, 0.0))
-
-    def bwd():
-        x.accumulate_grad(out.grad * (x.data > 0.0))
-
-    _track(out, (x,), bwd)
-    return out
-
+# activations: one (forward, backward) kernel pair per kind, shared by the
+# standalone ops and `dense`.  forward(z, alpha) returns a new y; backward(g,
+# z, y, alpha, out) returns g * dy/dz in `out`, or in a new array if None.
 
 def _check_leaky_slope(alpha):
-    """Raise ValueError naming `alpha` unless 0 < alpha <= 1.
+    """Return `alpha`; raise ValueError naming it unless 0 < alpha <= 1.
 
     Only there do the max forms in leaky_relu select x for x > 0 and alpha * x
     otherwise; at alpha = 0 the forward would give 0 * inf = NaN for x = +inf.
     """
     if not 0.0 < alpha <= 1.0:  # also False on NaN
         raise ValueError(f"leaky_relu alpha must lie in (0, 1], got {alpha!r}")
+    return alpha
+
+
+def _sigmoid_forward(z, alpha):
+    # exp(-|z|) never overflows.  The numerator is 1 where z >= 0 and e
+    # elsewhere, because 0 <= e <= 1; NaN propagates through both.
+    e = np.exp(-np.abs(z))
+    return np.maximum(e, z >= 0.0) / (e + 1.0)
+
+
+def _sigmoid_backward(g, z, y, alpha, out):
+    r = np.multiply(g, y, out=out)
+    r *= 1.0 - y  # in place, or a new scalar for 0-d inputs
+    return r
+
+
+def _softmax_forward(z, alpha):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_backward(g, z, y, alpha, out):
+    r = np.multiply(g, y, out=out)
+    np.subtract(g, r.sum(axis=1, keepdims=True), out=r)
+    return np.multiply(y, r, out=r)
+
+
+_KERNELS = {
+    "relu": (lambda z, alpha: np.maximum(z, 0.0),
+             lambda g, z, y, alpha, out: np.multiply(g, z > 0.0, out=out)),
+    # with 0 < alpha <= 1 the max is z for z > 0 and alpha * z otherwise, bit for bit
+    "leaky_relu": (lambda z, alpha: np.maximum(z, _check_leaky_slope(alpha) * z),
+                   lambda g, z, y, alpha, out: np.multiply(g, np.maximum(z > 0.0, alpha),
+                                                           out=out)),
+    "sigmoid": (_sigmoid_forward, _sigmoid_backward),
+    "tanh": (lambda z, alpha: np.tanh(z),
+             lambda g, z, y, alpha, out: np.multiply(g, 1.0 - y * y, out=out)),
+    "softmax": (_softmax_forward, _softmax_backward),
+    "linear": (lambda z, alpha: z, lambda g, z, y, alpha, out: g),
+}
+
+
+def _activate(x, kind, alpha=None):
+    forward, backward = _KERNELS[kind]
+    y = forward(x.data, alpha)
+    out = Tensor(y)
+
+    def bwd():
+        x.accumulate_grad(backward(out.grad, x.data, y, alpha, None))
+
+    _track(out, (x,), bwd)
+    return out
+
+
+def relu(x):
+    return _activate(x, "relu")
 
 
 def leaky_relu(x, alpha=0.2):
     """Leaky rectifier; the 0.2 slope is the discriminator default."""
-    _check_leaky_slope(alpha)
-    # with 0 < alpha <= 1 the max is x for x > 0 and alpha * x otherwise, bit for bit
-    out = Tensor(np.maximum(x.data, alpha * x.data))
-
-    def bwd():
-        x.accumulate_grad(out.grad * np.maximum(x.data > 0.0, alpha))
-
-    _track(out, (x,), bwd)
-    return out
+    return _activate(x, "leaky_relu", alpha)
 
 
 def sigmoid(x):
-    # exp(-|x|) never overflows.  The numerator is 1 where x >= 0 and e
-    # elsewhere, because 0 <= e <= 1; NaN propagates through both.
-    d = x.data
-    e = np.exp(-np.abs(d))
-    y = np.maximum(e, d >= 0.0) / (e + 1.0)
-    out = Tensor(y)
-
-    def bwd():
-        x.accumulate_grad(out.grad * y * (1.0 - y))
-
-    _track(out, (x,), bwd)
-    return out
+    return _activate(x, "sigmoid")
 
 
 def tanh(x):
-    y = np.tanh(x.data)
-    out = Tensor(y)
-
-    def bwd():
-        x.accumulate_grad(out.grad * (1.0 - y * y))
-
-    _track(out, (x,), bwd)
-    return out
+    return _activate(x, "tanh")
 
 
 def softmax_rows(x):
     """Row-wise softmax of a rank-2 tensor; rows sum to 1."""
     if x.data.ndim != 2:
         raise ValueError(f"softmax_rows needs a rank-2 tensor, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y)
-
-    def bwd():
-        dy = out.grad
-        x.accumulate_grad(y * (dy - (dy * y).sum(axis=1, keepdims=True)))
-
-    _track(out, (x,), bwd)
-    return out
+    return _activate(x, "softmax")
 
 
 ACTIVATIONS = {
@@ -343,6 +360,33 @@ ACTIVATIONS = {
     "softmax": softmax_rows,
     "linear": lambda x: x,
 }
+
+
+def dense(x, w, b, kind="linear", alpha=None):
+    """act(x @ w + b) as one tape record, bit-identical to the unfused ops.
+
+    `kind` is a key of ACTIVATIONS, `alpha` the leaky_relu slope.
+    """
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ValueError(f"dense shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    forward, backward = _KERNELS[kind]
+    z = x.data @ w.data
+    z += b.data  # the rounding of x @ w + b
+    y = forward(z, alpha)
+    out = Tensor(y)
+
+    def bwd():
+        g = backward(out.grad, z, y, alpha, z)
+        if need_b:
+            b.accumulate_grad(g.sum(axis=0))
+        if need_x:
+            x.accumulate_grad(g @ w.data.T)
+        if need_w:
+            w.accumulate_grad(x.data.T @ g)
+
+    need_x, need_w, need_b = _track(out, (x, w, b), bwd)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +401,24 @@ def bce_loss(prediction, target):
     constant.
     """
     t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
-    t = np.broadcast_to(t, prediction.shape)
-    if t.size and (t.min() < 0.0 or t.max() > 1.0):
+    # the comparisons are False on NaN, so a NaN target fails the check too
+    if not ((t >= 0.0) & (t <= 1.0)).all():
         raise ValueError("bce_loss targets must lie in [0, 1]")
+    if t.ndim:
+        np.broadcast_to(t, prediction.shape)  # raises unless t fits the prediction
     p = np.clip(prediction.data, EPS, 1.0 - EPS)
     n = prediction.data.size
     out = Tensor(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).mean())
 
     def bwd():
-        inside = (prediction.data > EPS) & (prediction.data < 1.0 - EPS)
-        g = -(t / p - (1.0 - t) / (1.0 - p)) / n
-        prediction.accumulate_grad(out.grad * g * inside)
+        # out.grad * (-(t / p - (1 - t) / (1 - p)) / n) * inside, in one owned array
+        g = np.divide(t, p, out=np.empty_like(p))
+        g -= (1.0 - t) / (1.0 - p)
+        np.negative(g, out=g)
+        g /= n
+        np.multiply(out.grad, g, out=g)
+        g *= (prediction.data > EPS) & (prediction.data < 1.0 - EPS)
+        prediction.accumulate_grad(g)
 
     _track(out, (prediction,), bwd)
     return out

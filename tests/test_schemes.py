@@ -1,3 +1,4 @@
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -469,3 +470,23 @@ def test_truncated_or_extended_payload_never_loads(saved_bundles, kind, data):
         Path(directory, "checkpoint.bin").write_bytes(damaged)
         with pytest.raises(ValueError):
             load(directory)
+
+
+@pytest.mark.parametrize("spec, named", [
+    ("dims=4,8,3", "'activations'"),
+    ("garbage", "'garbage'"),
+    ("dims=4,x,3 activations=relu,softmax", "'4,x,3'"),
+    ("dims=4,8,3 activations=leaky_relu:abc,softmax", "'abc'"),
+])
+@pytest.mark.parametrize("kind", ["trio", "probe"])
+def test_malformed_network_line_never_loads(saved_bundles, tmp_path, kind, spec, named):
+    load = load_checkpoint if kind == "trio" else load_probe_checkpoint
+    shutil.copytree(saved_bundles / kind, tmp_path / kind)
+    manifest = tmp_path / kind / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("network "))
+    lines[i] = f"network {lines[i].split()[1]} {spec}"
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(named)) as e:
+        load(tmp_path / kind)
+    assert str(manifest) in str(e.value)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from auxgan.tensor import (EPS, Tape, Tensor, add, bce_loss, cce_loss,
-                           concat_cols, leaky_relu, matmul, mul, relu, sigmoid,
+                           concat_cols, dense, leaky_relu, matmul, mul, relu, sigmoid,
                            softmax_rows, tanh, tmean, tsum)
-from gradcheck import check_input_gradient, relative_error
+from gradcheck import check_input_gradient, check_param_gradient, relative_error
 
 N_INSTANCES = 50
 
@@ -192,6 +194,68 @@ def test_activation_kernels_equal_the_sign_selecting_formulas_bit_for_bit(data, 
     assert grad.tobytes() == (upstream * slope).tobytes()
 
 
+_KINDS = ("relu", "leaky_relu", "sigmoid", "tanh", "softmax", "linear")
+_UNFUSED = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh, "softmax": softmax_rows,
+            "linear": lambda t: t}
+_WRT = [None] + [c for r in range(4) for c in itertools.combinations("xwb", r)]
+
+
+def _dense_run(op, arrays, upstream, wrt):
+    """Forward bytes and the x, w, b gradient bytes (None where not written)."""
+    leaves = dict(zip("xwb", (Tensor(a, requires_grad=True) for a in arrays)))
+    listed = None if wrt is None else [leaves[k] for k in wrt]
+    with Tape(wrt=listed) as tape, np.errstate(all="ignore"):
+        out = op(*leaves.values())
+        loss = tsum(mul(out, Tensor(upstream)))
+        records = len(tape)
+        tape.backward(loss)  # out.grad is `upstream`, bit for bit
+    grads = [None if t.grad is None else t.grad.tobytes() for t in leaves.values()]
+    return records, [out.data.tobytes()] + grads
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(_KINDS),
+       alpha=st.floats(0.0, 1.0, exclude_min=True))
+def test_dense_equals_the_unfused_chain_bit_for_bit(data, kind, alpha):
+    rows, n_in, n_out = (data.draw(st.integers(1, 4), label=k) for k in ("rows", "in", "out"))
+    values = st.one_of(st.sampled_from(_EDGES), st.floats(-1e3, 1e3))
+    arrays = [data.draw(hnp.arrays(np.float64, shape, elements=values), label=k)
+              for k, shape in (("x", (rows, n_in)), ("w", (n_in, n_out)), ("b", (n_out,)))]
+    upstream = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(
+        size=(rows, n_out))
+    alpha = alpha if kind == "leaky_relu" else None
+    activation = (lambda t: leaky_relu(t, alpha)) if alpha else _UNFUSED[kind]
+
+    def unfused(x, w, b):
+        return activation(add(matmul(x, w), b))
+
+    for wrt in _WRT:
+        records, fused = _dense_run(lambda x, w, b: dense(x, w, b, kind, alpha),
+                                    arrays, upstream, wrt)
+        assert records == (0 if wrt == () else 3)  # dense, mul, tsum
+        assert fused == _dense_run(unfused, arrays, upstream, wrt)[1]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_dense_gradients(kind):
+    rng = np.random.default_rng(24)
+    alpha = 0.2 if kind == "leaky_relu" else None
+    for _ in range(10):
+        x0 = rng.normal(size=(5, 3))
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        upstream = Tensor(rng.normal(size=(5, 4)))
+
+        def loss(x):
+            return tsum(mul(dense(x, w, b, kind, alpha), upstream))
+
+        check_input_gradient(loss, x0)
+        for param in (w, b):
+            w.zero_grad()
+            b.zero_grad()
+            check_param_gradient(lambda: loss(Tensor(x0)), param)
+
+
 def test_softmax_rows_sum_to_one_and_stay_in_unit_interval():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(20, 7)) * 30.0)
@@ -219,6 +283,12 @@ def test_bce_values():
 def test_bce_target_validation():
     with pytest.raises(ValueError):
         bce_loss(Tensor([[0.5]]), 1.5)
+
+
+@pytest.mark.parametrize("target", [float("nan"), np.array([[0.5], [np.nan]]), -0.1])
+def test_bce_rejects_a_nan_or_out_of_range_target(target):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        bce_loss(Tensor([[0.5], [0.5]]), target)
 
 
 def test_bce_gradient_at_half_with_target_one():
