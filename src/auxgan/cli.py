@@ -58,8 +58,8 @@ def _cmd_eval(args):
         print(f"probe test accuracy: {accuracy!r}")
     elif trio.data_dim == 2:
         spec = GaussianMixtureSpec.ring(n_classes=trio.config.n_classes)
-        match, confusion = class_match_rate(trio.generator, trio.partition, spec,
-                                            args.samples_per_class, rng)
+        match, confusion, _ = class_match_rate(trio.generator, trio.partition, spec,
+                                               args.samples_per_class, rng)
     else:
         print("a probe checkpoint is required to evaluate image generators",
               file=sys.stderr)
@@ -82,6 +82,15 @@ def _cmd_grid(args):
     return 0
 
 
+def _at_least(least):
+    """argparse type: an integer >= least; argparse names the flag on error (exit 2)."""
+    def integer(text):
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="auxgan",
@@ -99,10 +108,10 @@ def build_parser():
 
     p = sub.add_parser("verify-identities",
                        help="check L* = N log N - N*JSD on random families")
-    p.add_argument("--n", type=int, required=True, help="family size N")
-    p.add_argument("--support", type=int, required=True, help="support size")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_at_least(2), required=True, help="family size N")
+    p.add_argument("--support", type=_at_least(1), required=True, help="support size")
+    p.add_argument("--trials", type=_at_least(1), required=True)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=_cmd_verify_identities)
 
     p = sub.add_parser("eval", help="measure conditional fidelity of a checkpoint")
@@ -110,13 +119,13 @@ def build_parser():
                    help="run directory or manifest.txt path")
     p.add_argument("--probe", default=None,
                    help="probe checkpoint (required for image generators)")
-    p.add_argument("--samples-per-class", type=int, default=200)
+    p.add_argument("--samples-per-class", type=_at_least(1), default=200)
     p.add_argument("--out", default=None, help="also write the confusion CSV here")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("grid", help="render a per-class sample grid as PGM")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--cols", type=int, default=8, help="samples per class row")
+    p.add_argument("--cols", type=_at_least(1), default=8, help="samples per class row")
     p.add_argument("--out", default=None, help="output PGM path")
     p.set_defaults(func=_cmd_grid)
     return parser

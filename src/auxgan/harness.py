@@ -34,10 +34,10 @@ from .tensor import Tape, Tensor, cce_loss
 
 DATASETS = ("mixture2d", "mnist")
 
-# rng streams by name: the run-wide ones are default_rng([seed, tag]), the
-# evaluation ones at a step are default_rng([seed, 2, step, *sub_tags]).
+# rng streams by name: the run-wide ones are default_rng([seed, tag]), the evaluation
+# ones at a step default_rng([seed, 2, step, *sub_tags]).  A retired tag is never reused.
 _RUN_STREAMS = {"build": 0, "train": 1, "probe": 3}
-_EVAL_STREAMS = {"match": (), "jsd": (1,), "grid": (2,), "cli_eval": (9,)}
+_EVAL_STREAMS = {"match": (), "grid": (2,), "cli_eval": (9,)}
 
 
 def rng_stream(seed, name, step=None):
@@ -166,21 +166,24 @@ class ConfusionMatrix:
         return "\n".join(",".join(str(v) for v in row) for row in self.counts) + "\n"
 
 
-def _generate(generator, partition, labels, rng):
-    return generator(sample_latent(partition, labels, rng)).data
+def _generate(generator, partition, samples_per_class, rng):
+    """(labels, outputs) of one labelled sample set, the classes in blocks of equal size."""
+    check_field("samples_per_class", samples_per_class, int, 1)
+    labels = np.repeat(np.arange(partition.n_classes), samples_per_class)
+    return labels, generator(sample_latent(partition, labels, rng)).data
 
 
 def class_match_rate(generator, partition, spec, samples_per_class, rng):
     """Fraction of generated points whose nearest mixture mean is the requested class.
 
-    Ties (measure zero in practice) break to the lowest class index, which
-    argmin already does; fixed for determinism.
+    Returns (rate, confusion, points), where points[c] holds the samples of
+    class c.  Ties (measure zero in practice) break to the lowest class
+    index, which argmin already does; fixed for determinism.
     """
-    labels = np.repeat(np.arange(spec.n_classes), samples_per_class)
-    x = _generate(generator, partition, labels, rng)
+    labels, x = _generate(generator, partition, samples_per_class, rng)
     d2 = ((x[:, None, :] - spec.means[None, :, :]) ** 2).sum(axis=2)
-    assigned = d2.argmin(axis=1)
-    return float((assigned == labels).mean()), _confusion(labels, assigned, spec.n_classes)
+    confusion = _confusion(labels, d2.argmin(axis=1), spec.n_classes)
+    return confusion.match_rate(), confusion, x.reshape(partition.n_classes, samples_per_class, -1)
 
 
 def _confusion(requested, assigned, n_classes):
@@ -223,55 +226,38 @@ def probe_match_rate(generator, partition, probe, samples_per_class, rng):
         raise ValueError(
             f"probe test accuracy {probe.test_accuracy:.4f} is below the "
             f"{PROBE_ACCURACY_FLOOR} floor; refusing to evaluate with it")
-    n = partition.n_classes
-    labels = np.repeat(np.arange(n), samples_per_class)
-    x = _generate(generator, partition, labels, rng)
-    assigned = probe.network(Tensor(x)).data.argmax(axis=1)
-    return float((assigned == labels).mean()), _confusion(labels, assigned, n)
+    labels, x = _generate(generator, partition, samples_per_class, rng)
+    confusion = _confusion(labels, probe.network(Tensor(x)).data.argmax(axis=1),
+                           partition.n_classes)
+    return confusion.match_rate(), confusion
 
 
-def per_class_histograms(generator, partition, rng, samples_per_class=500,
-                         bins=JSD_BINS, box=JSD_BOX):
-    """2-D histogram of generated points for each class, normalized."""
-    lo, hi = box
-    edges = np.linspace(lo, hi, bins + 1)
-    members = []
-    for c in range(partition.n_classes):
-        labels = np.full(samples_per_class, c)
-        x = _generate(generator, partition, labels, rng)
-        x = np.clip(x, lo, hi - 1e-9)  # out-of-box mass lands in edge bins
-        h, _, _ = np.histogram2d(x[:, 0], x[:, 1], bins=[edges, edges])
-        members.append(h.ravel() / h.sum())
-    return DistributionFamily(np.array(members))
-
-
-def jsd_snapshot(generator, partition, rng, samples_per_class=500,
-                 bins=JSD_BINS, box=JSD_BOX):
-    """Histogram JSD estimate for one generator state.
+def jsd_snapshot(points, bins=JSD_BINS, box=JSD_BOX):
+    """Histogram JSD estimate of the per-class point sets `points[c]`.
 
     Rounded to 1e-9: the estimator's statistical error at 500 samples per
     class is orders of magnitude above that, and the rounding keeps
     saturated values (disjoint supports give exactly log N) comparable as
     exact ties instead of float-summation jitter.
     """
-    family = per_class_histograms(generator, partition, rng, samples_per_class, bins, box)
-    return round(generalized_jsd(family), 9)
+    lo, hi = box
+    edges = np.linspace(lo, hi, bins + 1)
+    clipped = np.clip(points, lo, hi - 1e-9)  # out-of-box mass lands in edge bins
+    members = np.array([np.histogram2d(x[:, 0], x[:, 1], bins=[edges, edges])[0].ravel()
+                        for x in clipped])
+    members /= members.sum(axis=1, keepdims=True)
+    return round(generalized_jsd(DistributionFamily(members)), 9)
 
 
-def probe_label_jsd(generator, partition, probe, rng, samples_per_class=500):
+def probe_label_jsd(confusion):
     """JSD between per-class probe-label distributions (image-run analog).
 
     The 2-D histogram estimate needs closed-form coordinates; for images the
-    per-class distribution over the probe's assigned labels plays that role.
+    per-class distribution over the probe's assigned labels, a row of the
+    confusion matrix, plays that role.
     """
-    n = partition.n_classes
-    labels = np.repeat(np.arange(n), samples_per_class)
-    x = _generate(generator, partition, labels, rng)
-    assigned = probe.network(Tensor(x)).data.argmax(axis=1)
-    members = np.zeros((n, n))
-    np.add.at(members, (labels, assigned), 1.0)
-    members /= members.sum(axis=1, keepdims=True)
-    return round(generalized_jsd(DistributionFamily(members)), 9)
+    rows = confusion.counts
+    return round(generalized_jsd(DistributionFamily(rows / rows.sum(axis=1, keepdims=True))), 9)
 
 
 def emit_sample_grid(generator, partition, rows_per_class, path, rng,
@@ -283,8 +269,8 @@ def emit_sample_grid(generator, partition, rows_per_class, path, rng,
     """
     n = partition.n_classes
     h, w = image_shape
-    labels = np.repeat(np.arange(n), rows_per_class)
-    x = _generate(generator, partition, labels, rng)
+    check_field("rows_per_class", rows_per_class, int, 1)
+    _, x = _generate(generator, partition, rows_per_class, rng)
     if x.shape[1] != h * w:
         raise ValueError(f"generator emits {x.shape[1]} features, grid needs {h}x{w}")
     pixels = np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8)
@@ -331,15 +317,15 @@ def _resolve_mnist_files(config, mnist_dir):
 
 
 def _evaluate(trio, config, mixture_spec, probe, step, losses, t0):
-    eval_rng = rng_stream(config.seed, "match", step)
-    jsd_rng = rng_stream(config.seed, "jsd", step)
+    # one labelled sample set, generated and classified inside the match call
+    rng = rng_stream(config.seed, "match", step)
     if config.dataset == "mixture2d":
-        match, confusion = class_match_rate(
-            trio.generator, trio.partition, mixture_spec, 500, eval_rng)
-        jsd = jsd_snapshot(trio.generator, trio.partition, jsd_rng)
+        match, confusion, points = class_match_rate(
+            trio.generator, trio.partition, mixture_spec, 500, rng)
+        jsd = jsd_snapshot(points)
     else:
-        match, confusion = probe_match_rate(trio.generator, trio.partition, probe, 200, eval_rng)
-        jsd = probe_label_jsd(trio.generator, trio.partition, probe, jsd_rng, 200)
+        match, confusion = probe_match_rate(trio.generator, trio.partition, probe, 200, rng)
+        jsd = probe_label_jsd(confusion)
     record = MetricsRecord(
         step=step,
         d_loss=None if losses is None else losses.d_loss,

@@ -195,9 +195,6 @@ def _assemble(config, data_dim, generator, discriminator, classifier_net, step=0
     classifier = classifier_net
     if config.scheme == "acgan":
         classifier = SharedTrunkClassifier(discriminator, classifier_net)
-    # C's optimizer state is allocated before G's and D's: with it last, digit
-    # evaluations read 3-6% slower in the benchmark (heap layout, not work)
-    c_opt = None if classifier is None else NesterovMomentum(classifier.params())
     return TrioState(
         config=config,
         partition=LatentPartition(n_classes=config.n_classes, noise_dim=config.noise_dim),
@@ -207,7 +204,7 @@ def _assemble(config, data_dim, generator, discriminator, classifier_net, step=0
         classifier=classifier,
         g_opt=Adam(generator.params()),
         d_opt=Adam(discriminator.params()),
-        c_opt=c_opt,
+        c_opt=None if classifier is None else NesterovMomentum(classifier.params()),
         step=step,
     )
 

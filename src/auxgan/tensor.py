@@ -19,9 +19,10 @@ leaf built with `requires_grad=True` owns a copy of its data, because the
 optimizers update parameters in place: an array passed in as initial
 weights (e.g. `DenseLayer(weights=...)`) is never written.  Backward rules
 build their products in arrays they own.  `dense` owns its pre-activation
-z = x @ W + b: the bias is added into it in place, once, and the backward
-rule overwrites it with the activation's product.  It is never handed out,
-except as the output itself of a `linear` layer, whose rule does not write it.
+z = x @ W + b: the bias is added into it in place, once, the sigmoid kernel
+uses it as forward scratch (the standalone `sigmoid` never writes its input),
+and the backward rule overwrites it with the activation's product.  It is
+handed out only as the output of a `linear` layer, whose rule does not write it.
 """
 
 import numpy as np
@@ -263,8 +264,9 @@ def tmean(x):
 
 # ---------------------------------------------------------------------------
 # activations: one (forward, backward) kernel pair per kind, shared by the
-# standalone ops and `dense`.  forward(z, alpha) returns a new y; backward(g,
-# z, y, alpha, out) returns g * dy/dz in `out`, or in a new array if None.
+# standalone ops and `dense`.  forward(z, alpha, scratch) returns a new y,
+# perhaps using `scratch` (z itself, or None) as work space; backward(g, z,
+# y, alpha, out) returns g * dy/dz in `out`, or in a new array if None.
 
 def _check_leaky_slope(alpha):
     """Return `alpha`; raise ValueError naming it unless 0 < alpha <= 1.
@@ -277,11 +279,14 @@ def _check_leaky_slope(alpha):
     return alpha
 
 
-def _sigmoid_forward(z, alpha):
+def _sigmoid_forward(z, alpha, scratch):
     # exp(-|z|) never overflows.  The numerator is 1 where z >= 0 and e
     # elsewhere, because 0 <= e <= 1; NaN propagates through both.
-    e = np.exp(-np.abs(z))
-    return np.maximum(e, z >= 0.0) / (e + 1.0)
+    positive = z >= 0.0
+    e = np.exp(np.negative(np.abs(z, out=scratch), out=scratch), out=scratch)
+    y = np.maximum(e, positive)
+    y /= np.add(e, 1.0, out=scratch)
+    return y
 
 
 def _sigmoid_backward(g, z, y, alpha, out):
@@ -290,7 +295,7 @@ def _sigmoid_backward(g, z, y, alpha, out):
     return r
 
 
-def _softmax_forward(z, alpha):
+def _softmax_forward(z, alpha, scratch):
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -302,23 +307,23 @@ def _softmax_backward(g, z, y, alpha, out):
 
 
 _KERNELS = {
-    "relu": (lambda z, alpha: np.maximum(z, 0.0),
+    "relu": (lambda z, alpha, scratch: np.maximum(z, 0.0),
              lambda g, z, y, alpha, out: np.multiply(g, z > 0.0, out=out)),
     # with 0 < alpha <= 1 the max is z for z > 0 and alpha * z otherwise, bit for bit
-    "leaky_relu": (lambda z, alpha: np.maximum(z, _check_leaky_slope(alpha) * z),
+    "leaky_relu": (lambda z, alpha, scratch: np.maximum(z, _check_leaky_slope(alpha) * z),
                    lambda g, z, y, alpha, out: np.multiply(g, np.maximum(z > 0.0, alpha),
                                                            out=out)),
     "sigmoid": (_sigmoid_forward, _sigmoid_backward),
-    "tanh": (lambda z, alpha: np.tanh(z),
+    "tanh": (lambda z, alpha, scratch: np.tanh(z),
              lambda g, z, y, alpha, out: np.multiply(g, 1.0 - y * y, out=out)),
     "softmax": (_softmax_forward, _softmax_backward),
-    "linear": (lambda z, alpha: z, lambda g, z, y, alpha, out: g),
+    "linear": (lambda z, alpha, scratch: z, lambda g, z, y, alpha, out: g),
 }
 
 
 def _activate(x, kind, alpha=None):
     forward, backward = _KERNELS[kind]
-    y = forward(x.data, alpha)
+    y = forward(x.data, alpha, None)
     out = Tensor(y)
 
     def bwd():
@@ -373,7 +378,7 @@ def dense(x, w, b, kind="linear", alpha=None):
     forward, backward = _KERNELS[kind]
     z = x.data @ w.data
     z += b.data  # the rounding of x @ w + b
-    y = forward(z, alpha)
+    y = forward(z, alpha, z)
     out = Tensor(y)
 
     def bwd():

@@ -114,3 +114,33 @@ def test_grid_default_filename_uses_step(image_checkpoint, tmp_path, monkeypatch
     assert rc == 0
     assert capsys.readouterr()[0].strip() == "samples_step0000.pgm"
     assert (tmp_path / "samples_step0000.pgm").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "--checkpoint", "run", "--samples-per-class", "0"], "--samples-per-class"),
+    (["eval", "--checkpoint", "run", "--samples-per-class", "-3"], "--samples-per-class"),
+    (["grid", "--checkpoint", "run", "--cols", "0"], "--cols"),
+    (["verify-identities", "--n", "3", "--support", "8", "--trials", "-2"], "--trials"),
+    (["verify-identities", "--n", "1", "--support", "8", "--trials", "2"], "--n"),
+    (["verify-identities", "--n", "3", "--support", "0", "--trials", "2"], "--support"),
+    (["verify-identities", "--n", "3", "--support", "8", "--trials", "2", "--seed", "-1"],
+     "--seed"),
+    (["grid", "--checkpoint", "run", "--cols", "two"], "--cols"),
+])
+def test_sizes_below_their_floor_are_refused_naming_the_flag(argv, flag, tmp_path,
+                                                             monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert f"argument {flag}:" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_smallest_valid_sizes_are_accepted(image_checkpoint, tmp_path, capsys):
+    assert main(["verify-identities", "--n", "2", "--support", "1", "--trials", "1"]) == 0
+    out = tmp_path / "grid.pgm"
+    assert main(["grid", "--checkpoint", str(image_checkpoint), "--cols", "1",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"P5\n28 280\n255\n")

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from auxgan.harness import (ConfusionMatrix, ExperimentConfig, MetricsRecord,
                             Probe, class_match_rate, emit_sample_grid,
                             jsd_snapshot, probe_label_jsd,
                             probe_match_rate, run_experiment)
-from auxgan.schemes import (LatentPartition, SchemeConfig, TrainingDiverged,
-                            build_trio, load_checkpoint, load_probe_checkpoint)
+from auxgan.divergence import DistributionFamily, generalized_jsd
+from auxgan.nn import MLP
+from auxgan.schemes import (LatentPartition, SchemeConfig, TrainingDiverged, build_trio,
+                            load_checkpoint, load_probe_checkpoint, sample_latent)
 from auxgan.tensor import Tensor
 
 
@@ -142,7 +146,7 @@ def test_class_match_rate_perfect_stub():
     spec = GaussianMixtureSpec.ring(n_classes=4)
     partition = LatentPartition(n_classes=4, noise_dim=2)
     gen = LabelMapGenerator(spec.means, 4)
-    rate, cm = class_match_rate(gen, partition, spec, 50, np.random.default_rng(0))
+    rate, cm, _ = class_match_rate(gen, partition, spec, 50, np.random.default_rng(0))
     assert rate == 1.0
     assert np.array_equal(cm.counts, np.eye(4, dtype=int) * 50)
 
@@ -152,7 +156,7 @@ def test_class_match_rate_tie_breaks_to_lowest_index():
     spec = GaussianMixtureSpec.ring(n_classes=4)
     partition = LatentPartition(n_classes=4, noise_dim=2)
     gen = LabelMapGenerator(np.zeros((4, 2)), 4)
-    rate, cm = class_match_rate(gen, partition, spec, 50, np.random.default_rng(0))
+    rate, cm, _ = class_match_rate(gen, partition, spec, 50, np.random.default_rng(0))
     assert rate == 0.25
     assert np.array_equal(cm.counts[:, 0], np.full(4, 50))
     assert cm.counts[:, 1:].sum() == 0
@@ -164,8 +168,8 @@ def test_untrained_trio_match_is_near_chance():
     trio = build_trio(cfg, 2, rng=np.random.default_rng([7, 0]),
                       generator_hidden=(32, 32), discriminator_hidden=(32, 32),
                       classifier_hidden=(32,), generator_output="linear")
-    rate, _ = class_match_rate(trio.generator, trio.partition, spec, 2500,
-                               np.random.default_rng([7, 2, 0]))
+    rate, _, _ = class_match_rate(trio.generator, trio.partition, spec, 2500,
+                                  np.random.default_rng([7, 2, 0]))
     assert abs(rate - 0.25) <= 0.05
 
 
@@ -187,17 +191,27 @@ def test_probe_match_rate_counts_per_requested_class():
     assert np.array_equal(cm.counts, np.eye(4, dtype=int) * 25)
 
 
+def _ring_points(gen, partition):
+    """The per-class points of one 500-per-class evaluation sample set."""
+    spec = GaussianMixtureSpec.ring(n_classes=partition.n_classes)
+    return class_match_rate(gen, partition, spec, 500, np.random.default_rng(0))[2]
+
+
+def _label_confusion(gen, partition, probe):
+    return probe_match_rate(gen, partition, probe, 500, np.random.default_rng(0))[1]
+
+
 def test_jsd_snapshot_identical_classes_is_zero():
     partition = LatentPartition(n_classes=4, noise_dim=2)
     gen = LabelMapGenerator(np.full((4, 2), 0.5), 4)
-    assert jsd_snapshot(gen, partition, np.random.default_rng(0)) == 0.0
+    assert jsd_snapshot(_ring_points(gen, partition)) == 0.0
 
 
 def test_jsd_snapshot_disjoint_classes_is_log_n():
     partition = LatentPartition(n_classes=4, noise_dim=2)
     corners = np.array([[-3.0, -3.0], [-3.0, 3.0], [3.0, -3.0], [3.0, 3.0]])
     gen = LabelMapGenerator(corners, 4)
-    value = jsd_snapshot(gen, partition, np.random.default_rng(0))
+    value = jsd_snapshot(_ring_points(gen, partition))
     assert value == pytest.approx(np.log(4.0), abs=1e-9)
 
 
@@ -205,11 +219,75 @@ def test_probe_label_jsd_extremes():
     partition = LatentPartition(n_classes=3, noise_dim=2)
     probe = Probe(network=IdentityNetwork(), test_accuracy=1.0)
     separated = LabelMapGenerator(np.eye(3), 3)
-    value = probe_label_jsd(separated, partition, probe, np.random.default_rng(0))
+    value = probe_label_jsd(_label_confusion(separated, partition, probe))
     assert value == pytest.approx(np.log(3.0), abs=1e-9)
     collapsed = LabelMapGenerator(np.tile([1.0, 0.0, 0.0], (3, 1)), 3)
-    value = probe_label_jsd(collapsed, partition, probe, np.random.default_rng(0))
+    value = probe_label_jsd(_label_confusion(collapsed, partition, probe))
     assert value == 0.0
+
+
+def test_probe_label_jsd_equals_a_second_pass_on_the_same_stream():
+    # the per-class label distributions of a generate-and-classify pass are
+    # the rows of the confusion matrix the match pass already counted
+    partition = LatentPartition(n_classes=4, noise_dim=3)
+    cfg = SchemeConfig(scheme="gan", n_classes=4, noise_dim=3)
+    gen = build_trio(cfg, 6, rng=np.random.default_rng(5), generator_hidden=(16,),
+                     discriminator_hidden=(8,)).generator
+    probe = Probe(network=MLP((6, 12, 4), ("relu", "softmax"), rng=np.random.default_rng(6)),
+                  test_accuracy=1.0)
+    _, confusion = probe_match_rate(gen, partition, probe, 200, np.random.default_rng(3))
+
+    rng = np.random.default_rng(3)
+    labels = np.repeat(np.arange(4), 200)
+    x = gen(sample_latent(partition, labels, rng)).data
+    assigned = probe.network(Tensor(x)).data.argmax(axis=1)
+    members = np.zeros((4, 4))
+    np.add.at(members, (labels, assigned), 1.0)
+    members /= members.sum(axis=1, keepdims=True)
+    reference = round(generalized_jsd(DistributionFamily(members)), 9)
+
+    assert 0.0 < reference < np.log(4.0)  # neither extreme, so the rows differ in earnest
+    assert probe_label_jsd(confusion) == reference
+
+
+class CountingGenerator(LabelMapGenerator):
+    def __init__(self, rows, n_classes):
+        super().__init__(rows, n_classes)
+        self.calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return super().__call__(z)
+
+
+@pytest.mark.parametrize("dataset", ["mixture2d", "mnist"])
+def test_one_evaluation_runs_the_generator_once(dataset):
+    n = 4
+    partition = LatentPartition(n_classes=n, noise_dim=2)
+    spec = GaussianMixtureSpec.ring(n_classes=n)
+    gen = CountingGenerator(spec.means if dataset == "mixture2d" else np.eye(n), n)
+    trio = SimpleNamespace(generator=gen, partition=partition)
+    config = ExperimentConfig(dataset=dataset,
+                              scheme=SchemeConfig(scheme="gan", n_classes=n, noise_dim=2))
+    probe = Probe(network=IdentityNetwork(), test_accuracy=1.0)
+    record, _ = harness._evaluate(trio, config, spec, probe, 0, None, 0.0)
+    assert gen.calls == 1
+    assert record.class_match_rate == 1.0
+    assert record.jsd_estimate == pytest.approx(np.log(n), abs=1e-9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda gen, part, k: class_match_rate(gen, part, GaussianMixtureSpec.ring(n_classes=2),
+                                          k, np.random.default_rng(0)),
+    lambda gen, part, k: probe_match_rate(gen, part, Probe(IdentityNetwork(), 1.0), k,
+                                          np.random.default_rng(0)),
+])
+@pytest.mark.parametrize("k", [0, -3])
+def test_evaluations_reject_fewer_than_one_sample_per_class(call, k):
+    partition = LatentPartition(n_classes=2, noise_dim=2)
+    gen = LabelMapGenerator(np.eye(2), 2)
+    with pytest.raises(ValueError, match="samples_per_class"):
+        call(gen, partition, k)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +317,15 @@ def test_sample_grid_pixel_values(tmp_path):
     for c in range(10):
         band = canvas[c * 28:(c + 1) * 28]
         assert (band == np.rint(255.0 * c / 9.0)).all()
+
+
+@pytest.mark.parametrize("rows", [0, -1])
+def test_sample_grid_rejects_fewer_than_one_row_per_class(tmp_path, rows):
+    partition = LatentPartition(n_classes=2, noise_dim=2)
+    gen = LabelMapGenerator(np.zeros((2, 784)), 2)
+    with pytest.raises(ValueError, match="rows_per_class"):
+        emit_sample_grid(gen, partition, rows, tmp_path / "none.pgm", np.random.default_rng(0))
+    assert not (tmp_path / "none.pgm").exists()
 
 
 def test_sample_grid_rejects_wrong_feature_count(tmp_path):

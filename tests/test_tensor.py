@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,29 @@ def test_dense_equals_the_unfused_chain_bit_for_bit(data, kind, alpha):
                                     arrays, upstream, wrt)
         assert records == (0 if wrt == () else 3)  # dense, mul, tsum
         assert fused == _dense_run(unfused, arrays, upstream, wrt)[1]
+
+
+def test_dense_sigmoid_works_in_its_own_pre_activation():
+    rng = np.random.default_rng(3)
+    x, w, b = (Tensor(rng.normal(size=shape)) for shape in ((2000, 64), (64, 784), (784,)))
+    before = [t.data.tobytes() for t in (x, w, b)]
+    tracemalloc.start()
+    try:
+        y = dense(x, w, b, "sigmoid").data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # z = x @ w + b, y and a bool mask; z doubles as exp(-|z|) and 1 + exp(-|z|)
+    assert peak <= 2.2 * y.nbytes
+    assert [t.data.tobytes() for t in (x, w, b)] == before
+    assert y.tobytes() == sigmoid(add(matmul(x, w), b)).data.tobytes()
+
+
+def test_standalone_sigmoid_never_writes_its_input():
+    a = np.random.default_rng(4).normal(size=(50, 7))
+    kept = a.copy()
+    sigmoid(Tensor(a))
+    assert np.array_equal(a, kept)
 
 
 @pytest.mark.parametrize("kind", _KINDS)
