@@ -21,7 +21,7 @@ def finite_difference_check():
     net = MLP((2, 8, 2), ("tanh", "softmax"), rng=rng)
     x = Tensor(XOR_X)
 
-    with Tape() as tape:
+    with Tape(wrt=net.params()) as tape:
         loss = cce_loss(net(x), XOR_Y)
     tape.backward(loss)
 

@@ -133,7 +133,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as e:  # bad input files: argparse's exit status, no traceback
+        print(f"auxgan: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

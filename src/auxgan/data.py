@@ -116,7 +116,6 @@ class GaussianMixtureSpec:
     n_classes: int
     means: np.ndarray  # (N, 2)
     stddev: float = 0.15
-    samples_per_class: int = 2500
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=np.float64)
@@ -126,12 +125,11 @@ class GaussianMixtureSpec:
             raise ValueError("stddev must be non-negative")
 
     @classmethod
-    def ring(cls, n_classes=4, radius=2.0, stddev=0.15, samples_per_class=2500):
+    def ring(cls, n_classes=4, radius=2.0, stddev=0.15):
         """Means equally spaced on a circle; separation > 6*stddev by default."""
         angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
         means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        return cls(n_classes=n_classes, means=means, stddev=stddev,
-                   samples_per_class=samples_per_class)
+        return cls(n_classes=n_classes, means=means, stddev=stddev)
 
 
 def sample_mixture(spec, rng, batch):

@@ -19,13 +19,14 @@ class DenseLayer:
             weights = glorot_uniform(in_dim, out_dim, rng)
         if bias is None:
             bias = np.zeros(out_dim)
-        weights = np.asarray(weights, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64)
+        # the optimizers update parameters in place: never write the caller's arrays
+        weights = np.array(weights, dtype=np.float64)
+        bias = np.array(bias, dtype=np.float64)
         if weights.shape != (in_dim, out_dim) or bias.shape != (out_dim,):
             raise ValueError(
                 f"dense layer ({in_dim}, {out_dim}) got weights {weights.shape}, bias {bias.shape}")
-        self.weights = Tensor(weights, requires_grad=True)
-        self.bias = Tensor(bias, requires_grad=True)
+        self.weights = Tensor(weights)
+        self.bias = Tensor(bias)
 
     def __call__(self, x):
         return dense(x, self.weights, self.bias)

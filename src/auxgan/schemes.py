@@ -73,8 +73,8 @@ def cgan_condition(real_or_fake, labels, n_classes):
     return concat_cols(real_or_fake, Tensor(partition.one_hot(labels)))
 
 
-def check_field(name, value, kind, least):
-    """Raise ValueError naming `name` unless `value` is a `kind` (int or float) >= least.
+def check_field(name, value, kind, least, most=math.inf):
+    """Raise ValueError naming `name` unless `value` is a `kind` (int or float) in [least, most].
 
     bool does not count as an int, and a float must be finite.
     """
@@ -83,9 +83,10 @@ def check_field(name, value, kind, least):
     else:
         ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
               and math.isfinite(value))
-    if not ok or value < least:
+    if not ok or not least <= value <= most:
+        bound = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
         raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}"
-                         f" >= {least}, got {value!r}")
+                         f" {bound}, got {value!r}")
 
 
 @dataclass
@@ -337,6 +338,19 @@ class _Manifest(dict):
     def __missing__(self, key):
         raise ValueError(f"checkpoint manifest {self.path} has no {key!r}")
 
+    def number(self, key, kind, least, most=math.inf):
+        """Entry `key` as a `kind` (int or float) in [least, most]; else a ValueError naming it."""
+        text = self[key]
+        try:
+            value = kind(text)
+        except ValueError:
+            value = text  # not a number: check_field rejects it
+        try:
+            check_field(key, value, kind, least, most)
+        except ValueError as e:
+            raise ValueError(f"checkpoint manifest {self.path}: {e}") from None
+        return value
+
 
 def _write_bundle(directory, kind, keys, networks):
     """Write one bundle; `keys` and `networks` are dicts in manifest order."""
@@ -424,17 +438,15 @@ def load_checkpoint(path):
     where info carries the manifest's step and seed.
     """
     keys, nets = _read_bundle(path, "trio")
-    config = SchemeConfig(
-        scheme=keys["scheme"],
-        n_classes=int(keys["n_classes"]),
-        noise_dim=int(keys["noise_dim"]),
-        theta=float(keys["theta"]),
-        zeta=float(keys["zeta"]),
-    )
+    config = SchemeConfig(scheme=keys["scheme"], **{
+        key: keys.number(key, *SchemeConfig._RANGES[key])
+        for key in ("n_classes", "noise_dim", "theta", "zeta")})
+    width = nets["generator"].dims[-1]  # data_dim must equal it
+    data_dim = keys.number("data_dim", int, width, width)
     name = _CLASSIFIER_NET.get(config.scheme)
-    trio = _assemble(config, int(keys["data_dim"]), nets["generator"], nets["discriminator"],
-                     None if name is None else nets[name], step=int(keys["step"]))
-    return trio, {"step": trio.step, "seed": int(keys["seed"])}
+    trio = _assemble(config, data_dim, nets["generator"], nets["discriminator"],
+                     None if name is None else nets[name], step=keys.number("step", int, 0))
+    return trio, {"step": trio.step, "seed": keys.number("seed", int, 0)}
 
 
 def save_probe_checkpoint(directory, network, test_accuracy, seed):
@@ -446,4 +458,4 @@ def save_probe_checkpoint(directory, network, test_accuracy, seed):
 def load_probe_checkpoint(path):
     """Returns (network, test_accuracy) for a saved probe."""
     keys, nets = _read_bundle(path, "network")
-    return nets[keys["name"]], float(keys["test_accuracy"])
+    return nets[keys["name"]], keys.number("test_accuracy", float, 0.0, 1.0)

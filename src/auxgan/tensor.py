@@ -2,27 +2,27 @@
 
 The engine is deliberately small: a Tensor wraps a numpy array, a Tape
 records every differentiable operation in execution order, and backward()
-replays the records in exact reverse order.  `Tape(wrt=params)` writes .grad
-only on the listed leaves and computes only the backward products that lead
-to them; a plain `Tape()` differentiates every tensor that requires
-gradients.  A gradient lives until the optimizer step that reads it clears
-it.  Only the operations needed by the GAN schemes are provided (dense
-algebra, the usual activations, BCE/CCE).  A dense layer, act(x @ W + b),
-is one op, `dense`, and so one tape record.
+replays the records in exact reverse order.  Every tape names the leaves it
+differentiates, `Tape(wrt=params)`: it writes .grad only on those and
+computes only the backward products that lead to them.  A gradient lives
+until the optimizer step that reads it clears it.  Only the operations
+needed by the GAN schemes are provided (dense algebra, the usual
+activations, BCE/CCE).  A dense layer, act(x @ W + b), is one op, `dense`,
+and so one tape record.
 
 Everything is float64.  Ops are pure functions of their inputs apart from
 appending a backward rule to the active tape.
 
 Ownership: `Tensor(a)` wraps a float64 array `a` without copying, so the
-tensor and the caller share memory; ops never write into their inputs.  A
-leaf built with `requires_grad=True` owns a copy of its data, because the
-optimizers update parameters in place: an array passed in as initial
-weights (e.g. `DenseLayer(weights=...)`) is never written.  Backward rules
-build their products in arrays they own.  `dense` owns its pre-activation
-z = x @ W + b: the bias is added into it in place, once, the sigmoid kernel
-uses it as forward scratch (the standalone `sigmoid` never writes its input),
-and the backward rule overwrites it with the activation's product.  It is
-handed out only as the output of a `linear` layer, whose rule does not write it.
+tensor and the caller share memory; ops never write into their inputs.  The
+optimizers update parameters in place, so `nn.DenseLayer` gives each
+parameter its own copy: an array passed in as initial weights is never
+written.  Backward rules build their products in arrays they own.  `dense`
+owns its pre-activation z = x @ W + b: the bias is added into it in place,
+once, the sigmoid kernel uses it as forward scratch (the standalone
+`sigmoid` never writes its input), and the backward rule overwrites it with
+the activation's product.  It is handed out only as the output of a
+`linear` layer, whose rule does not write it.
 """
 
 import numpy as np
@@ -33,15 +33,12 @@ _TAPES = []  # stack of active tapes; ops record onto the innermost one
 
 
 class Tensor:
-    """Dense n-dimensional float64 array, optionally tracked for gradients."""
+    """Dense n-dimensional float64 array and the gradient a tape wrote for it."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad=False):
-        # a leaf the optimizers update in place owns its array; others wrap theirs
-        convert = np.array if requires_grad else np.asarray
-        self.data = convert(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
 
     @property
@@ -64,23 +61,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -_as_tensor(other))
-
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
 class Tape:
@@ -89,14 +77,14 @@ class Tape:
     Records append in execution order, so every node's inputs precede it and
     the reverse sweep is a valid topological order.  A tape may be replayed
     backward exactly once; training steps build a fresh tape each time.
-    With `wrt`, only those leaves and the outputs that depend on them get
+    Only the leaves in `wrt` and the outputs that depend on them get
     gradients; every other input is a constant on this tape.
     """
 
-    def __init__(self, wrt=None):
+    def __init__(self, wrt):
         self._records = []  # backward closures, execution order
         self._spent = False
-        self._needed = None if wrt is None else set(wrt)
+        self._needed = set(wrt)
 
     def __enter__(self):
         _TAPES.append(self)
@@ -139,14 +127,9 @@ def _track(out, inputs, backward_fn):
     if not _TAPES:
         return (False,) * len(inputs)
     tape = _TAPES[-1]
-    if tape._needed is None:
-        needs = tuple(t.requires_grad for t in inputs)
-    else:
-        needs = tuple(t in tape._needed for t in inputs)
+    needs = tuple(t in tape._needed for t in inputs)
     if any(needs):
-        out.requires_grad = True
-        if tape._needed is not None:
-            tape._needed.add(out)
+        tape._needed.add(out)
         tape._record(backward_fn)
     return needs
 

@@ -30,8 +30,8 @@ def relative_error(analytic, numeric):
 
 def check_input_gradient(build, x0, rel_tol=REL_TOL):
     """build(tensor) -> scalar loss; compares tape gradient against the oracle."""
-    x = Tensor(x0.copy(), requires_grad=True)
-    with Tape() as tape:
+    x = Tensor(x0.copy())
+    with Tape(wrt=[x]) as tape:
         loss = build(x)
     tape.backward(loss)
     analytic = x.grad.copy()
@@ -43,7 +43,7 @@ def check_input_gradient(build, x0, rel_tol=REL_TOL):
 
 def check_param_gradient(make_loss, param, rel_tol=REL_TOL):
     """make_loss() -> scalar loss that reads `param`; checks d loss / d param."""
-    with Tape() as tape:
+    with Tape(wrt=[param]) as tape:
         loss = make_loss()
     tape.backward(loss)
     analytic = param.grad.copy()

@@ -83,12 +83,38 @@ def test_train_then_eval_mixture(tmp_path, capsys):
     assert sum(int(v) for r in rows for v in r.split(",")) == 100
 
 
-def test_train_checks_the_seed_override(tmp_path):
+def test_train_checks_the_seed_override(tmp_path, capsys):
     config_path = tmp_path / "run.json"
     config_path.write_text('{"dataset": "mixture2d", "scheme": {"scheme": "gan", "n_classes": 2}}')
-    with pytest.raises(ValueError, match="seed"):
-        main(["train", "--config", str(config_path), "--seed", "-1",
-              "--out", str(tmp_path / "out")])
+    rc = main(["train", "--config", str(config_path), "--seed", "-1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr()[1]
+    assert not (tmp_path / "out").exists()
+
+
+def _ring_checkpoint(directory):
+    trio = build_trio(SchemeConfig(scheme="gan", n_classes=4), data_dim=2,
+                      rng=np.random.default_rng(0))
+    save_checkpoint(directory, trio, seed=0)
+    return directory
+
+
+@pytest.mark.parametrize("argv, named", [
+    (lambda tmp: ["eval", "--checkpoint", str(tmp / "missing")], "missing"),
+    (lambda tmp: ["grid", "--checkpoint", str(tmp / "missing")], "missing"),
+    (lambda tmp: ["train", "--config", str(tmp / "bad.json"), "--out", str(tmp / "out")],
+     "epochs"),
+    (lambda tmp: ["grid", "--checkpoint", str(_ring_checkpoint(tmp / "ring"))], "28x28"),
+])
+def test_bad_input_files_are_one_error_line_with_exit_2(argv, named, tmp_path, capsys):
+    bad = '{"scheme": {"scheme": "gan", "n_classes": 2, "epochs": -1}}'
+    (tmp_path / "bad.json").write_text(bad)
+    rc = main(argv(tmp_path))
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("auxgan: error: ") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

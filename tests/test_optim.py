@@ -9,8 +9,7 @@ from auxgan.tensor import Tensor
 
 
 def _param(values):
-    p = Tensor(np.asarray(values, dtype=float), requires_grad=True)
-    return p
+    return Tensor(np.array(values, dtype=float))
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():

@@ -490,3 +490,24 @@ def test_malformed_network_line_never_loads(saved_bundles, tmp_path, kind, spec,
     with pytest.raises(ValueError, match=re.escape(named)) as e:
         load(tmp_path / kind)
     assert str(manifest) in str(e.value)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("trio", "n_classes", "x"), ("trio", "n_classes", "1"), ("trio", "noise_dim", "-1"),
+    ("trio", "theta", "abc"), ("trio", "zeta", "nan"), ("trio", "step", "1.5"),
+    ("trio", "step", "-1"), ("trio", "seed", "-3"), ("trio", "data_dim", "3"),
+    ("probe", "test_accuracy", "high"), ("probe", "test_accuracy", "1.5"),
+    ("probe", "test_accuracy", "-0.1"),
+])
+def test_a_manifest_value_that_does_not_parse_or_is_out_of_range_never_loads(
+        saved_bundles, tmp_path, kind, key, value):
+    load = load_checkpoint if kind == "trio" else load_probe_checkpoint
+    shutil.copytree(saved_bundles / kind, tmp_path / kind)
+    manifest = tmp_path / kind / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"{key} "))
+    lines[i] = f"{key} {value}"
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be")) as e:
+        load(tmp_path / kind)
+    assert str(manifest) in str(e.value) and value in str(e.value)

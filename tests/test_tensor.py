@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from auxgan.nn import DenseLayer
 from auxgan.tensor import (EPS, Tape, Tensor, add, bce_loss, cce_loss,
                            concat_cols, dense, leaky_relu, matmul, mul, relu, sigmoid,
                            softmax_rows, tanh, tmean, tsum)
@@ -43,8 +44,8 @@ def test_mul_shape_error():
 
 
 def test_sum_gradient_is_ones():
-    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    with Tape() as tape:
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    with Tape(wrt=[x]) as tape:
         loss = tsum(x)
     tape.backward(loss)
     assert np.array_equal(x.grad, np.ones((2, 3)))
@@ -52,16 +53,16 @@ def test_sum_gradient_is_ones():
 
 def test_diamond_fanout_accumulates_both_branches():
     # loss = sum(x*x + (x + x)); grad must be 2x + 2
-    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    with Tape() as tape:
+    x = Tensor(np.array([1.0, -2.0, 3.0]))
+    with Tape(wrt=[x]) as tape:
         loss = tsum(add(mul(x, x), add(x, x)))
     tape.backward(loss)
     assert np.allclose(x.grad, 2.0 * x.data + 2.0, atol=1e-15)
 
 
 def test_tape_reuse_rejected():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with Tape() as tape:
+    x = Tensor(np.ones(3))
+    with Tape(wrt=[x]) as tape:
         loss = tsum(x)
     tape.backward(loss)
     with pytest.raises(RuntimeError):
@@ -69,8 +70,8 @@ def test_tape_reuse_rejected():
 
 
 def test_backward_requires_scalar_loss():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with Tape() as tape:
+    x = Tensor(np.ones(3))
+    with Tape(wrt=[x]) as tape:
         y = mul(x, 2.0)
     with pytest.raises(ValueError):
         tape.backward(y)
@@ -79,17 +80,15 @@ def test_backward_requires_scalar_loss():
 def test_tape_wrt_matches_full_backward_on_listed_leaves_only():
     # a generator-step shape: the loss reads both nets, only `first` is listed
     rng = np.random.default_rng(5)
-    first = [Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-             Tensor(rng.normal(size=4), requires_grad=True)]
-    second = [Tensor(rng.normal(size=(4, 1)), requires_grad=True),
-              Tensor(rng.normal(size=1), requires_grad=True)]
+    first = [Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=4))]
+    second = [Tensor(rng.normal(size=(4, 1))), Tensor(rng.normal(size=1))]
     x = Tensor(rng.normal(size=(6, 3)))
 
     def loss():
         h = tanh(add(matmul(x, first[0]), first[1]))
         return bce_loss(sigmoid(add(matmul(h, second[0]), second[1])), 1.0)
 
-    with Tape() as tape:
+    with Tape(wrt=first + second) as tape:
         full_loss = loss()
     tape.backward(full_loss)
     full = [p.grad for p in first]
@@ -107,13 +106,12 @@ def test_tape_wrt_matches_full_backward_on_listed_leaves_only():
 
 
 def test_tape_wrt_records_nothing_that_misses_the_listed_leaves():
-    w = Tensor(np.ones((2, 2)), requires_grad=True)
-    frozen = Tensor(np.ones((2, 2)), requires_grad=True)
+    w = Tensor(np.ones((2, 2)))
+    frozen = Tensor(np.ones((2, 2)))
     with Tape(wrt=[w]) as tape:
         constant = matmul(frozen, frozen)  # no listed leaf below it
         loss = tsum(matmul(constant, w))
     assert len(tape) == 2
-    assert not constant.requires_grad
     tape.backward(loss)
     assert frozen.grad is None and constant.grad is None
     assert np.array_equal(w.grad, np.full((2, 2), 4.0))
@@ -122,9 +120,9 @@ def test_tape_wrt_records_nothing_that_misses_the_listed_leaves():
 def test_shared_first_gradient_is_not_changed_by_a_later_contribution():
     # add hands one out.grad array to both a and b; a later second
     # contribution to a must leave b's gradient as it was
-    a = Tensor(np.ones(3), requires_grad=True)
-    b = Tensor(np.ones(3), requires_grad=True)
-    with Tape() as tape:
+    a = Tensor(np.ones(3))
+    b = Tensor(np.ones(3))
+    with Tape(wrt=[a, b]) as tape:
         scaled = mul(a, 3.0)  # replayed last: a's second contribution
         loss = tsum(add(add(a, b), scaled))
     tape.backward(loss)
@@ -142,7 +140,15 @@ def test_activation_values():
 def test_tensor_wraps_its_array_and_a_parameter_owns_a_copy():
     a = np.arange(6.0).reshape(2, 3)
     assert np.shares_memory(Tensor(a).data, a)
-    assert not np.shares_memory(Tensor(a, requires_grad=True).data, a)
+    b = np.zeros(3)
+    layer = DenseLayer(2, 3, weights=a, bias=b)
+    assert not np.shares_memory(layer.weights.data, a)
+    assert not np.shares_memory(layer.bias.data, b)
+
+
+def test_a_tape_must_name_its_leaves():
+    with pytest.raises(TypeError):
+        Tape()
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5, float("nan"), float("inf"), -float("inf")])
@@ -169,8 +175,8 @@ _inputs = hnp.arrays(
 
 
 def _forward_and_backward(op, data, upstream):
-    x = Tensor(data, requires_grad=True)
-    with Tape() as tape, np.errstate(over="ignore", invalid="ignore"):
+    x = Tensor(data)
+    with Tape(wrt=[x]) as tape, np.errstate(over="ignore", invalid="ignore"):
         out = op(x)
         loss = tsum(mul(out, Tensor(upstream)))  # may be inf or NaN; it is not compared
     tape.backward(loss)  # out.grad is `upstream`, bit for bit
@@ -198,14 +204,13 @@ def test_activation_kernels_equal_the_sign_selecting_formulas_bit_for_bit(data, 
 _KINDS = ("relu", "leaky_relu", "sigmoid", "tanh", "softmax", "linear")
 _UNFUSED = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh, "softmax": softmax_rows,
             "linear": lambda t: t}
-_WRT = [None] + [c for r in range(4) for c in itertools.combinations("xwb", r)]
+_WRT = [c for r in range(4) for c in itertools.combinations("xwb", r)]
 
 
 def _dense_run(op, arrays, upstream, wrt):
     """Forward bytes and the x, w, b gradient bytes (None where not written)."""
-    leaves = dict(zip("xwb", (Tensor(a, requires_grad=True) for a in arrays)))
-    listed = None if wrt is None else [leaves[k] for k in wrt]
-    with Tape(wrt=listed) as tape, np.errstate(all="ignore"):
+    leaves = dict(zip("xwb", (Tensor(a) for a in arrays)))
+    with Tape(wrt=[leaves[k] for k in wrt]) as tape, np.errstate(all="ignore"):
         out = op(*leaves.values())
         loss = tsum(mul(out, Tensor(upstream)))
         records = len(tape)
@@ -266,8 +271,8 @@ def test_dense_gradients(kind):
     alpha = 0.2 if kind == "leaky_relu" else None
     for _ in range(10):
         x0 = rng.normal(size=(5, 3))
-        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=4), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)))
+        b = Tensor(rng.normal(size=4))
         upstream = Tensor(rng.normal(size=(5, 4)))
 
         def loss(x):
@@ -317,16 +322,16 @@ def test_bce_rejects_a_nan_or_out_of_range_target(target):
 
 def test_bce_gradient_at_half_with_target_one():
     # d/dp of -log(p) at p=0.5 is -2, divided by element count
-    p = Tensor(np.full((4, 1), 0.5), requires_grad=True)
-    with Tape() as tape:
+    p = Tensor(np.full((4, 1), 0.5))
+    with Tape(wrt=[p]) as tape:
         loss = bce_loss(p, 1.0)
     tape.backward(loss)
     assert np.allclose(p.grad, -2.0 / 4.0, atol=1e-15)
 
 
 def test_bce_gradient_masked_in_clamped_region():
-    p = Tensor(np.array([[0.0, 1.0, 0.5]]), requires_grad=True)
-    with Tape() as tape:
+    p = Tensor(np.array([[0.0, 1.0, 0.5]]))
+    with Tape(wrt=[p]) as tape:
         loss = bce_loss(p, 1.0)
     tape.backward(loss)
     assert p.grad[0, 0] == 0.0 and p.grad[0, 1] == 0.0
@@ -380,9 +385,9 @@ def test_cce_gradient_matches_closed_form():
     rng = np.random.default_rng(4)
     for _ in range(N_INSTANCES):
         raw = rng.uniform(0.1, 1.0, size=(6, 5))
-        probs = Tensor(raw / raw.sum(axis=1, keepdims=True), requires_grad=True)
+        probs = Tensor(raw / raw.sum(axis=1, keepdims=True))
         labels = rng.integers(0, 5, size=6)
-        with Tape() as tape:
+        with Tape(wrt=[probs]) as tape:
             loss = cce_loss(probs, labels)
         tape.backward(loss)
         expected = np.zeros((6, 5))
