@@ -28,9 +28,9 @@ from .data import (GaussianMixtureSpec, load_mnist, minibatches,
 from .divergence import DistributionFamily, generalized_jsd
 from .nn import MLP
 from .optim import Adam
-from .schemes import (SchemeConfig, build_trio, check_field, sample_latent,
+from .schemes import (SchemeConfig, build_trio, check_field, classifier_step, sample_latent,
                       save_checkpoint, save_probe_checkpoint, train_step)
-from .tensor import Tape, Tensor, cce_loss
+from .tensor import Tensor
 
 DATASETS = ("mixture2d", "mnist")
 
@@ -52,6 +52,8 @@ JSD_BOX = (-4.0, 4.0)
 JSD_BINS = 32
 
 PROBE_ACCURACY_FLOOR = 0.95
+PROBE_BATCH_SIZE = 128
+PROBE_LEARNING_RATE = 1e-3
 
 
 @dataclass
@@ -200,18 +202,15 @@ class Probe:
     test_accuracy: float
 
 
-def train_probe(train, test, hidden, epochs, rng, batch_size=128, learning_rate=1e-3):
+def train_probe(train, test, hidden, epochs, rng):
     """Fit a softmax classifier on the real training split; returns a Probe."""
     n_classes = int(train.labels.max()) + 1
     dims = (train.features.shape[1], *hidden, n_classes)
     network = MLP(dims, ("relu",) * len(hidden) + ("softmax",), rng=rng)
-    opt = Adam(network.params(), learning_rate=learning_rate, beta1=0.9)
+    opt = Adam(network.params(), learning_rate=PROBE_LEARNING_RATE, beta1=0.9)
     for _ in range(epochs):
-        for batch in minibatches(train, batch_size, rng):
-            with Tape(wrt=opt.params) as tape:
-                loss = cce_loss(network(Tensor(batch.features)), batch.labels)
-            tape.backward(loss)
-            opt.step()
+        for batch in minibatches(train, PROBE_BATCH_SIZE, rng):
+            classifier_step(network, opt, batch)
     predicted = network(Tensor(test.features)).data.argmax(axis=1)
     return Probe(network=network, test_accuracy=float((predicted == test.labels).mean()))
 

@@ -10,6 +10,9 @@
               discriminator; its cross-entropy back-propagates through the
               generator inside the generator's own step.
 
+The classifier learns from the real labelled batch only: generated samples
+reach it only inside the generator's loss, which never moves it.
+
 Latent space is partitioned by class: every latent vector is a class
 one-hot block followed by Gaussian noise, so latents for different classes
 are disjoint by construction and their union covers the whole space.
@@ -233,9 +236,12 @@ def generator_loss(d_fake, class_probs, labels, config):
     return loss + config.zeta * cce_loss(class_probs, labels)
 
 
-def _check_finite(value, name, step):
+def _check_finite(loss, name, step=None):
+    """loss.item(), or a TrainingDiverged naming the sub-loss if it is not finite."""
+    value = loss.item()
     if not np.isfinite(value):
-        raise TrainingDiverged(f"{name} loss is not finite ({value!r}) at step {step}")
+        at = "" if step is None else f" at step {step}"
+        raise TrainingDiverged(f"{name} loss is not finite ({value!r}){at}")
     return value
 
 
@@ -247,33 +253,29 @@ class StepLosses:
     c_loss: Optional[float]  # None for schemes without a classifier
 
 
-def classifier_step(generated, labels, trio, real_batch=None):
-    """One Nesterov step of the classifier on the generated batch.
+def classifier_step(network, opt, batch):
+    """One step of `opt` on the cross-entropy of `network` over a labelled batch.
 
-    `generated` is a constant on this step's tape, which differentiates only
-    the classifier's parameters (the generator is updated by the
-    cross-entropy term of its own loss, never by this step).  When
-    `real_batch` is given, its labelled cross-entropy is added, anchoring
-    class identities to the data classes.
+    The tape differentiates only `opt.params`, and the loss is checked
+    before it is differentiated, so a non-finite loss never reaches the
+    parameters.  Returns the loss.
     """
-    if trio.classifier is None:
-        raise ValueError(f"scheme {trio.config.scheme!r} has no classifier")
-    with Tape(wrt=trio.c_opt.params) as tape:
-        loss = cce_loss(trio.classifier(generated), labels)
-        if real_batch is not None:
-            loss = loss + cce_loss(trio.classifier(Tensor(real_batch.features)), real_batch.labels)
+    with Tape(wrt=opt.params) as tape:
+        loss = cce_loss(network(Tensor(batch.features)), batch.labels)
+    value = _check_finite(loss, "classifier")
     tape.backward(loss)
-    trio.c_opt.step()
-    return loss.item()
+    opt.step()
+    return value
 
 
-def train_step(real_batch, labels_for_fake, trio, config, rng):
+def train_step(real, labels_for_fake, trio, config, rng):
     """One full update: discriminator, then classifier, then generator.
 
-    Draws two latent batches from `rng` (one for the discriminator's fake
-    batch, one for the generator update); the classifier reuses the first.
-    Every scheme consumes the identical random stream, so schemes that only
-    differ by loss weights can be compared trajectory-for-trajectory.
+    Draws two latent batches from `rng`, one for the discriminator's fake
+    batch and one for the generator update; the classifier step reads only
+    the real batch and draws nothing.  Every scheme consumes the identical
+    random stream, so schemes that only differ by loss weights can be
+    compared trajectory-for-trajectory.
     """
     labels_for_fake = np.asarray(labels_for_fake)
     partition = trio.partition
@@ -283,23 +285,20 @@ def train_step(real_batch, labels_for_fake, trio, config, rng):
 
     # Discriminator step; the fake batch is a constant here.
     fake_d = Tensor(trio.generator(z_d).data)
-    real_x = Tensor(real_batch.features)
+    real_x = Tensor(real.features)
     if scheme == "cgan":
-        d_in_real = cgan_condition(real_x, real_batch.labels, config.n_classes)
+        d_in_real = cgan_condition(real_x, real.labels, config.n_classes)
         d_in_fake = cgan_condition(fake_d, labels_for_fake, config.n_classes)
     else:
         d_in_real, d_in_fake = real_x, fake_d
     with Tape(wrt=trio.d_opt.params) as tape:
         d_loss = discriminator_loss(trio.discriminator(d_in_real), trio.discriminator(d_in_fake))
-    _check_finite(d_loss.item(), "discriminator", trio.step)
+    d_value = _check_finite(d_loss, "discriminator", trio.step)
     tape.backward(d_loss)
     trio.d_opt.step()
 
-    # Classifier step on the freshest fake batch.
-    c_loss = None
-    if config.has_classifier:
-        c_loss = classifier_step(fake_d, labels_for_fake, trio, real_batch=real_batch)
-        _check_finite(c_loss, "classifier", trio.step)
+    # Classifier step on the real labelled batch.
+    c_loss = classifier_step(trio.classifier, trio.c_opt, real) if config.has_classifier else None
 
     # Generator step; gradient flows through discriminator and classifier.
     with Tape(wrt=trio.g_opt.params) as tape:
@@ -309,12 +308,12 @@ def train_step(real_batch, labels_for_fake, trio, config, rng):
         d_fake = trio.discriminator(d_in)
         class_probs = trio.classifier(fake_g) if config.has_classifier else None
         g_loss = generator_loss(d_fake, class_probs, labels_for_fake, config)
-    _check_finite(g_loss.item(), "generator", trio.step)
+    g_value = _check_finite(g_loss, "generator", trio.step)
     tape.backward(g_loss)
     trio.g_opt.step()
 
     trio.step += 1
-    return StepLosses(step=trio.step, d_loss=d_loss.item(), g_loss=g_loss.item(), c_loss=c_loss)
+    return StepLosses(step=trio.step, d_loss=d_value, g_loss=g_value, c_loss=c_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +440,22 @@ def load_checkpoint(path):
     config = SchemeConfig(scheme=keys["scheme"], **{
         key: keys.number(key, *SchemeConfig._RANGES[key])
         for key in ("n_classes", "noise_dim", "theta", "zeta")})
-    width = nets["generator"].dims[-1]  # data_dim must equal it
-    data_dim = keys.number("data_dim", int, width, width)
     name = _CLASSIFIER_NET.get(config.scheme)
-    trio = _assemble(config, data_dim, nets["generator"], nets["discriminator"],
-                     None if name is None else nets[name], step=keys.number("step", int, 0))
+    g, d, c = nets["generator"], nets["discriminator"], None if name is None else nets[name]
+    data_dim = keys.number("data_dim", int, g.dims[-1], g.dims[-1])  # the generator's output
+    n, cgan = config.n_classes, config.scheme == "cgan"
+    # (manifest keys, the width they give, the saved network end that must have it, its width)
+    widths = [("n_classes", n, f"{name} output", c.dims[-1])] if c else []
+    if config.scheme == "vacgan":
+        widths.append(("data_dim", data_dim, "classifier input", c.dims[0]))
+    widths += [("n_classes + noise_dim", n + config.noise_dim, "generator input", g.dims[0]),
+               ("data_dim + n_classes" if cgan else "data_dim", data_dim + n * cgan,
+                "discriminator input", d.dims[0])]
+    for named, want, end, got in widths:
+        if want != got:
+            raise ValueError(f"checkpoint manifest {keys.path}: {named} gives width {want}, "
+                             f"the saved {end} has width {got}")
+    trio = _assemble(config, data_dim, g, d, c, step=keys.number("step", int, 0))
     return trio, {"step": trio.step, "seed": keys.number("seed", int, 0)}
 
 
@@ -458,4 +468,5 @@ def save_probe_checkpoint(directory, network, test_accuracy, seed):
 def load_probe_checkpoint(path):
     """Returns (network, test_accuracy) for a saved probe."""
     keys, nets = _read_bundle(path, "network")
+    keys.number("seed", int, 0)  # unused here, but a bad one means a bad manifest
     return nets[keys["name"]], keys.number("test_accuracy", float, 0.0, 1.0)

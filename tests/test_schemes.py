@@ -16,7 +16,8 @@ from auxgan.schemes import (LatentPartition, SchemeConfig, SharedTrunkClassifier
                             generator_loss, load_checkpoint,
                             load_probe_checkpoint, sample_latent,
                             save_checkpoint, save_probe_checkpoint, train_step)
-from auxgan.tensor import Tape, Tensor, bce_loss
+from auxgan import schemes
+from auxgan.tensor import Tape, Tensor, bce_loss, mul
 from gradcheck import check_param_gradient
 
 
@@ -221,20 +222,25 @@ def test_generator_gradient_through_classifier_matches_finite_differences():
         check_param_gradient(make_loss, param)
 
 
+def _c_step(trio, features, labels):
+    batch = LabeledBatch(features=features, labels=labels)
+    return classifier_step(trio.classifier, trio.c_opt, batch)
+
+
 def test_classifier_step_uniform_start_loss_is_log_n():
     cfg, trio = _mixture_setup("vacgan", n_classes=4)
     for p in trio.classifier.params():
         p.data[:] = 0.0  # zero weights make softmax exactly uniform
-    generated = Tensor(np.random.default_rng(9).normal(size=(16, 2)))
-    loss = classifier_step(generated, np.zeros(16, dtype=int), trio)
+    features = np.random.default_rng(9).normal(size=(16, 2))
+    loss = _c_step(trio, features, np.zeros(16, dtype=int))
     assert loss == pytest.approx(np.log(4.0), rel=1e-12)
 
 
 def test_classifier_step_decreases_loss_on_separable_batch():
     cfg, trio = _mixture_setup("vacgan", n_classes=2)
-    generated = Tensor(np.array([[3.0, 0.0]] * 8 + [[-3.0, 0.0]] * 8))
+    features = np.array([[3.0, 0.0]] * 8 + [[-3.0, 0.0]] * 8)
     labels = np.array([0] * 8 + [1] * 8)
-    losses = [classifier_step(generated, labels, trio) for _ in range(11)]
+    losses = [_c_step(trio, features, labels) for _ in range(11)]
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -245,7 +251,7 @@ def test_classifier_step_noop_when_outputs_saturated():
     trio.classifier.layers[-1].weights.data[:] = 0.0
     trio.classifier.layers[-1].bias.data[:] = [5000.0, -5000.0]
     before = [p.data.copy() for p in trio.classifier.params()]
-    loss = classifier_step(Tensor(np.ones((4, 2))), np.zeros(4, dtype=int), trio)
+    loss = _c_step(trio, np.ones((4, 2)), np.zeros(4, dtype=int))
     assert loss == pytest.approx(0.0, abs=1e-9)
     for p, b in zip(trio.classifier.params(), before):
         assert np.array_equal(p.data, b)
@@ -255,19 +261,34 @@ def test_classifier_step_never_touches_generator_or_discriminator():
     cfg, trio = _mixture_setup("vacgan", n_classes=2)
     g_before = [p.data.copy() for p in trio.generator.params()]
     d_before = [p.data.copy() for p in trio.discriminator.params()]
-    real = LabeledBatch(features=np.random.default_rng(10).normal(size=(8, 2)),
-                        labels=np.zeros(8, dtype=int))
-    classifier_step(Tensor(np.ones((8, 2))), np.ones(8, dtype=int), trio, real_batch=real)
+    _c_step(trio, np.random.default_rng(10).normal(size=(8, 2)), np.zeros(8, dtype=int))
     for p, b in zip(trio.generator.params(), g_before):
         assert np.array_equal(p.data, b)
     for p, b in zip(trio.discriminator.params(), d_before):
         assert np.array_equal(p.data, b)
 
 
-def test_classifier_step_requires_classifier():
-    cfg, trio = _mixture_setup("gan")
-    with pytest.raises(ValueError):
-        classifier_step(Tensor(np.ones((2, 2))), np.zeros(2, dtype=int), trio)
+def test_a_non_finite_classifier_loss_stops_before_the_step(monkeypatch):
+    cfg, trio = _mixture_setup("vacgan", n_classes=2)
+    before = [p.data.copy() for p in trio.classifier.params()]
+    cce = schemes.cce_loss
+    monkeypatch.setattr(schemes, "cce_loss", lambda probs, labels: mul(cce(probs, labels), np.inf))
+    with pytest.raises(TrainingDiverged, match="classifier loss is not finite"):
+        _c_step(trio, np.ones((4, 2)), np.zeros(4, dtype=int))
+    for p, b in zip(trio.classifier.params(), before):
+        assert np.array_equal(p.data, b) and p.grad is None
+
+
+def test_train_step_trains_the_classifier_on_real_data_only():
+    # C's step is the one labelled step on the real batch, whatever the
+    # generated batch and its requested labels are
+    cfg, trio = _mixture_setup("vacgan", n_classes=2)
+    _, twin = _mixture_setup("vacgan", n_classes=2)
+    real = sample_mixture(GaussianMixtureSpec.ring(n_classes=2), np.random.default_rng(24), 16)
+    losses = train_step(real, np.ones(16, dtype=int), trio, cfg, np.random.default_rng(25))
+    assert losses.c_loss == classifier_step(twin.classifier, twin.c_opt, real)
+    for p, q in zip(trio.classifier.params(), twin.classifier.params()):
+        assert np.array_equal(p.data, q.data)
 
 
 def test_discriminator_step_never_touches_classifier():
@@ -497,7 +518,7 @@ def test_malformed_network_line_never_loads(saved_bundles, tmp_path, kind, spec,
     ("trio", "theta", "abc"), ("trio", "zeta", "nan"), ("trio", "step", "1.5"),
     ("trio", "step", "-1"), ("trio", "seed", "-3"), ("trio", "data_dim", "3"),
     ("probe", "test_accuracy", "high"), ("probe", "test_accuracy", "1.5"),
-    ("probe", "test_accuracy", "-0.1"),
+    ("probe", "test_accuracy", "-0.1"), ("probe", "seed", "-3"),
 ])
 def test_a_manifest_value_that_does_not_parse_or_is_out_of_range_never_loads(
         saved_bundles, tmp_path, kind, key, value):
@@ -511,3 +532,22 @@ def test_a_manifest_value_that_does_not_parse_or_is_out_of_range_never_loads(
     with pytest.raises(ValueError, match=re.escape(f"{key} must be")) as e:
         load(tmp_path / kind)
     assert str(manifest) in str(e.value) and value in str(e.value)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("noise_dim", "7", "n_classes + noise_dim gives width 11"),
+    ("n_classes", "3", "n_classes gives width 3"),
+])
+def test_manifest_keys_that_disagree_with_the_saved_widths_never_load(tmp_path, key, value,
+                                                                      named):
+    cfg = SchemeConfig(scheme="vacgan", n_classes=4, noise_dim=8)
+    trio = build_trio(cfg, data_dim=2, rng=np.random.default_rng(23))
+    save_checkpoint(tmp_path, trio, seed=3)
+    manifest = tmp_path / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"{key} "))
+    lines[i] = f"{key} {value}"
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(named)) as e:
+        load_checkpoint(tmp_path)
+    assert str(manifest) in str(e.value)
