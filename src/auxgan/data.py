@@ -5,7 +5,9 @@ distributions are known in closed form, so conditional fidelity and
 divergence estimates have exact ground truth.  The IDX reader/writer
 handles the big-endian MNIST distribution format; `synthetic_digits`
 fabricates an MNIST-shaped glyph dataset for environments where the real
-files are not available.
+files are not available.  The corpus is built in place: its pixel noise is
+drawn and added in fixed row blocks, and clipping, scaling and rounding
+reuse the one float64 image array.
 """
 
 import struct
@@ -102,7 +104,8 @@ def load_mnist(images_path, labels_path):
     n, rows, cols = images.dims
     if labels.dims[0] != n:
         raise IdxParseError(f"{n} images but {labels.dims[0]} labels", offset=4)
-    features = images.payload.astype(np.float64).reshape(n, rows * cols) / 255.0
+    features = images.payload.astype(np.float64).reshape(n, rows * cols)
+    features /= 255.0
     return LabeledBatch(features=features, labels=labels.payload.astype(np.int64))
 
 
@@ -170,6 +173,9 @@ _GLYPHS = [
 ]
 
 
+_NOISE_ROWS = 256  # rows of noise per draw; the blocks give one whole draw's stream
+
+
 def _glyph_stamp(digit, scale=3):
     rows = _GLYPHS[digit]
     bitmap = np.array([[c == "1" for c in row] for row in rows], dtype=np.float64)
@@ -192,9 +198,15 @@ def synthetic_digits(n, rng):
         left = rng.integers(0, 28 - w + 1)
         intensity = rng.uniform(0.6, 1.0)
         images[i, top:top + h, left:left + w] = intensity * stamps[labels[i]]
-    images += 0.08 * rng.standard_normal(images.shape)
-    images = np.clip(images, 0.0, 1.0)
-    return np.round(images * 255.0).astype(np.uint8), labels
+    noise = np.empty((min(n, _NOISE_ROWS), 28, 28))
+    for start in range(0, n, _NOISE_ROWS):
+        block = images[start:start + _NOISE_ROWS]
+        rows = rng.standard_normal(out=noise[:len(block)])
+        rows *= 0.08
+        block += rows
+    np.clip(images, 0.0, 1.0, out=images)
+    images *= 255.0
+    return np.round(images, out=images).astype(np.uint8), labels
 
 
 def write_synthetic_digit_files(directory, n_train=12000, n_test=2000, seed=20240501):

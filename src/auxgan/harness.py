@@ -168,11 +168,16 @@ class ConfusionMatrix:
         return "\n".join(",".join(str(v) for v in row) for row in self.counts) + "\n"
 
 
-def _generate(generator, partition, samples_per_class, rng):
-    """(labels, outputs) of one labelled sample set, the classes in blocks of equal size."""
+def _class_blocks(generator, partition, samples_per_class, rng, read=lambda x: x):
+    """Yield `read(outputs)` per class block of one labelled sample set, in class order.
+
+    Each block's latent rows are drawn as it is reached, which gives the draws
+    of one whole-set latent; only one block of outputs is alive at a time.
+    """
     check_field("samples_per_class", samples_per_class, int, 1)
-    labels = np.repeat(np.arange(partition.n_classes), samples_per_class)
-    return labels, generator(sample_latent(partition, labels, rng)).data
+    for c in range(partition.n_classes):
+        z = sample_latent(partition, np.full(samples_per_class, c), rng)
+        yield read(generator(z).data)
 
 
 def class_match_rate(generator, partition, spec, samples_per_class, rng):
@@ -182,16 +187,15 @@ def class_match_rate(generator, partition, spec, samples_per_class, rng):
     class c.  Ties (measure zero in practice) break to the lowest class
     index, which argmin already does; fixed for determinism.
     """
-    labels, x = _generate(generator, partition, samples_per_class, rng)
-    d2 = ((x[:, None, :] - spec.means[None, :, :]) ** 2).sum(axis=2)
-    confusion = _confusion(labels, d2.argmin(axis=1), spec.n_classes)
-    return confusion.match_rate(), confusion, x.reshape(partition.n_classes, samples_per_class, -1)
+    points = np.array(list(_class_blocks(generator, partition, samples_per_class, rng)))
+    d2 = ((points[:, :, None, :] - spec.means) ** 2).sum(axis=3)
+    confusion = _confusion(d2.argmin(axis=2), spec.n_classes)
+    return confusion.match_rate(), confusion, points
 
 
-def _confusion(requested, assigned, n_classes):
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(counts, (requested, assigned), 1)
-    return ConfusionMatrix(counts)
+def _confusion(assigned, n_classes):
+    """The ConfusionMatrix whose row c counts assigned[c], the classes given to class c."""
+    return ConfusionMatrix(np.array([np.bincount(row, minlength=n_classes) for row in assigned]))
 
 
 @dataclass(frozen=True)
@@ -225,9 +229,9 @@ def probe_match_rate(generator, partition, probe, samples_per_class, rng):
         raise ValueError(
             f"probe test accuracy {probe.test_accuracy:.4f} is below the "
             f"{PROBE_ACCURACY_FLOOR} floor; refusing to evaluate with it")
-    labels, x = _generate(generator, partition, samples_per_class, rng)
-    confusion = _confusion(labels, probe.network(Tensor(x)).data.argmax(axis=1),
-                           partition.n_classes)
+    assigned = _class_blocks(generator, partition, samples_per_class, rng,
+                             lambda x: probe.network(Tensor(x)).data.argmax(axis=1))
+    confusion = _confusion(assigned, partition.n_classes)
     return confusion.match_rate(), confusion
 
 
@@ -269,9 +273,9 @@ def emit_sample_grid(generator, partition, rows_per_class, path, rng,
     n = partition.n_classes
     h, w = image_shape
     check_field("rows_per_class", rows_per_class, int, 1)
-    _, x = _generate(generator, partition, rows_per_class, rng)
-    if x.shape[1] != h * w:
-        raise ValueError(f"generator emits {x.shape[1]} features, grid needs {h}x{w}")
+    x = np.array(list(_class_blocks(generator, partition, rows_per_class, rng)))
+    if x.shape[2] != h * w:
+        raise ValueError(f"generator emits {x.shape[2]} features, grid needs {h}x{w}")
     pixels = np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8)
     tiles = pixels.reshape(n, rows_per_class, h, w)
     canvas = tiles.transpose(0, 2, 1, 3).reshape(n * h, rows_per_class * w)
@@ -316,7 +320,8 @@ def _resolve_mnist_files(config, mnist_dir):
 
 
 def _evaluate(trio, config, mixture_spec, probe, step, losses, t0):
-    # one labelled sample set, generated and classified inside the match call
+    # one labelled sample set, generated and classified one class block at a
+    # time inside the match call
     rng = rng_stream(config.seed, "match", step)
     if config.dataset == "mixture2d":
         match, confusion, points = class_match_rate(

@@ -236,13 +236,15 @@ def generator_loss(d_fake, class_probs, labels, config):
     return loss + config.zeta * cce_loss(class_probs, labels)
 
 
-def _check_finite(loss, name, step=None):
-    """loss.item(), or a TrainingDiverged naming the sub-loss if it is not finite."""
-    value = loss.item()
-    if not np.isfinite(value):
+def _check_finite(t, name, step=None):
+    """`t`, or a TrainingDiverged naming `name` unless `t` sums to a finite value.
+
+    A NaN or infinite entry always makes the sum non-finite.
+    """
+    if not math.isfinite(t.data.sum() if t.data.ndim else t.data):
         at = "" if step is None else f" at step {step}"
-        raise TrainingDiverged(f"{name} loss is not finite ({value!r}){at}")
-    return value
+        raise TrainingDiverged(f"{name} is not finite{at}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -256,13 +258,15 @@ class StepLosses:
 def classifier_step(network, opt, batch):
     """One step of `opt` on the cross-entropy of `network` over a labelled batch.
 
-    The tape differentiates only `opt.params`, and the loss is checked
-    before it is differentiated, so a non-finite loss never reaches the
+    The tape differentiates only `opt.params`; the output and the loss are
+    checked before they are read, so a non-finite value never reaches the
     parameters.  Returns the loss.
     """
     with Tape(wrt=opt.params) as tape:
-        loss = cce_loss(network(Tensor(batch.features)), batch.labels)
-    value = _check_finite(loss, "classifier")
+        probs = _check_finite(network(Tensor(batch.features)),
+                              "classifier output in the classifier step")
+        loss = cce_loss(probs, batch.labels)
+    value = _check_finite(loss, "classifier loss").item()
     tape.backward(loss)
     opt.step()
     return value
@@ -293,7 +297,7 @@ def train_step(real, labels_for_fake, trio, config, rng):
         d_in_real, d_in_fake = real_x, fake_d
     with Tape(wrt=trio.d_opt.params) as tape:
         d_loss = discriminator_loss(trio.discriminator(d_in_real), trio.discriminator(d_in_fake))
-    d_value = _check_finite(d_loss, "discriminator", trio.step)
+    d_value = _check_finite(d_loss, "discriminator loss", trio.step).item()
     tape.backward(d_loss)
     trio.d_opt.step()
 
@@ -306,9 +310,12 @@ def train_step(real, labels_for_fake, trio, config, rng):
         d_in = (cgan_condition(fake_g, labels_for_fake, config.n_classes)
                 if scheme == "cgan" else fake_g)
         d_fake = trio.discriminator(d_in)
-        class_probs = trio.classifier(fake_g) if config.has_classifier else None
+        class_probs = None
+        if config.has_classifier:
+            class_probs = _check_finite(trio.classifier(fake_g),
+                                        "classifier output in the generator step", trio.step)
         g_loss = generator_loss(d_fake, class_probs, labels_for_fake, config)
-    g_value = _check_finite(g_loss, "generator", trio.step)
+    g_value = _check_finite(g_loss, "generator loss", trio.step).item()
     tape.backward(g_loss)
     trio.g_opt.step()
 

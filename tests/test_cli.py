@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import auxgan.harness as harness
 from auxgan.cli import build_parser, main
 from auxgan.schemes import SchemeConfig, build_trio, save_checkpoint
 
@@ -91,6 +92,26 @@ def test_train_checks_the_seed_override(tmp_path, capsys):
     assert rc == 2
     assert "seed" in capsys.readouterr()[1]
     assert not (tmp_path / "out").exists()
+
+
+def test_train_exits_1_when_a_classifier_weight_turns_nan(tmp_path, monkeypatch, capsys):
+    config_path = tmp_path / "run.json"
+    config_path.write_text('{"dataset": "mixture2d", "eval_every": 2, "scheme": {"scheme": '
+                           '"vacgan", "n_classes": 2, "steps_per_epoch": 10, "epochs": 1}}')
+    real_step = harness.train_step
+
+    def poisoned(real, labels_fake, trio, scheme_cfg, rng):
+        if trio.step == 3:
+            trio.classifier.layers[0].weights.data[0, 0] = np.nan
+        return real_step(real, labels_fake, trio, scheme_cfg, rng)
+
+    monkeypatch.setattr(harness, "train_step", poisoned)
+    rc = main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr()[1]
+    assert "aborted: classifier output in the classifier step is not finite" in err
+    lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in lines] == ["step", "0", "2"]
 
 
 def _ring_checkpoint(directory):

@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from auxgan import data
 from auxgan.data import (IMAGE_MAGIC, LABEL_MAGIC, GaussianMixtureSpec, IdxFile,
                          IdxParseError, LabeledBatch, load_mnist, minibatches,
                          read_idx, sample_mixture, synthetic_digits, write_idx,
@@ -79,6 +81,15 @@ def test_load_mnist_pixel_scaling(tmp_path):
     img, lab = _one_image_files(tmp_path, pixel=255)
     batch = load_mnist(img, lab)
     assert (batch.features == 1.0).all()
+
+
+def test_load_mnist_scaling_equals_division_for_every_byte_value(tmp_path):
+    payload = (np.arange(2 * 784) % 256).astype(np.uint8)
+    write_idx(tmp_path / "images", IdxFile(IMAGE_MAGIC, (2, 28, 28), payload))
+    write_idx(tmp_path / "labels", IdxFile(LABEL_MAGIC, (2,), np.zeros(2, dtype=np.uint8)))
+    batch = load_mnist(tmp_path / "images", tmp_path / "labels")
+    reference = payload.astype(np.float64).reshape(2, 784) / 255.0
+    assert batch.features.tobytes() == reference.tobytes()
 
 
 def test_load_mnist_count_mismatch(tmp_path):
@@ -196,3 +207,40 @@ def test_synthetic_corpus_round_trip_and_determinism(tmp_path):
     assert train.features.shape == (50, 784)
     assert train.features.min() >= 0.0 and train.features.max() <= 1.0
     assert train.labels.max() <= 9
+
+
+def _reference_synthetic_digits(n, rng):
+    """synthetic_digits with its noise, clipping and scaling as whole-array expressions."""
+    labels = rng.integers(0, 10, size=n).astype(np.uint8)
+    images = np.zeros((n, 28, 28), dtype=np.float64)
+    stamps = [data._glyph_stamp(d) for d in range(10)]
+    h, w = stamps[0].shape
+    for i in range(n):
+        top = rng.integers(0, 28 - h + 1)
+        left = rng.integers(0, 28 - w + 1)
+        intensity = rng.uniform(0.6, 1.0)
+        images[i, top:top + h, left:left + w] = intensity * stamps[labels[i]]
+    images += 0.08 * rng.standard_normal(images.shape)
+    images = np.clip(images, 0.0, 1.0)
+    return np.round(images * 255.0).astype(np.uint8), labels
+
+
+@pytest.mark.parametrize("n", [1, data._NOISE_ROWS, 2 * data._NOISE_ROWS + 17])
+def test_synthetic_digits_built_in_place_equal_the_whole_array_expression(n):
+    rng, reference_rng = np.random.default_rng(20240501), np.random.default_rng(20240501)
+    images, labels = synthetic_digits(n, rng)
+    reference_images, reference_labels = _reference_synthetic_digits(n, reference_rng)
+    assert images.tobytes() == reference_images.tobytes()
+    assert np.array_equal(labels, reference_labels)
+    assert rng.random() == reference_rng.random()  # the stream continues where it did
+
+
+def test_synthetic_digits_peak_memory_stays_near_the_image_array():
+    n = 3000
+    tracemalloc.start()
+    try:
+        synthetic_digits(n, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * 28 * 28 * 8

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -251,18 +252,23 @@ def test_probe_label_jsd_equals_a_second_pass_on_the_same_stream():
 
 
 class CountingGenerator(LabelMapGenerator):
+    """Records the requested classes of each block of rows it generates."""
+
     def __init__(self, rows, n_classes):
         super().__init__(rows, n_classes)
-        self.calls = 0
+        self.blocks = []
 
     def __call__(self, z):
-        self.calls += 1
+        self.blocks.append(z.data[:, :self.n].argmax(axis=1))
         return super().__call__(z)
 
 
 @pytest.mark.parametrize("dataset", ["mixture2d", "mnist"])
 def test_one_evaluation_runs_the_generator_once(dataset):
+    # one pass over the sample set, one class block at a time: every latent
+    # row is generated exactly once and each class block is seen once
     n = 4
+    per_class = 500 if dataset == "mixture2d" else 200
     partition = LatentPartition(n_classes=n, noise_dim=2)
     spec = GaussianMixtureSpec.ring(n_classes=n)
     gen = CountingGenerator(spec.means if dataset == "mixture2d" else np.eye(n), n)
@@ -271,9 +277,84 @@ def test_one_evaluation_runs_the_generator_once(dataset):
                               scheme=SchemeConfig(scheme="gan", n_classes=n, noise_dim=2))
     probe = Probe(network=IdentityNetwork(), test_accuracy=1.0)
     record, _ = harness._evaluate(trio, config, spec, probe, 0, None, 0.0)
-    assert gen.calls == 1
+    assert sum(len(block) for block in gen.blocks) == n * per_class
+    assert [np.unique(block).tolist() for block in gen.blocks] == [[c] for c in range(n)]
     assert record.class_match_rate == 1.0
     assert record.jsd_estimate == pytest.approx(np.log(n), abs=1e-9)
+
+
+def _random_trio(data_dim, seed):
+    """Untrained vacgan networks at ring widths (data_dim 2) or digit widths (784)."""
+    n = 4 if data_dim == 2 else 10
+    cfg = SchemeConfig(scheme="vacgan", n_classes=n, noise_dim=8 if data_dim == 2 else 16)
+    arch = {} if data_dim == 2 else harness._IMAGE_ARCH
+    return build_trio(cfg, data_dim, rng=np.random.default_rng(seed), **arch)
+
+
+def _whole_set(gen, partition, k, rng):
+    """The reference pass: one latent for the whole set and one generator call."""
+    labels = np.repeat(np.arange(partition.n_classes), k)
+    return labels, gen(sample_latent(partition, labels, rng)).data
+
+
+def _reference_confusion(labels, assigned, n):
+    counts = np.zeros((n, n), dtype=np.int64)
+    np.add.at(counts, (labels, assigned), 1)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_blocked_class_match_rate_equals_the_whole_set_pass(seed):
+    trio = _random_trio(2, seed)
+    spec = GaussianMixtureSpec.ring(n_classes=4)
+    rate, confusion, points = class_match_rate(trio.generator, trio.partition, spec, 500,
+                                               np.random.default_rng(seed + 10))
+    labels, x = _whole_set(trio.generator, trio.partition, 500, np.random.default_rng(seed + 10))
+    d2 = ((x[:, None, :] - spec.means[None, :, :]) ** 2).sum(axis=2)
+    counts = _reference_confusion(labels, d2.argmin(axis=1), 4)
+    assert rate == np.trace(counts) / counts.sum()
+    assert np.array_equal(confusion.counts, counts)
+    assert points.tobytes() == x.reshape(4, 500, -1).tobytes()
+
+
+@pytest.mark.parametrize("data_dim", [2, 784])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_blocked_probe_match_rate_equals_the_whole_set_pass(data_dim, seed):
+    trio = _random_trio(data_dim, seed)
+    n = trio.partition.n_classes
+    network = MLP((data_dim, 128, n), ("relu", "softmax"), rng=np.random.default_rng(seed + 5))
+    rate, confusion = probe_match_rate(trio.generator, trio.partition, Probe(network, 1.0), 200,
+                                       np.random.default_rng(seed + 20))
+    labels, x = _whole_set(trio.generator, trio.partition, 200, np.random.default_rng(seed + 20))
+    counts = _reference_confusion(labels, network(Tensor(x)).data.argmax(axis=1), n)
+    assert 0 < np.trace(counts) < counts.sum()  # a mixed confusion, not a trivial one
+    assert rate == np.trace(counts) / counts.sum()
+    assert np.array_equal(confusion.counts, counts)
+
+
+def test_blocked_sample_grid_equals_the_whole_set_pass(tmp_path):
+    trio = _random_trio(784, 3)
+    path = emit_sample_grid(trio.generator, trio.partition, 8, tmp_path / "grid.pgm",
+                            np.random.default_rng(30))
+    _, x = _whole_set(trio.generator, trio.partition, 8, np.random.default_rng(30))
+    tiles = np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8).reshape(10, 8, 28, 28)
+    canvas = tiles.transpose(0, 2, 1, 3).reshape(10 * 28, 8 * 28)
+    assert path.read_bytes() == b"P5\n224 280\n255\n" + canvas.tobytes()
+
+
+def test_probe_match_rate_holds_one_class_block_at_a_time():
+    # 784 wide, 200 per class: the whole set's outputs would be 2000 x 784 x 8 B
+    cfg = SchemeConfig(scheme="vacgan", n_classes=10, noise_dim=16)
+    trio = build_trio(cfg, 784, rng=np.random.default_rng(0), generator_hidden=(16,),
+                      discriminator_hidden=(16,), generator_output="sigmoid")
+    probe = Probe(MLP((784, 16, 10), ("relu", "softmax"), rng=np.random.default_rng(1)), 1.0)
+    tracemalloc.start()
+    try:
+        probe_match_rate(trio.generator, trio.partition, probe, 200, np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 784 * 8 // 4
 
 
 @pytest.mark.parametrize("call", [

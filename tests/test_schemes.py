@@ -279,6 +279,41 @@ def test_a_non_finite_classifier_loss_stops_before_the_step(monkeypatch):
         assert np.array_equal(p.data, b) and p.grad is None
 
 
+def _poison_classifier(trio):
+    """Set one classifier weight to NaN: vacgan's own network, acgan's softmax head."""
+    network = trio.classifier.head if trio.config.scheme == "acgan" else trio.classifier
+    network.layers[0].weights.data[0, 0] = np.nan
+
+
+@pytest.mark.parametrize("scheme", ["vacgan", "acgan"])
+def test_a_nan_classifier_weight_diverges_in_the_classifier_step(scheme):
+    cfg, trio = _mixture_setup(scheme)
+    _poison_classifier(trio)
+    with pytest.raises(TrainingDiverged, match="classifier output in the classifier step"):
+        _run(cfg, trio, 1)
+    assert all(p.grad is None for p in trio.c_opt.params)
+
+
+@pytest.mark.parametrize("scheme", ["vacgan", "acgan"])
+def test_a_nan_classifier_weight_diverges_in_the_generator_step(scheme, monkeypatch):
+    # the weight turns NaN after the classifier step, so only the generator step reads it
+    cfg, trio = _mixture_setup(scheme)
+    g_before = [p.data.copy() for p in trio.generator.params()]
+    c_step = schemes.classifier_step
+
+    def then_poison(network, opt, batch):
+        loss = c_step(network, opt, batch)
+        _poison_classifier(trio)
+        return loss
+
+    monkeypatch.setattr(schemes, "classifier_step", then_poison)
+    with pytest.raises(TrainingDiverged,
+                       match="classifier output in the generator step is not finite at step 0"):
+        _run(cfg, trio, 1)
+    for p, b in zip(trio.generator.params(), g_before):
+        assert np.array_equal(p.data, b) and p.grad is None
+
+
 def test_train_step_trains_the_classifier_on_real_data_only():
     # C's step is the one labelled step on the real batch, whatever the
     # generated batch and its requested labels are
