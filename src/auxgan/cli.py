@@ -52,6 +52,12 @@ def _cmd_eval(args):
     rng = rng_stream(info["seed"], "cli_eval", info["step"])
     if args.probe is not None:
         network, accuracy = load_probe_checkpoint(args.probe)
+        for end, width, key, want in (("input", network.dims[0], "data_dim", trio.data_dim),
+                                      ("output", network.dims[-1], "n_classes",
+                                       trio.config.n_classes)):
+            if width != want:
+                raise ValueError(f"probe {args.probe} has {end} width {width}, "
+                                 f"the checkpoint's {key} is {want}")
         probe = Probe(network=network, test_accuracy=accuracy)
         match, confusion = probe_match_rate(trio.generator, trio.partition, probe,
                                             args.samples_per_class, rng)

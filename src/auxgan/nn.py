@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .tensor import ACTIVATIONS, Tensor, _check_leaky_slope, dense
+from .tensor import ACTIVATIONS, Tensor, _check_leaky_slope, dense, parameters
 
 
 def glorot_uniform(fan_in, fan_out, rng):
@@ -12,21 +12,28 @@ def glorot_uniform(fan_in, fan_out, rng):
 
 
 class DenseLayer:
-    """Affine map x @ W + b with W (in_dim, out_dim) and b (out_dim,)."""
+    """Affine map x @ W + b with W (in_dim, out_dim) and b (out_dim,).
 
-    def __init__(self, in_dim, out_dim, rng=None, weights=None, bias=None):
+    W and b lie back to back in `buffers`, a (parameters, gradients) pair of
+    flat arrays of in_dim * out_dim + out_dim elements; by default the layer
+    allocates its own.  Initial weights are copied in: the optimizers update
+    parameters in place and never write the caller's arrays.
+    """
+
+    def __init__(self, in_dim, out_dim, rng=None, weights=None, bias=None, buffers=None):
         if weights is None:
             weights = glorot_uniform(in_dim, out_dim, rng)
         if bias is None:
             bias = np.zeros(out_dim)
-        # the optimizers update parameters in place: never write the caller's arrays
-        weights = np.array(weights, dtype=np.float64)
-        bias = np.array(bias, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64)
+        bias = np.asarray(bias, dtype=np.float64)
         if weights.shape != (in_dim, out_dim) or bias.shape != (out_dim,):
             raise ValueError(
                 f"dense layer ({in_dim}, {out_dim}) got weights {weights.shape}, bias {bias.shape}")
-        self.weights = Tensor(weights)
-        self.bias = Tensor(bias)
+        if buffers is None:
+            size = weights.size + bias.size
+            buffers = np.empty(size), np.empty(size)
+        self.weights, self.bias = parameters((weights, bias), *buffers)
 
     def __call__(self, x):
         return dense(x, self.weights, self.bias)
@@ -57,21 +64,28 @@ class MLP:
     """Stack of dense layers with one activation name per layer.
 
     `dims` includes the input width, e.g. dims=(784, 256, 10) with
-    activations=("relu", "softmax").
+    activations=("relu", "softmax").  The network owns one flat parameter
+    buffer and one gradient buffer: every layer's weights and bias are views
+    into them, in layer order, and so are their gradients (see
+    `tensor.parameters`).  Neither buffer is ever replaced.
     """
 
-    def __init__(self, dims, activations, rng=None, layers=None):
+    def __init__(self, dims, activations, rng=None):
         dims = tuple(int(d) for d in dims)
         activations = tuple(activations)
         if len(activations) != len(dims) - 1:
             raise ValueError(f"{len(dims) - 1} layers need {len(dims) - 1} activations, "
                              f"got {len(activations)}")
         self._kinds = [_parse_activation(name) for name in activations]
-        if layers is None:
-            layers = [DenseLayer(dims[i], dims[i + 1], rng=rng) for i in range(len(dims) - 1)]
+        sizes = [n_in * n_out + n_out for n_in, n_out in zip(dims, dims[1:])]
+        self.param_buffer, self.grad_buffer = np.empty(sum(sizes)), np.empty(sum(sizes))
+        self.layers, end = [], 0
+        for n_in, n_out, size in zip(dims, dims[1:], sizes):
+            start, end = end, end + size
+            buffers = self.param_buffer[start:end], self.grad_buffer[start:end]
+            self.layers.append(DenseLayer(n_in, n_out, rng=rng, buffers=buffers))
         self.dims = dims
         self.activations = activations
-        self.layers = layers
 
     def forward(self, x, upto=None):
         """Forward pass; `upto` stops after that many layers (trunk reuse)."""
@@ -113,5 +127,5 @@ class MLP:
         if not all(d.isdecimal() and int(d) > 0 for d in dims):
             raise ValueError(f"network spec dims {fields['dims']!r} are not positive integers")
         activations = fields["activations"].split(",")
-        # Weights are placed afterwards by the checkpoint reader.
+        # The checkpoint reader copies the saved weights into the buffer afterwards.
         return cls(dims, activations, rng=np.random.default_rng(0))

@@ -417,7 +417,7 @@ def _read_bundle(path, kind):
             if declared != size:
                 raise ValueError(f"checkpoint array at byte {offset} declares {declared} "
                                  f"values, its shape {p.data.shape} needs {size}")
-            p.data = np.frombuffer(raw, "<f8", size, offset + 8).reshape(p.data.shape).copy()
+            p.data[...] = np.frombuffer(raw, "<f8", size, offset + 8).reshape(p.data.shape)
             offset = end
     if offset != len(raw):
         raise ValueError(f"checkpoint payload {payload} has {len(raw) - offset} bytes "

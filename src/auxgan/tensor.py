@@ -14,15 +14,20 @@ Everything is float64.  Ops are pure functions of their inputs apart from
 appending a backward rule to the active tape.
 
 Ownership: `Tensor(a)` wraps a float64 array `a` without copying, so the
-tensor and the caller share memory; ops never write into their inputs.  The
-optimizers update parameters in place, so `nn.DenseLayer` gives each
-parameter its own copy: an array passed in as initial weights is never
-written.  Backward rules build their products in arrays they own.  `dense`
-owns its pre-activation z = x @ W + b: the bias is added into it in place,
-once, the sigmoid kernel uses it as forward scratch (the standalone
-`sigmoid` never writes its input), and the backward rule overwrites it with
-the activation's product.  It is handed out only as the output of a
-`linear` layer, whose rule does not write it.
+tensor and the caller share memory; ops never write into their inputs.  A
+parameter made by `parameters` lives in a flat buffer its network owns: its
+.data is a view into one buffer, its .grad_view a view into a gradient
+buffer, and neither is ever rebound.  The optimizers update .data in place,
+and an array passed in as initial weights is copied into the buffer, never
+written.  A parameter's gradient is written into its .grad_view: `dense`
+builds the first weight and bias gradient there (`out=`), later terms are
+added in place, and .grad is None until the first write.  Other backward
+products live in arrays the rules own.  `dense` owns its pre-activation
+z = x @ W + b: the bias is added into it in place, once, the sigmoid kernel
+uses it as forward scratch (the standalone `sigmoid` never writes its
+input), and the backward rule overwrites it with the activation's product.
+It is handed out only as the output of a `linear` layer, whose rule does
+not write it.
 """
 
 import numpy as np
@@ -33,13 +38,19 @@ _TAPES = []  # stack of active tapes; ops record onto the innermost one
 
 
 class Tensor:
-    """Dense n-dimensional float64 array and the gradient a tape wrote for it."""
+    """Dense n-dimensional float64 array and the gradient a tape wrote for it.
 
-    __slots__ = ("data", "grad")
+    `grad_view`, set on parameters (see `parameters`), is the array in a
+    gradient buffer that .grad becomes when it is written; .grad is then
+    either None or that view.
+    """
+
+    __slots__ = ("data", "grad", "grad_view")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        self.grad_view = None
 
     @property
     def shape(self):
@@ -48,9 +59,22 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
+    def grad_slot(self):
+        """Where a new gradient term may be built: the view while .grad is None, else None."""
+        return self.grad_view if self.grad is None else None
+
     def accumulate_grad(self, g):
-        # never in place: add gives the same out.grad array to both inputs
-        self.grad = g if self.grad is None else self.grad + g
+        view = self.grad_view
+        if self.grad is None:
+            if view is not None and g is not view:
+                np.copyto(view, g)
+                g = view
+            self.grad = g
+        elif self.grad is view:
+            view += g  # the view is this tensor's own
+        else:
+            # never in place: add gives the same out.grad array to both inputs
+            self.grad = self.grad + g
 
     def item(self):
         if self.data.size != 1:
@@ -69,6 +93,30 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
+
+
+def parameters(arrays, data, grads):
+    """Parameter tensors holding copies of `arrays`, back to back in one flat buffer.
+
+    `data` and `grads` are 1-D float64 buffers of the arrays' total size;
+    each tensor's .data is the view into `data` at its place and its
+    .grad_view the view at the same place in `grads`.  The optimizers step
+    such a run of parameters as one flat array.
+    """
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    size = sum(a.size for a in arrays)
+    for buffer in (data, grads):
+        if buffer.shape != (size,) or buffer.dtype != np.float64:
+            raise ValueError(f"parameter buffers must be float64 of shape ({size},), "
+                             f"got {buffer.dtype} {buffer.shape}")
+    tensors, end = [], 0
+    for a in arrays:
+        start, end = end, end + a.size
+        t = Tensor(data[start:end].reshape(a.shape))
+        t.data[...] = a
+        t.grad_view = grads[start:end].reshape(a.shape)
+        tensors.append(t)
+    return tensors
 
 
 class Tape:
@@ -367,11 +415,11 @@ def dense(x, w, b, kind="linear", alpha=None):
     def bwd():
         g = backward(out.grad, z, y, alpha, z)
         if need_b:
-            b.accumulate_grad(g.sum(axis=0))
+            b.accumulate_grad(g.sum(axis=0, out=b.grad_slot()))
         if need_x:
             x.accumulate_grad(g @ w.data.T)
         if need_w:
-            w.accumulate_grad(x.data.T @ g)
+            w.accumulate_grad(np.matmul(x.data.T, g, out=w.grad_slot()))
 
     need_x, need_w, need_b = _track(out, (x, w, b), bwd)
     return out

@@ -3,7 +3,8 @@ import pytest
 
 import auxgan.harness as harness
 from auxgan.cli import build_parser, main
-from auxgan.schemes import SchemeConfig, build_trio, save_checkpoint
+from auxgan.nn import MLP
+from auxgan.schemes import SchemeConfig, build_trio, save_checkpoint, save_probe_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,27 @@ def test_eval_image_checkpoint_needs_probe(image_checkpoint, capsys):
     assert rc == 2
     _, err = capsys.readouterr()
     assert "probe" in err
+
+
+@pytest.mark.parametrize("probe_dims, named", [
+    ((784, 8, 10), "output width 10, the checkpoint's n_classes is 5"),
+    ((100, 8, 5), "input width 100, the checkpoint's data_dim is 784"),
+])
+def test_eval_refuses_a_probe_whose_widths_do_not_fit_the_checkpoint(probe_dims, named,
+                                                                   tmp_path, capsys):
+    cfg = SchemeConfig(scheme="gan", n_classes=5, noise_dim=4)
+    trio = build_trio(cfg, data_dim=784, rng=np.random.default_rng(0),
+                      generator_hidden=(8,), discriminator_hidden=(8,),
+                      generator_output="sigmoid")
+    save_checkpoint(tmp_path / "run", trio, seed=0)
+    probe = MLP(probe_dims, ("relu", "softmax"), rng=np.random.default_rng(1))
+    save_probe_checkpoint(tmp_path / "probe", probe, 1.0, seed=0)
+    rc = main(["eval", "--checkpoint", str(tmp_path / "run"),
+               "--probe", str(tmp_path / "probe")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("auxgan: error: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_grid_renders_pgm(image_checkpoint, tmp_path, capsys):

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from auxgan.nn import DenseLayer
-from auxgan.optim import Adam, NesterovMomentum
-from auxgan.tensor import Tensor
+from auxgan.nn import MLP, DenseLayer
+from auxgan.optim import BLOCK, Adam, NesterovMomentum
+from auxgan.tensor import Tensor, parameters
 
 
 def _param(values):
@@ -197,19 +197,110 @@ def test_nesterov_in_place_state_matches_textbook_formulas_over_50_steps():
             assert params[i].grad is None
 
 
+def _network_params():
+    """A network whose one flat run spans two blocks and a short tail."""
+    net = MLP((784, 64, 10), ("relu", "softmax"), rng=np.random.default_rng(4))
+    assert BLOCK < net.param_buffer.size < 2 * BLOCK
+    return net.params()
+
+
 @pytest.mark.parametrize("optimizer", [Adam, NesterovMomentum])
 def test_step_allocates_no_arrays(optimizer):
-    p = _param(np.ones((256, 64)))
-    opt = optimizer([p])
-    for _ in range(2):
-        p.grad = np.full(p.shape, 0.5)
-        tracemalloc.start()
-        try:
-            opt.step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < p.data.nbytes // 16
+    for params in ([_param(np.ones((256, 64)))], _network_params()):
+        opt = optimizer(params)
+        for _ in range(2):
+            for p in params:
+                p.accumulate_grad(np.full(p.shape, 0.5))
+            tracemalloc.start()
+            try:
+                opt.step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < sum(p.data.nbytes for p in params) // 16
+
+
+def _run(rng, size):
+    """Parameters of `size` values in one buffer: a 0-d, a 1-element and two larger arrays."""
+    shapes = [(), (size - 4,), (1,), (2,)]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    return parameters(arrays, np.empty(size), np.empty(size))
+
+
+def _textbook_adam(p, g, m, v, t, lr, b1, b2, eps):
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    p = p - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+    return p, (m, v)
+
+
+def _textbook_nesterov(p, g, vel, lr, mu):
+    vel = mu * vel - lr * g
+    return p + (mu * vel - lr * g), (vel,)
+
+
+@pytest.mark.parametrize("optimizer", [Adam, NesterovMomentum])
+def test_flat_blocked_step_equals_the_per_array_textbook_formulas(optimizer):
+    rng = np.random.default_rng(5)
+    # runs one short of, exactly at, one past and past two block boundaries,
+    # then a standalone parameter
+    params = [p for size in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3) for p in _run(rng, size)]
+    params.append(_param(rng.normal(size=(3, 2))))
+    lr, b1, b2, eps, mu = 1e-3, 0.5, 0.999, 1e-8, 0.9
+    if optimizer is Adam:
+        opt = Adam(params, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+        state = [[np.zeros(p.shape), np.zeros(p.shape)] for p in params]
+    else:
+        opt = NesterovMomentum(params, learning_rate=lr, momentum=mu)
+        state = [[np.zeros(p.shape)] for p in params]
+    ref = [p.data.copy() for p in params]
+    for t in range(1, 5):
+        grads = [rng.normal(size=p.shape) for p in params]
+        if t == 3:
+            grads[1] = None  # one parameter of a run has no gradient: the rest still step
+        for p, g in zip(params, grads):
+            if g is not None:
+                p.accumulate_grad(g)
+        opt.step()
+        for i, g in enumerate(grads):
+            if g is not None:
+                if optimizer is Adam:
+                    ref[i], state[i] = _textbook_adam(ref[i], g, *state[i], t, lr, b1, b2, eps)
+                else:
+                    ref[i], state[i] = _textbook_nesterov(ref[i], g, *state[i], lr, mu)
+            got = (opt.m[i], opt.v[i]) if optimizer is Adam else (opt.velocity[i],)
+            assert all(np.array_equal(a, b) for a, b in zip(got, state[i]))
+            assert np.array_equal(params[i].data, ref[i])
+            assert params[i].grad is None
+
+
+@pytest.mark.parametrize("optimizer", [Adam, NesterovMomentum])
+def test_a_refused_step_changes_nothing(optimizer):
+    rng = np.random.default_rng(6)
+    params = _run(rng, 10) + [_param(rng.normal(size=3))]
+    opt = optimizer(params)
+    for p in params:
+        p.accumulate_grad(rng.normal(size=p.shape))
+    opt.step()
+    for p in params[:-1]:
+        p.accumulate_grad(rng.normal(size=p.shape))
+    params[-1].grad = np.zeros(4)  # the last gradient has the wrong shape
+
+    def snapshot():
+        state = [opt.m, opt.v] if optimizer is Adam else [opt.velocity]
+        arrays = [p.data for p in params] + [a for s in state for a in s]
+        return [a.tobytes() for a in arrays], getattr(opt, "t", None)
+
+    before = snapshot()
+    with pytest.raises(ValueError, match=r"gradient shape \(4,\)"):
+        opt.step()
+    assert snapshot() == before
+
+
+@pytest.mark.parametrize("optimizer", [Adam, NesterovMomentum])
+def test_a_parameter_that_cannot_be_stepped_flat_is_refused(optimizer):
+    with pytest.raises(ValueError, match=r"C-contiguous arrays, got one of shape \(2, 3\)"):
+        optimizer([Tensor(np.ones((3, 2)).T)])
 
 
 @pytest.mark.parametrize("optimizer", [Adam, NesterovMomentum])

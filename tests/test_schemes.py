@@ -452,6 +452,26 @@ def test_checkpoint_round_trip_reproduces_forward(scheme, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("scheme", schemes.SCHEMES)
+def test_loaded_parameters_stay_views_of_their_network_buffers(scheme, tmp_path):
+    cfg, trio = _mixture_setup(scheme, n_classes=3)
+    _run(cfg, trio, 2)
+    save_checkpoint(tmp_path, trio, seed=0)
+    back, _ = load_checkpoint(tmp_path)
+    nets = [back.generator, back.discriminator]
+    nets += [] if back.classifier is None else [getattr(back.classifier, "head", back.classifier)]
+    for net in nets:
+        for p in net.params():
+            assert np.shares_memory(p.data, net.param_buffer)
+            assert np.shares_memory(p.grad_view, net.grad_buffer)
+    saved = np.concatenate([p.data.ravel() for net in (trio.generator, trio.discriminator)
+                            for p in net.params()])
+    assert saved.tobytes() == np.concatenate([back.generator.param_buffer,
+                                              back.discriminator.param_buffer]).tobytes()
+    _run(cfg, back, 1)  # the fresh optimizers step the loaded buffers
+    assert not np.array_equal(back.generator.param_buffer, trio.generator.param_buffer)
+
+
 def test_checkpoint_rejects_foreign_manifest(tmp_path):
     (tmp_path / "manifest.txt").write_text("format something-else\n")
     with pytest.raises(ValueError):

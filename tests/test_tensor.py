@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from auxgan.nn import DenseLayer
 from auxgan.tensor import (EPS, Tape, Tensor, add, bce_loss, cce_loss,
-                           concat_cols, dense, leaky_relu, matmul, mul, relu, sigmoid,
-                           softmax_rows, tanh, tmean, tsum)
+                           concat_cols, dense, leaky_relu, matmul, mul, parameters, relu,
+                           sigmoid, softmax_rows, tanh, tmean, tsum)
 from gradcheck import check_input_gradient, check_param_gradient, relative_error
 
 N_INSTANCES = 50
@@ -146,6 +146,13 @@ def test_tensor_wraps_its_array_and_a_parameter_owns_a_copy():
     assert not np.shares_memory(layer.bias.data, b)
 
 
+@pytest.mark.parametrize("data", [np.empty(7), np.empty(5, dtype=np.float32)])
+def test_parameter_buffers_must_be_float64_of_the_arrays_total_size(data):
+    # a float32 buffer would be copied by Tensor, and the parameter would not be a view
+    with pytest.raises(ValueError, match=r"float64 of shape \(5,\)"):
+        parameters([np.ones((2, 2)), np.ones(())], data, np.empty(5))
+
+
 def test_a_tape_must_name_its_leaves():
     with pytest.raises(TypeError):
         Tape()
@@ -256,6 +263,48 @@ def test_dense_sigmoid_works_in_its_own_pre_activation():
     assert peak <= 2.2 * y.nbytes
     assert [t.data.tobytes() for t in (x, w, b)] == before
     assert y.tobytes() == sigmoid(add(matmul(x, w), b)).data.tobytes()
+
+
+def test_dense_backward_writes_weight_gradients_into_the_layer_buffer():
+    # a digit-width layer used on two batches, like the discriminator on the
+    # real and the fake batch: the first term is built in the gradient view,
+    # the second is added to it in place
+    rng = np.random.default_rng(5)
+    layer = DenseLayer(784, 256, rng=rng)
+    w, b = layer.weights, layer.bias
+    x1, x2 = (Tensor(rng.normal(size=(64, 784))) for _ in range(2))
+    with Tape(wrt=[w, b]) as tape:
+        loss = tsum(dense(x1, w, b)) + tsum(dense(x2, w, b))
+    assert w.grad is None and b.grad is None
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two 64x256 output gradients (from tsum) and one 784x256 later term
+    assert peak < 1.25 * w.data.nbytes
+    assert w.grad is w.grad_view and b.grad is b.grad_view
+    ones = np.ones((64, 256))
+    assert w.grad.tobytes() == (x2.data.T @ ones + x1.data.T @ ones).tobytes()
+    assert b.grad.tobytes() == (ones.sum(axis=0) + ones.sum(axis=0)).tobytes()
+
+
+def test_dense_backward_of_one_use_allocates_no_weight_gradient():
+    rng = np.random.default_rng(6)
+    layer = DenseLayer(784, 256, rng=rng)
+    x = Tensor(rng.normal(size=(64, 784)))
+    with Tape(wrt=layer.params()) as tape:
+        loss = tsum(dense(x, layer.weights, layer.bias))
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # only tsum's 64x256 output gradient, a twelfth of the weight array
+    assert peak < layer.weights.data.nbytes // 6
+    assert np.shares_memory(layer.weights.grad, layer.weights.grad_view)
 
 
 def test_standalone_sigmoid_never_writes_its_input():

@@ -1,0 +1,102 @@
+"""Print the sha256 of every artifact that a change must keep byte-identical.
+
+    python3 tools/artifact_digests.py SEED [--tiny]
+
+Runs, in a temporary directory, the benchmark's two acceptance
+configurations (`ring` and `digits`, built by perfbench/workloads.py) and
+200-step `gan`, `cgan` and `acgan` runs on the ring, then `auxgan eval` on
+the ring, `acgan` and digit checkpoints.  Prints one `name sha256` line per
+file a run writes (metrics.csv, checkpoint.bin, manifest.txt, confusion.csv,
+the sample grid and the probe bundle; not the digit corpus) and per eval's
+stdout, sorted by name.  Run it on two commits and diff the output.
+`--tiny` runs the benchmark's smoke-test sizes and 40-step ring runs.
+BLAS is pinned to one thread before numpy loads.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import workloads  # noqa: E402
+from auxgan import cli, harness  # noqa: E402
+from auxgan.data import write_synthetic_digit_files  # noqa: E402
+
+CORPUS_DIR = "data"  # the synthetic digit corpus, an input rather than an artifact
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _runs(seed, root, tiny):
+    """(name, config, mnist_dir) of every run, in a fixed order."""
+    ring = workloads.experiment_config("ring", seed, os.path.join(root, "ring"), tiny)
+    runs = [("ring", ring, None)]
+    for scheme in ("gan", "cgan", "acgan"):
+        config = dataclasses.replace(
+            ring, output_dir=os.path.join(root, scheme),
+            scheme=dataclasses.replace(ring.scheme, scheme=scheme, epochs=2))
+        runs.append((scheme, config, None))
+    digits = workloads.experiment_config("digits", seed, os.path.join(root, "digits"), tiny)
+    mnist_dir = None
+    if tiny:
+        mnist_dir = os.path.join(root, "tiny-data")
+        n_train, n_test = workloads.TINY_DIGITS
+        write_synthetic_digit_files(mnist_dir, n_train=n_train, n_test=n_test)
+    return runs + [("digits", digits, mnist_dir)]
+
+
+def _eval_stdout(name, directory):
+    argv = ["eval", "--checkpoint", directory]
+    if name == "digits":
+        argv += ["--probe", os.path.join(directory, "probe")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(argv)
+    if status != 0:
+        raise RuntimeError(f"auxgan eval on the {name} run exited {status}")
+    return out.getvalue().encode()
+
+
+def digests(seed, tiny=False):
+    """Sorted (name, sha256) pairs of every artifact of the runs of `seed`."""
+    lines = []
+    with tempfile.TemporaryDirectory() as root:
+        for name, config, mnist_dir in _runs(seed, root, tiny):
+            harness.run_experiment(config, mnist_dir=mnist_dir, log=lambda *_: None)
+            for parent, dirs, files in os.walk(config.output_dir):
+                dirs[:] = [d for d in dirs if d != CORPUS_DIR]
+                for file in files:
+                    path = os.path.join(parent, file)
+                    with open(path, "rb") as f:
+                        lines.append((os.path.relpath(path, root), _sha256(f.read())))
+            if name in ("ring", "acgan", "digits"):
+                lines.append((f"{name}/eval.stdout", _sha256(_eval_stdout(name,
+                                                                          config.output_dir))))
+    return sorted(lines)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("seed", type=int)
+    parser.add_argument("--tiny", action="store_true", help="smoke-test sizes")
+    args = parser.parse_args(argv)
+    for name, digest in digests(args.seed, args.tiny):
+        print(name, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
