@@ -5,10 +5,10 @@ records every differentiable operation in execution order, and backward()
 replays the records in exact reverse order.  Every tape names the leaves it
 differentiates, `Tape(wrt=params)`: it writes .grad only on those and
 computes only the backward products that lead to them.  A gradient lives
-until the optimizer step that reads it clears it.  Only the operations
-needed by the GAN schemes are provided (dense algebra, the usual
-activations, BCE/CCE).  A dense layer, act(x @ W + b), is one op, `dense`,
-and so one tape record.
+until the optimizer step that reads it clears it.  Only the operations the
+GAN schemes record are provided: a dense layer, act(x @ W + b), as one op
+and one tape record (`dense`), a feature concat for the conditional input,
+BCE/CCE, and scalar `add`/`mul` to combine losses.
 
 Everything is float64.  Ops are pure functions of their inputs apart from
 appending a backward rule to the active tape.
@@ -23,11 +23,10 @@ written.  A parameter's gradient is written into its .grad_view: `dense`
 builds the first weight and bias gradient there (`out=`), later terms are
 added in place, and .grad is None until the first write.  Other backward
 products live in arrays the rules own.  `dense` owns its pre-activation
-z = x @ W + b: the bias is added into it in place, once, the sigmoid kernel
-uses it as forward scratch (the standalone `sigmoid` never writes its
-input), and the backward rule overwrites it with the activation's product.
-It is handed out only as the output of a `linear` layer, whose rule does
-not write it.
+z = x @ W + b: the bias is added into it in place, once, the activation's
+forward kernel may use it as scratch, and the backward rule overwrites it
+with the activation's product.  It is handed out only as the output of a
+`linear` layer, whose rule does not write it.
 """
 
 import numpy as np
@@ -183,71 +182,41 @@ def _track(out, inputs, backward_fn):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
+# scalar algebra: how the losses are combined (`bce + bce`, `theta * bce`)
 
-def matmul(a, b):
-    """Matrix product a @ b with the standard reverse rules."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def bwd():
-        if need_a:
-            a.accumulate_grad(out.grad @ b.data.T)
-        if need_b:
-            b.accumulate_grad(a.data.T @ out.grad)
-
-    need_a, need_b = _track(out, (a, b), bwd)
-    return out
+def _scalar_operands(a, b, op):
+    a = _as_tensor(a)
+    b = _as_tensor(b)
+    if a.data.ndim or b.data.ndim:
+        raise ValueError(f"{op} needs 0-d operands, got shapes {a.shape} and {b.shape}")
+    return a, b
 
 
 def add(a, b):
-    """Elementwise sum; also supports the (batch, n) + (n,) bias broadcast."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.shape != b.shape:
-        bias_case = a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]
-        scalar_case = a.data.ndim == 0 or b.data.ndim == 0
-        if not (bias_case or scalar_case):
-            raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
+    """Sum of two scalar tensors."""
+    a, b = _scalar_operands(a, b, "add")
     out = Tensor(a.data + b.data)
 
     def bwd():
         if need_a:
-            a.accumulate_grad(_unbroadcast(out.grad, a.shape))
+            a.accumulate_grad(out.grad)
         if need_b:
-            b.accumulate_grad(_unbroadcast(out.grad, b.shape))
+            b.accumulate_grad(out.grad)
 
     need_a, need_b = _track(out, (a, b), bwd)
     return out
 
 
-def _unbroadcast(grad, shape):
-    """Sum grad down to `shape` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 def mul(a, b):
-    """Elementwise (or scalar) product."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.shape != b.shape and a.data.ndim != 0 and b.data.ndim != 0:
-        raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
+    """Product of two scalar tensors."""
+    a, b = _scalar_operands(a, b, "mul")
     out = Tensor(a.data * b.data)
 
     def bwd():
         if need_a:
-            a.accumulate_grad(_unbroadcast(out.grad * b.data, a.shape))
+            a.accumulate_grad(out.grad * b.data)
         if need_b:
-            b.accumulate_grad(_unbroadcast(out.grad * a.data, b.shape))
+            b.accumulate_grad(out.grad * a.data)
 
     need_a, need_b = _track(out, (a, b), bwd)
     return out
@@ -270,150 +239,80 @@ def concat_cols(a, b):
     return out
 
 
-def tsum(x):
-    """Sum of all elements, as a scalar tensor."""
-    out = Tensor(x.data.sum())
-
-    def bwd():
-        x.accumulate_grad(np.full_like(x.data, out.grad))
-
-    _track(out, (x,), bwd)
-    return out
-
-
-def tmean(x):
-    """Mean of all elements, as a scalar tensor."""
-    out = Tensor(x.data.mean())
-    n = x.data.size
-
-    def bwd():
-        x.accumulate_grad(np.full_like(x.data, out.grad / n))
-
-    _track(out, (x,), bwd)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# activations: one (forward, backward) kernel pair per kind, shared by the
-# standalone ops and `dense`.  forward(z, alpha, scratch) returns a new y,
-# perhaps using `scratch` (z itself, or None) as work space; backward(g, z,
-# y, alpha, out) returns g * dy/dz in `out`, or in a new array if None.
+# dense layers.  ACTIVATIONS maps each kind to the (forward, backward) kernel
+# pair `dense` runs on its pre-activation z: forward(z, alpha) returns a new
+# y and may use z as scratch; backward(g, z, y, alpha) returns g * dy/dz,
+# written into z (linear returns g itself).
 
 def _check_leaky_slope(alpha):
     """Return `alpha`; raise ValueError naming it unless 0 < alpha <= 1.
 
-    Only there do the max forms in leaky_relu select x for x > 0 and alpha * x
-    otherwise; at alpha = 0 the forward would give 0 * inf = NaN for x = +inf.
+    Only there does the leaky_relu kernel's max select z for z > 0 and
+    alpha * z otherwise; at alpha = 0 it would give 0 * inf = NaN for z = +inf.
     """
     if not 0.0 < alpha <= 1.0:  # also False on NaN
         raise ValueError(f"leaky_relu alpha must lie in (0, 1], got {alpha!r}")
     return alpha
 
 
-def _sigmoid_forward(z, alpha, scratch):
+def _sigmoid_forward(z, alpha):
     # exp(-|z|) never overflows.  The numerator is 1 where z >= 0 and e
     # elsewhere, because 0 <= e <= 1; NaN propagates through both.
     positive = z >= 0.0
-    e = np.exp(np.negative(np.abs(z, out=scratch), out=scratch), out=scratch)
+    e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
     y = np.maximum(e, positive)
-    y /= np.add(e, 1.0, out=scratch)
+    y /= np.add(e, 1.0, out=z)
     return y
 
 
-def _sigmoid_backward(g, z, y, alpha, out):
-    r = np.multiply(g, y, out=out)
-    r *= 1.0 - y  # in place, or a new scalar for 0-d inputs
+def _sigmoid_backward(g, z, y, alpha):
+    r = np.multiply(g, y, out=z)
+    r *= 1.0 - y
     return r
 
 
-def _softmax_forward(z, alpha, scratch):
+def _softmax_forward(z, alpha):
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _softmax_backward(g, z, y, alpha, out):
-    r = np.multiply(g, y, out=out)
+def _softmax_backward(g, z, y, alpha):
+    r = np.multiply(g, y, out=z)
     np.subtract(g, r.sum(axis=1, keepdims=True), out=r)
     return np.multiply(y, r, out=r)
 
 
-_KERNELS = {
-    "relu": (lambda z, alpha, scratch: np.maximum(z, 0.0),
-             lambda g, z, y, alpha, out: np.multiply(g, z > 0.0, out=out)),
-    # with 0 < alpha <= 1 the max is z for z > 0 and alpha * z otherwise, bit for bit
-    "leaky_relu": (lambda z, alpha, scratch: np.maximum(z, _check_leaky_slope(alpha) * z),
-                   lambda g, z, y, alpha, out: np.multiply(g, np.maximum(z > 0.0, alpha),
-                                                           out=out)),
-    "sigmoid": (_sigmoid_forward, _sigmoid_backward),
-    "tanh": (lambda z, alpha, scratch: np.tanh(z),
-             lambda g, z, y, alpha, out: np.multiply(g, 1.0 - y * y, out=out)),
-    "softmax": (_softmax_forward, _softmax_backward),
-    "linear": (lambda z, alpha, scratch: z, lambda g, z, y, alpha, out: g),
-}
-
-
-def _activate(x, kind, alpha=None):
-    forward, backward = _KERNELS[kind]
-    y = forward(x.data, alpha, None)
-    out = Tensor(y)
-
-    def bwd():
-        x.accumulate_grad(backward(out.grad, x.data, y, alpha, None))
-
-    _track(out, (x,), bwd)
-    return out
-
-
-def relu(x):
-    return _activate(x, "relu")
-
-
-def leaky_relu(x, alpha=0.2):
-    """Leaky rectifier; the 0.2 slope is the discriminator default."""
-    return _activate(x, "leaky_relu", alpha)
-
-
-def sigmoid(x):
-    return _activate(x, "sigmoid")
-
-
-def tanh(x):
-    return _activate(x, "tanh")
-
-
-def softmax_rows(x):
-    """Row-wise softmax of a rank-2 tensor; rows sum to 1."""
-    if x.data.ndim != 2:
-        raise ValueError(f"softmax_rows needs a rank-2 tensor, got shape {x.shape}")
-    return _activate(x, "softmax")
-
-
 ACTIVATIONS = {
-    "relu": relu,
-    "leaky_relu": leaky_relu,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "softmax": softmax_rows,
-    "linear": lambda x: x,
+    "relu": (lambda z, alpha: np.maximum(z, 0.0),
+             lambda g, z, y, alpha: np.multiply(g, z > 0.0, out=z)),
+    # with 0 < alpha <= 1 the max is z for z > 0 and alpha * z otherwise, bit for bit
+    "leaky_relu": (lambda z, alpha: np.maximum(z, _check_leaky_slope(alpha) * z),
+                   lambda g, z, y, alpha: np.multiply(g, np.maximum(z > 0.0, alpha), out=z)),
+    "sigmoid": (_sigmoid_forward, _sigmoid_backward),
+    "tanh": (lambda z, alpha: np.tanh(z),
+             lambda g, z, y, alpha: np.multiply(g, 1.0 - y * y, out=z)),
+    "softmax": (_softmax_forward, _softmax_backward),
+    "linear": (lambda z, alpha: z, lambda g, z, y, alpha: g),
 }
 
 
 def dense(x, w, b, kind="linear", alpha=None):
-    """act(x @ w + b) as one tape record, bit-identical to the unfused ops.
+    """act(x @ w + b) as one tape record.
 
     `kind` is a key of ACTIVATIONS, `alpha` the leaky_relu slope.
     """
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != w.shape[1:]):
         raise ValueError(f"dense shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
-    forward, backward = _KERNELS[kind]
+    forward, backward = ACTIVATIONS[kind]
     z = x.data @ w.data
     z += b.data  # the rounding of x @ w + b
-    y = forward(z, alpha, z)
+    y = forward(z, alpha)
     out = Tensor(y)
 
     def bwd():
-        g = backward(out.grad, z, y, alpha, z)
+        g = backward(out.grad, z, y, alpha)
         if need_b:
             b.accumulate_grad(g.sum(axis=0, out=b.grad_slot()))
         if need_x:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from auxgan.tensor import Tape, Tensor
+from auxgan.tensor import Tape, Tensor, _track
 
 H = 1e-5
 REL_TOL = 1e-6
@@ -42,21 +42,40 @@ def check_input_gradient(build, x0, rel_tol=REL_TOL):
 
 
 def check_param_gradient(make_loss, param, rel_tol=REL_TOL):
-    """make_loss() -> scalar loss that reads `param`; checks d loss / d param."""
+    """make_loss() -> scalar loss that reads `param`; checks d loss / d param.
+
+    The perturbed values are written into param.data, which stays the same
+    array (a view into its network's buffer), and its bytes are restored.
+    """
     with Tape(wrt=[param]) as tape:
         loss = make_loss()
     tape.backward(loss)
     analytic = param.grad.copy()
+    saved = param.data.copy()
 
     def f(arr):
-        saved = param.data
-        param.data = arr
-        try:
-            return make_loss().item()
-        finally:
-            param.data = saved
+        param.data[...] = arr
+        return make_loss().item()
 
-    numeric = numeric_gradient(f, param.data.copy())
+    try:
+        numeric = numeric_gradient(f, saved.copy())
+    finally:
+        param.data[...] = saved
     err = relative_error(analytic, numeric)
     assert err <= rel_tol, f"parameter gradient off by rel err {err:.3e}"
     return err
+
+
+def weighted_sum(x, weights):
+    """sum(x * weights) as a scalar tensor: seeds x.grad with `weights`, bit for bit.
+
+    Stands in for a loss when a test needs a chosen upstream gradient.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    out = Tensor((x.data * weights).sum())
+
+    def bwd():
+        x.accumulate_grad(out.grad * weights)  # `weights` itself when out.grad is 1.0
+
+    _track(out, (x,), bwd)
+    return out

@@ -18,10 +18,8 @@ from auxgan.divergence import (ClassifierTable, DistributionFamily,
 from auxgan.harness import ExperimentConfig, run_experiment
 from auxgan.nn import MLP
 from auxgan.schemes import SchemeConfig, load_probe_checkpoint
-from auxgan.tensor import (Tensor, add, bce_loss, cce_loss, concat_cols,
-                           leaky_relu, matmul, mul, relu, sigmoid,
-                           softmax_rows, tanh, tmean, tsum)
-from gradcheck import check_input_gradient, check_param_gradient
+from auxgan.tensor import ACTIVATIONS, Tensor, bce_loss, cce_loss, concat_cols, dense
+from gradcheck import check_input_gradient, check_param_gradient, weighted_sum
 
 
 def report(name, ok, detail):
@@ -134,61 +132,53 @@ def _away_from_kinks(x, margin=2e-3):
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(45)
 
-    def matmul_lhs():
-        b = Tensor(rng.normal(size=(4, 2)))
-        return (lambda t: tsum(matmul(t, b))), rng.normal(size=(3, 4))
+    def identity(n):
+        return Tensor(np.eye(n)), Tensor(np.zeros(n))
 
-    def matmul_rhs():
-        a = Tensor(rng.normal(size=(3, 4)))
-        return (lambda t: tsum(matmul(a, t))), rng.normal(size=(4, 2))
+    def dense_x():
+        w, b = Tensor(rng.normal(size=(4, 2))), Tensor(rng.normal(size=2))
+        up = rng.normal(size=(3, 2))
+        return (lambda t: weighted_sum(dense(t, w, b, "tanh"), up)), rng.normal(size=(3, 4))
 
-    def add_same():
-        b = Tensor(rng.normal(size=(3, 4)))
-        return (lambda t: tsum(mul(add(t, b), add(t, b)))), rng.normal(size=(3, 4))
+    def dense_w():
+        x, b = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=2))
+        up = rng.normal(size=(3, 2))
+        return (lambda t: weighted_sum(dense(x, t, b, "tanh"), up)), rng.normal(size=(4, 2))
 
-    def add_bias():
-        x = Tensor(rng.normal(size=(3, 4)))
-        w = Tensor(rng.normal(size=(4, 1)))
-        return (lambda t: tsum(matmul(add(x, t), w))), rng.normal(size=4)
+    def dense_b():
+        x, w = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4, 2)))
+        up = rng.normal(size=(3, 2))
+        return (lambda t: weighted_sum(dense(x, w, t, "tanh"), up)), rng.normal(size=2)
 
-    def mul_elementwise():
-        b = Tensor(rng.normal(size=(3, 4)))
-        return (lambda t: tsum(mul(t, b))), rng.normal(size=(3, 4))
-
-    def mul_scalar():
-        return (lambda t: tsum(mul(t, 0.5))), rng.normal(size=(3, 4))
+    def activation_case(kind):
+        # identity weights: the pre-activation is the input, kept off the kinks
+        def make_case():
+            w, b = identity(4)
+            alpha = 0.2 if kind == "leaky_relu" else None
+            up = rng.normal(size=(3, 4))
+            return ((lambda t: weighted_sum(dense(t, w, b, kind, alpha), up)),
+                    _away_from_kinks(rng.normal(size=(3, 4))))
+        return make_case
 
     def concat_left():
         b = Tensor(rng.normal(size=(3, 2)))
-        w = Tensor(rng.normal(size=(6, 1)))
-        return (lambda t: tsum(matmul(concat_cols(t, b), w))), rng.normal(size=(3, 4))
+        up = rng.normal(size=(3, 6))
+        return (lambda t: weighted_sum(concat_cols(t, b), up)), rng.normal(size=(3, 4))
 
     def concat_right():
         a = Tensor(rng.normal(size=(3, 4)))
-        w = Tensor(rng.normal(size=(6, 1)))
-        return (lambda t: tsum(matmul(concat_cols(a, t), w))), rng.normal(size=(3, 2))
+        up = rng.normal(size=(3, 6))
+        return (lambda t: weighted_sum(concat_cols(a, t), up)), rng.normal(size=(3, 2))
 
-    def sum_of_square():
-        return (lambda t: tsum(mul(t, t))), rng.normal(size=(3, 4))
-
-    def mean_of_square():
-        return (lambda t: tmean(mul(t, t))), rng.normal(size=(3, 4))
-
-    def relu_case():
-        return (lambda t: tsum(relu(t))), _away_from_kinks(rng.normal(size=(3, 4)))
-
-    def leaky_case():
-        return (lambda t: tsum(leaky_relu(t))), _away_from_kinks(rng.normal(size=(3, 4)))
-
-    def sigmoid_case():
-        return (lambda t: tsum(sigmoid(t))), rng.normal(size=(3, 4))
-
-    def tanh_case():
-        return (lambda t: tsum(tanh(t))), rng.normal(size=(3, 4))
-
-    def softmax_case():
-        w = Tensor(rng.normal(size=(3, 4)))
-        return (lambda t: tsum(mul(softmax_rows(t), w))), rng.normal(size=(3, 4))
+    def scalar_add_mul():
+        # the generator loss: theta * bce(D) + zeta * cce(C), D and C reading t
+        wd, bd = Tensor(rng.normal(size=(4, 1))), Tensor(rng.normal(size=1))
+        wc, bc = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3))
+        labels = rng.integers(0, 3, size=5)
+        theta, zeta = (float(v) for v in rng.uniform(0.1, 1.0, size=2))
+        return ((lambda t: theta * bce_loss(dense(t, wd, bd, "sigmoid"), 1.0)
+                 + zeta * cce_loss(dense(t, wc, bc, "softmax"), labels)),
+                rng.normal(size=(5, 4)))
 
     def bce_case():
         target = float(rng.integers(0, 2))
@@ -196,23 +186,21 @@ def test_gradients_match_finite_differences():
 
     def bce_through_sigmoid():
         target = float(rng.integers(0, 2))
-        return (lambda t: bce_loss(sigmoid(t), target)), rng.normal(size=(6, 1))
+        w, b = identity(1)
+        return (lambda t: bce_loss(dense(t, w, b, "sigmoid"), target)), rng.normal(size=(6, 1))
 
     def cce_through_softmax():
         # cce validates that rows sum to one, which a perturbed input would
         # break, so the check runs through softmax
         labels = rng.integers(0, 3, size=5)
-        return (lambda t: cce_loss(softmax_rows(t), labels)), rng.normal(size=(5, 3))
+        w, b = identity(3)
+        return (lambda t: cce_loss(dense(t, w, b, "softmax"), labels)), rng.normal(size=(5, 3))
 
     cases = [
-        ("matmul lhs", matmul_lhs), ("matmul rhs", matmul_rhs),
-        ("add", add_same), ("add bias broadcast", add_bias),
-        ("mul", mul_elementwise), ("mul scalar", mul_scalar),
+        ("dense x", dense_x), ("dense w", dense_w), ("dense b", dense_b),
+        *((f"dense {kind}", activation_case(kind)) for kind in ACTIVATIONS),
         ("concat left", concat_left), ("concat right", concat_right),
-        ("sum", sum_of_square), ("mean", mean_of_square),
-        ("relu", relu_case), ("leaky_relu", leaky_case),
-        ("sigmoid", sigmoid_case), ("tanh", tanh_case),
-        ("softmax", softmax_case), ("bce", bce_case),
+        ("scalar add/mul", scalar_add_mul), ("bce", bce_case),
         ("bce+sigmoid", bce_through_sigmoid), ("cce+softmax", cce_through_softmax),
     ]
     failures = []
