@@ -34,12 +34,23 @@ def test_dense_shape_error_names_the_shapes():
         dense(Tensor(np.zeros((2, 3))), w, Tensor(np.zeros(2)))
 
 
-def test_add_and_mul_refuse_an_operand_that_is_not_0d():
-    for op in (add, mul):
-        with pytest.raises(ValueError, match=r"\(2, 3\) and \(\)"):
-            op(Tensor(np.zeros((2, 3))), 1.0)
-        with pytest.raises(ValueError, match=r"\(\) and \(3,\)"):
-            op(Tensor(1.0), Tensor(np.zeros(3)))
+def _refuses_an_operand_that_is_not_0d(op):
+    with pytest.raises(ValueError, match=r"\(2, 3\) and \(\)"):
+        op(Tensor(np.zeros((2, 3))), 1.0)
+    with pytest.raises(ValueError, match=r"\(\) and \(3,\)"):
+        op(Tensor(1.0), Tensor(np.zeros(3)))
+
+
+def test_add_shape_error():
+    with pytest.raises(ValueError, match=r"\(2, 3\) and \(3, 2\)"):
+        add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+    _refuses_an_operand_that_is_not_0d(add)
+
+
+def test_mul_shape_error():
+    with pytest.raises(ValueError, match=r"\(2, 3\) and \(2, 2\)"):
+        mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+    _refuses_an_operand_that_is_not_0d(mul)
 
 
 def test_diamond_fanout_accumulates_both_branches():
