@@ -44,9 +44,9 @@ def fit(optimizer_name, steps=400):
     rng = np.random.default_rng(2)
     net = MLP((2, 8, 2), ("tanh", "softmax"), rng=rng)
     if optimizer_name == "adam":
-        opt = Adam(net.params(), learning_rate=0.05)
+        opt = Adam([net.segment()], learning_rate=0.05)
     else:
-        opt = NesterovMomentum(net.params(), learning_rate=0.05, momentum=0.9)
+        opt = NesterovMomentum([net.segment()], learning_rate=0.05, momentum=0.9)
 
     x = Tensor(XOR_X)
     trace = []

@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ValueError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
         for name, least in (("seed", 0), ("eval_every", 1), ("probe_epochs", 1)):
             check_field(name, getattr(self, name), int, least)
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ValueError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
         # an image epoch is one full pass over the training set
         default_steps = SchemeConfig.steps_per_epoch
         if self.dataset == "mnist" and self.scheme.steps_per_epoch != default_steps:
@@ -211,7 +213,7 @@ def train_probe(train, test, hidden, epochs, rng):
     n_classes = int(train.labels.max()) + 1
     dims = (train.features.shape[1], *hidden, n_classes)
     network = MLP(dims, ("relu",) * len(hidden) + ("softmax",), rng=rng)
-    opt = Adam(network.params(), learning_rate=PROBE_LEARNING_RATE, beta1=0.9)
+    opt = Adam([network.segment()], learning_rate=PROBE_LEARNING_RATE, beta1=0.9)
     for _ in range(epochs):
         for batch in minibatches(train, PROBE_BATCH_SIZE, rng):
             classifier_step(network, opt, batch)

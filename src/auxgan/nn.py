@@ -101,6 +101,16 @@ class MLP:
     def params(self):
         return [p for layer in self.layers for p in layer.params()]
 
+    def segment(self, upto=None):
+        """(params, data, grads) of the first `upto` layers (all by default), for an optimizer.
+
+        `data` and `grads` are the prefixes of the two buffers that hold
+        those layers' parameters and gradient views, in layer order.
+        """
+        params = [p for layer in self.layers[:upto] for p in layer.params()]
+        end = sum(p.data.size for p in params)
+        return params, self.param_buffer[:end], self.grad_buffer[:end]
+
     def zero_grad(self):
         for p in self.params():
             p.zero_grad()

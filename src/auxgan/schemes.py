@@ -140,9 +140,12 @@ class SharedTrunkClassifier:
 
     __call__ = forward
 
+    def segments(self):
+        """Optimizer segments: the discriminator's trunk (a prefix of its buffers), the head."""
+        return [self.discriminator.segment(upto=-1), self.head.segment()]
+
     def params(self):
-        trunk_params = [p for layer in self.discriminator.layers[:-1] for p in layer.params()]
-        return trunk_params + self.head.params()
+        return [p for params, _, _ in self.segments() for p in params]
 
 
 @dataclass
@@ -197,8 +200,10 @@ def build_trio(config, data_dim, rng, generator_hidden=(32, 32),
 def _assemble(config, data_dim, generator, discriminator, classifier_net, step=0):
     """Wire built or loaded networks into a TrioState with fresh optimizers."""
     classifier = classifier_net
+    c_segments = None if classifier_net is None else [classifier_net.segment()]
     if config.scheme == "acgan":
         classifier = SharedTrunkClassifier(discriminator, classifier_net)
+        c_segments = classifier.segments()
     return TrioState(
         config=config,
         partition=LatentPartition(n_classes=config.n_classes, noise_dim=config.noise_dim),
@@ -206,9 +211,9 @@ def _assemble(config, data_dim, generator, discriminator, classifier_net, step=0
         generator=generator,
         discriminator=discriminator,
         classifier=classifier,
-        g_opt=Adam(generator.params()),
-        d_opt=Adam(discriminator.params()),
-        c_opt=None if classifier is None else NesterovMomentum(classifier.params()),
+        g_opt=Adam([generator.segment()]),
+        d_opt=Adam([discriminator.segment()]),
+        c_opt=None if c_segments is None else NesterovMomentum(c_segments),
         step=step,
     )
 

@@ -99,8 +99,8 @@ def parameters(arrays, data, grads):
 
     `data` and `grads` are 1-D float64 buffers of the arrays' total size;
     each tensor's .data is the view into `data` at its place and its
-    .grad_view the view at the same place in `grads`.  The optimizers step
-    such a run of parameters as one flat array.
+    .grad_view the view at the same place in `grads`.  `(tensors, data,
+    grads)` is then a segment an optimizer can step as one flat array.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     size = sum(a.size for a in arrays)

@@ -115,6 +115,12 @@ def test_train_exits_1_when_a_classifier_weight_turns_nan(tmp_path, monkeypatch,
     assert [row.split(",")[0] for row in lines] == ["step", "0", "2"]
 
 
+def _config_file(directory, text):
+    path = directory / "config.json"
+    path.write_text(text)
+    return path
+
+
 def _ring_checkpoint(directory):
     trio = build_trio(SchemeConfig(scheme="gan", n_classes=4), data_dim=2,
                       rng=np.random.default_rng(0))
@@ -128,6 +134,10 @@ def _ring_checkpoint(directory):
     (lambda tmp: ["train", "--config", str(tmp / "bad.json"), "--out", str(tmp / "out")],
      "epochs"),
     (lambda tmp: ["grid", "--checkpoint", str(_ring_checkpoint(tmp / "ring"))], "28x28"),
+    (lambda tmp: ["train", "--config", str(_config_file(tmp, '{"output_dir": 5, "dataset": '
+                                                            '"mixture2d", "scheme": {"scheme": '
+                                                            '"gan", "n_classes": 2}}'))],
+     "output_dir"),
 ])
 def test_bad_input_files_are_one_error_line_with_exit_2(argv, named, tmp_path, capsys):
     bad = '{"scheme": {"scheme": "gan", "n_classes": 2, "epochs": -1}}'

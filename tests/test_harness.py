@@ -80,7 +80,8 @@ def test_config_rejects_bad_dataset():
 @pytest.mark.parametrize("key, value", [
     ("batch_size", 0), ("batch_size", "64"), ("epochs", -1), ("noise_dim", -3),
     ("theta", float("nan")), ("n_classes", 2.5), ("steps_per_epoch", 0), ("seed", "x"),
-    ("eval_every", True), ("probe_epochs", 0), ("probe_hidden", (0,)),
+    ("eval_every", True), ("probe_epochs", 0), ("probe_hidden", (0,)), ("output_dir", 5),
+    ("output_dir", None), ("output_dir", ["a"]), ("output_dir", ""),
 ])
 def test_config_rejects_bad_value_naming_the_key(key, value):
     raw = {"dataset": "mixture2d", "scheme": {"scheme": "vacgan", "n_classes": 4}}

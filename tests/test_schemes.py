@@ -472,6 +472,62 @@ def test_loaded_parameters_stay_views_of_their_network_buffers(scheme, tmp_path)
     assert not np.array_equal(back.generator.param_buffer, trio.generator.param_buffer)
 
 
+def _optimizer_segments(trio):
+    """(optimizer, the segments its network hands it) for each optimizer of `trio`."""
+    pairs = [(trio.g_opt, [trio.generator.segment()]),
+             (trio.d_opt, [trio.discriminator.segment()])]
+    if trio.config.scheme == "acgan":
+        pairs.append((trio.c_opt, trio.classifier.segments()))
+    elif trio.classifier is not None:
+        pairs.append((trio.c_opt, [trio.classifier.segment()]))
+    return pairs
+
+
+@pytest.mark.parametrize("scheme", schemes.SCHEMES)
+def test_optimizer_segments_tile_their_parameters_in_order(scheme, tmp_path):
+    cfg, built = _mixture_setup(scheme, n_classes=3)
+    save_checkpoint(tmp_path, built, seed=0)
+    loaded, _ = load_checkpoint(tmp_path)
+    rng = np.random.default_rng(19)
+    for trio in (built, loaded):
+        for opt, segments in _optimizer_segments(trio):
+            assert opt.params == [p for params, _, _ in segments for p in params]
+            for params, data, grads in segments:
+                # each parameter reads the numbers at its own offset in both arrays
+                data[...] = np.arange(data.size)
+                grads[...] = -np.arange(grads.size)
+                offset = 0
+                for p in params:
+                    assert np.shares_memory(p.data, data) and np.shares_memory(p.grad_view, grads)
+                    at = np.arange(offset, offset + p.data.size)
+                    assert np.array_equal(p.data.ravel(), at)
+                    assert np.array_equal(p.grad_view.ravel(), -at)
+                    offset += p.data.size
+                assert offset == data.size == grads.size
+            # the optimizer steps those segments: its first-step state is the
+            # gradients in parameter order, and each parameter moves against its own
+            grads = [rng.normal(size=p.shape) for p in opt.params]
+            before = [p.data.copy() for p in opt.params]
+            for p, g in zip(opt.params, grads):
+                p.accumulate_grad(g)
+            opt.step()
+            flat = np.concatenate([g.ravel() for g in grads])
+            if opt is trio.c_opt:
+                assert np.array_equal(opt.velocity, -(opt.learning_rate * flat))
+            else:
+                assert np.array_equal(opt.m, (1.0 - opt.beta1) * flat)
+            for p, b, g in zip(opt.params, before, grads):
+                assert np.array_equal(np.sign(b - p.data), np.sign(g))
+        if scheme == "acgan":
+            (trunk, trunk_data, _), (head, _, _) = trio.classifier.segments()
+            d = trio.discriminator
+            assert len(trio.classifier.segments()) == 2
+            assert trunk == d.params()[:-2] and head == trio.classifier.head.params()
+            d.param_buffer[...] = np.arange(d.param_buffer.size)
+            assert 0 < trunk_data.size < d.param_buffer.size
+            assert np.array_equal(trunk_data, np.arange(trunk_data.size))  # a prefix of D's
+
+
 def test_checkpoint_rejects_foreign_manifest(tmp_path):
     (tmp_path / "manifest.txt").write_text("format something-else\n")
     with pytest.raises(ValueError):
