@@ -29,6 +29,15 @@ def test_adam_zero_gradient_leaves_params_unchanged():
     assert np.array_equal(p.data, [1.0, -2.0])
 
 
+def test_adam_skips_params_without_gradient():
+    # a step over a parameter with no gradient is refused and moves nothing
+    p, opt = _one([3.0])
+    with pytest.raises(ValueError, match=r"parameter of shape \(1,\) has no gradient"):
+        opt.step()
+    assert np.array_equal(p.data, [3.0])
+    assert opt.t == 0 and np.array_equal(opt.m, [0.0]) and np.array_equal(opt.v, [0.0])
+
+
 def test_adam_first_step_moves_by_learning_rate():
     # bias correction makes m_hat = g, v_hat = g^2, so the first step is
     # -lr * g / (|g| + eps) which is -lr for g = 1
