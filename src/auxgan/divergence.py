@@ -36,9 +36,10 @@ class DiscreteDistribution:
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError(f"distribution must be a non-empty vector, got shape {probs.shape}")
-        if probs.min() < 0.0:
+        # the comparisons are False on NaN, so a NaN entry fails the checks too
+        if not probs.min() >= 0.0:
             raise ValueError("distribution entries must be non-negative")
-        if abs(probs.sum() - 1.0) > SUM_TOL:
+        if not abs(probs.sum() - 1.0) <= SUM_TOL:
             raise ValueError(f"distribution must sum to 1 within {SUM_TOL}, got {probs.sum()!r}")
         self.probs = probs
 
@@ -47,7 +48,7 @@ class DiscreteDistribution:
         """Normalize non-negative weights into a distribution."""
         weights = np.asarray(weights, dtype=np.float64)
         total = weights.sum()
-        if total <= 0.0:
+        if not total > 0.0:  # a NaN total fails too
             raise ValueError("weights must have positive total mass")
         return cls(weights / total)
 
@@ -80,7 +81,8 @@ class DistributionFamily:
         if weights is None:
             weights = np.full(n, 1.0 / n)
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,) or weights.min() < 0.0 or abs(weights.sum() - 1.0) > SUM_TOL:
+        if (weights.shape != (n,) or not weights.min() >= 0.0
+                or not abs(weights.sum() - 1.0) <= SUM_TOL):  # a NaN weight fails too
             raise ValueError("weights must be a non-negative vector summing to 1")
         self.weights = weights
 
@@ -107,7 +109,7 @@ class ClassifierTable:
         outputs = np.asarray(outputs, dtype=np.float64)
         if outputs.ndim != 2:
             raise ValueError(f"classifier table must be a matrix, got shape {outputs.shape}")
-        if outputs.min() < 0.0:
+        if not outputs.min() >= 0.0:  # a NaN output fails too
             raise ValueError("classifier outputs must be non-negative")
         if not np.all(np.abs(outputs.sum(axis=1) - 1.0) <= SUM_TOL):
             raise ValueError(f"classifier rows must sum to 1 within {SUM_TOL}")

@@ -28,8 +28,9 @@ from .data import (GaussianMixtureSpec, load_mnist, minibatches,
 from .divergence import DistributionFamily, generalized_jsd
 from .nn import MLP
 from .optim import Adam
-from .schemes import (SchemeConfig, build_trio, check_field, classifier_step, sample_latent,
-                      save_checkpoint, save_probe_checkpoint, train_step)
+from .schemes import (SchemeConfig, _helper_for, _run_beside, build_trio, check_field,
+                      classifier_step, sample_latent, save_checkpoint, save_probe_checkpoint,
+                      train_step)
 from .tensor import Tensor
 
 DATASETS = ("mixture2d", "mnist")
@@ -173,13 +174,25 @@ class ConfusionMatrix:
 def _class_blocks(generator, partition, samples_per_class, rng, read=lambda x: x):
     """Yield `read(outputs)` per class block of one labelled sample set, in class order.
 
-    Each block's latent rows are drawn as it is reached, which gives the draws
-    of one whole-set latent; only one block of outputs is alive at a time.
+    Each block's latent rows are drawn in class order as it is reached, which
+    gives the draws of one whole-set latent.  One block of outputs is alive
+    at a time; with a generator wide enough for the helper thread, two: the
+    helper generates and reads every second block beside the one before it.
     """
     check_field("samples_per_class", samples_per_class, int, 1)
-    for c in range(partition.n_classes):
-        z = sample_latent(partition, np.full(samples_per_class, c), rng)
-        yield read(generator(z).data)
+
+    def block(z):
+        return read(generator(z).data)
+
+    helper = _helper_for(generator)
+    per_turn = 1 if helper is None else 2
+    for first in range(0, partition.n_classes, per_turn):
+        classes = range(first, min(first + per_turn, partition.n_classes))
+        z = [sample_latent(partition, np.full(samples_per_class, c), rng) for c in classes]
+        if len(z) == 1:
+            yield block(z[0])
+        else:
+            yield from _run_beside(helper, lambda: block(z[0]), lambda: block(z[1]))
 
 
 def class_match_rate(generator, partition, spec, samples_per_class, rng):

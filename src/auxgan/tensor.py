@@ -13,6 +13,11 @@ BCE/CCE, and scalar `add`/`mul` to combine losses.
 Everything is float64.  Ops are pure functions of their inputs apart from
 appending a backward rule to the active tape.
 
+Tapes are per thread: each thread has its own stack of active tapes, and
+an op records onto the innermost tape of the thread that runs it.  A tape
+is used by one thread at a time; it may be entered on one thread, left, and
+entered again on another, and its records stay in execution order.
+
 Ownership: `Tensor(a)` wraps a float64 array `a` without copying, so the
 tensor and the caller share memory; ops never write into their inputs.  A
 parameter made by `parameters` lives in a flat buffer its network owns: its
@@ -29,11 +34,21 @@ with the activation's product.  It is handed out only as the output of a
 `linear` layer, whose rule does not write it.
 """
 
+import threading
+
 import numpy as np
 
 EPS = 1e-12  # clamp applied inside every log()
 
-_TAPES = []  # stack of active tapes; ops record onto the innermost one
+
+class _ActiveTapes(threading.local):
+    """Each thread's stack of active tapes; ops record onto the innermost one."""
+
+    def __init__(self):
+        self.stack = []
+
+
+_ACTIVE = _ActiveTapes()
 
 
 class Tensor:
@@ -134,11 +149,11 @@ class Tape:
         self._needed = set(wrt)
 
     def __enter__(self):
-        _TAPES.append(self)
+        _ACTIVE.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPES.pop()
+        popped = _ACTIVE.stack.pop()
         assert popped is self
         return False
 
@@ -171,9 +186,10 @@ def _track(out, inputs, backward_fn):
     The needs are fixed here, at record time: a rule computes only the
     input gradients its tape asked for.
     """
-    if not _TAPES:
+    tapes = _ACTIVE.stack
+    if not tapes:
         return (False,) * len(inputs)
-    tape = _TAPES[-1]
+    tape = tapes[-1]
     needs = tuple(t in tape._needed for t in inputs)
     if any(needs):
         tape._needed.add(out)

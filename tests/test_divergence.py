@@ -24,6 +24,24 @@ def test_distribution_validation():
         DiscreteDistribution([[0.5, 0.5]])
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DiscreteDistribution([NAN, 1.0]),
+    lambda: DiscreteDistribution([NAN, NAN]),
+    lambda: DiscreteDistribution.from_weights([NAN, 1.0]),
+    lambda: _family([0.5, 0.5], [0.5, 0.5], weights=[NAN, 1.0]),
+    lambda: _family([0.5, 0.5], [0.5, 0.5], weights=[NAN, 0.5]),
+    lambda: ClassifierTable([[NAN, 1.0]]),
+    lambda: verify_identity(_family([NAN, 1.0], [0.5, 0.5])),
+], ids=["distribution", "all-nan-distribution", "from-weights", "family-weights",
+        "family-weight-pair", "classifier-table", "identity-member"])
+def test_a_nan_is_rejected_at_every_constructor(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_from_weights_normalizes():
     d = DiscreteDistribution.from_weights([2.0, 2.0])
     assert np.allclose(d.probs, [0.5, 0.5])

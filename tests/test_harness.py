@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import auxgan
 import auxgan.harness as harness
+import auxgan.schemes as schemes
 from auxgan.cli import main
 from auxgan.data import GaussianMixtureSpec, write_synthetic_digit_files
 from auxgan.harness import (ConfusionMatrix, ExperimentConfig, MetricsRecord,
@@ -356,6 +361,53 @@ def test_probe_match_rate_holds_one_class_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2000 * 784 * 8 // 4
+
+
+def test_probe_match_rate_holds_at_most_two_class_blocks_with_the_helper(monkeypatch):
+    # at digit width the helper generates and reads every second block
+    # beside the one before it; the result is the serial one
+    cfg = SchemeConfig(scheme="vacgan", n_classes=10, noise_dim=16)
+    trio = build_trio(cfg, 784, rng=np.random.default_rng(0), **harness._IMAGE_ARCH)
+    probe = Probe(MLP((784, 128, 10), ("relu", "softmax"), rng=np.random.default_rng(1)), 1.0)
+
+    # the helper stays off while tracemalloc is loaded; it is started and
+    # stopped here only while the helper is idle
+    monkeypatch.delitem(sys.modules, "tracemalloc")
+
+    def measured(helper_min_params):
+        monkeypatch.setattr(schemes, "HELPER_MIN_PARAMS", helper_min_params)
+        schemes._helper_for(trio.generator)  # a first use makes the executor: not measured
+        tracemalloc.start()
+        try:
+            _, confusion = probe_match_rate(trio.generator, trio.partition, probe, 200,
+                                            np.random.default_rng(2))
+            return confusion, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    serial, one_block = measured(float("inf"))
+    beside, peak = measured(0)
+    assert np.array_equal(beside.counts, serial.counts)
+    assert one_block < 2000 * 784 * 8 // 3  # the whole set's outputs: 2000 x 784 x 8 B
+    assert peak <= 2 * one_block + 2**16  # and the futures' bookkeeping
+
+
+def test_a_ring_run_starts_no_thread(tmp_path):
+    # ring networks are far below HELPER_MIN_PARAMS: the run stays on its
+    # thread and never imports the executor
+    code = "\n".join([
+        "import sys, threading",
+        f"sys.path.insert(0, {os.path.dirname(os.path.dirname(auxgan.__file__))!r})",
+        "from auxgan.harness import ExperimentConfig, run_experiment",
+        "from auxgan.schemes import SchemeConfig",
+        "scheme = SchemeConfig(scheme='vacgan', n_classes=4, steps_per_epoch=5, epochs=1)",
+        f"run_experiment(ExperimentConfig(dataset='mixture2d', scheme=scheme, eval_every=5,"
+        f" output_dir={str(tmp_path)!r}), log=lambda *_: None)",
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.split() == ["1", "False"]
 
 
 @pytest.mark.parametrize("call", [

@@ -1,6 +1,11 @@
 import re
 import shutil
+import sys
 import tempfile
+import threading
+import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +22,7 @@ from auxgan.schemes import (LatentPartition, SchemeConfig, SharedTrunkClassifier
                             load_probe_checkpoint, sample_latent,
                             save_checkpoint, save_probe_checkpoint, train_step)
 from auxgan import schemes
+from auxgan.harness import _IMAGE_ARCH
 from auxgan.tensor import Tape, Tensor, bce_loss, mul
 from gradcheck import check_param_gradient
 
@@ -285,13 +291,41 @@ def _poison_classifier(trio):
     network.layers[0].weights.data[0, 0] = np.nan
 
 
+# HELPER_MIN_PARAMS settings: every step serial, then the helper thread forced on
+SERIAL_THEN_HELPER = (float("inf"), 0)
+
+
+def _set_helper_min_params(monkeypatch, helper_min_params):
+    """Set HELPER_MIN_PARAMS, and unload tracemalloc, which keeps the helper off."""
+    monkeypatch.setattr(schemes, "HELPER_MIN_PARAMS", helper_min_params)
+    monkeypatch.delitem(sys.modules, "tracemalloc", raising=False)
+
+
+def _state_bytes(trio):
+    """Every parameter and gradient buffer and optimizer state array of `trio`, as bytes."""
+    nets = [trio.generator, trio.discriminator, getattr(trio.classifier, "head", trio.classifier)]
+    arrays = [a for net in nets if net is not None for a in (net.param_buffer, net.grad_buffer)]
+    arrays += [a for opt in (trio.g_opt, trio.d_opt, trio.c_opt) if opt is not None
+               for a in opt._state]
+    return [a.tobytes() for a in arrays]
+
+
+def _assert_no_helper_work_left(trio, right_after):
+    """`right_after`, the state read as the error arrived, equals it once the helper is idle."""
+    schemes._helper().submit(lambda: None).result(timeout=60)  # one worker: earlier tasks are done
+    assert _state_bytes(trio) == right_after
+
+
 @pytest.mark.parametrize("scheme", ["vacgan", "acgan"])
-def test_a_nan_classifier_weight_diverges_in_the_classifier_step(scheme):
-    cfg, trio = _mixture_setup(scheme)
-    _poison_classifier(trio)
-    with pytest.raises(TrainingDiverged, match="classifier output in the classifier step"):
-        _run(cfg, trio, 1)
-    assert all(p.grad is None for p in trio.c_opt.params)
+def test_a_nan_classifier_weight_diverges_in_the_classifier_step(scheme, monkeypatch):
+    for helper_min_params in SERIAL_THEN_HELPER:
+        _set_helper_min_params(monkeypatch, helper_min_params)
+        cfg, trio = _mixture_setup(scheme)
+        _poison_classifier(trio)
+        with pytest.raises(TrainingDiverged, match="classifier output in the classifier step"):
+            _run(cfg, trio, 1)
+        _assert_no_helper_work_left(trio, _state_bytes(trio))
+        assert all(p.grad is None for p in trio.c_opt.params)
 
 
 @pytest.mark.parametrize("scheme", ["vacgan", "acgan"])
@@ -373,16 +407,84 @@ def test_train_step_deterministic():
     assert a == b  # StepLosses are frozen dataclasses of floats
 
 
-def test_train_step_nan_abort_names_the_loss():
-    cfg, trio = _mixture_setup("vacgan")
-    trio.generator.layers[0].weights.data[0, 0] = np.nan
-    spec = GaussianMixtureSpec.ring(n_classes=2)
-    rng = np.random.default_rng(14)
-    real = sample_mixture(spec, rng, 8)
-    with pytest.raises(TrainingDiverged) as e:
-        train_step(real, np.zeros(8, dtype=int), trio, cfg, rng)
-    assert "discriminator" in str(e.value)
-    assert "not finite" in str(e.value)
+def test_train_step_nan_abort_names_the_loss(monkeypatch):
+    messages = []
+    for helper_min_params in SERIAL_THEN_HELPER:
+        _set_helper_min_params(monkeypatch, helper_min_params)
+        cfg, trio = _mixture_setup("vacgan")
+        trio.generator.layers[0].weights.data[0, 0] = np.nan
+        spec = GaussianMixtureSpec.ring(n_classes=2)
+        rng = np.random.default_rng(14)
+        real = sample_mixture(spec, rng, 8)
+        with pytest.raises(TrainingDiverged) as e:
+            train_step(real, np.zeros(8, dtype=int), trio, cfg, rng)
+        _assert_no_helper_work_left(trio, _state_bytes(trio))
+        messages.append(str(e.value))
+    assert "discriminator" in messages[0]
+    assert "not finite" in messages[0]
+    assert messages[1] == messages[0]
+
+
+@pytest.mark.parametrize("scheme", schemes.SCHEMES)
+def test_the_helper_thread_changes_no_bit_of_a_digit_width_step(scheme, monkeypatch):
+    def three_steps(helper_min_params):
+        _set_helper_min_params(monkeypatch, helper_min_params)
+        cfg = SchemeConfig(scheme=scheme, n_classes=10, noise_dim=16)
+        trio = build_trio(cfg, 784, rng=np.random.default_rng(40), **_IMAGE_ARCH)
+        rng = np.random.default_rng(41)
+        losses = []
+        for _ in range(3):
+            real = LabeledBatch(features=rng.random((64, 784)), labels=rng.integers(0, 10, 64))
+            losses.append(train_step(real, rng.integers(0, 10, 64), trio, cfg, rng))
+        return losses, _state_bytes(trio)
+
+    serial_losses, serial_state = three_steps(float("inf"))
+    helper_losses, helper_state = three_steps(0)
+    assert helper_losses == serial_losses
+    assert helper_state == serial_state
+
+
+def test_vacgan_steps_its_classifier_on_the_helper_only_at_image_width(monkeypatch):
+    threads = []
+    c_step = schemes.classifier_step
+
+    def recording(network, opt, batch):
+        threads.append(threading.current_thread())
+        return c_step(network, opt, batch)
+
+    monkeypatch.setattr(schemes, "classifier_step", recording)
+    cfg = SchemeConfig(scheme="vacgan", n_classes=10, noise_dim=16)
+    image_trio = build_trio(cfg, 784, rng=np.random.default_rng(42), **_IMAGE_ARCH)
+    assert image_trio.generator.param_buffer.size >= schemes.HELPER_MIN_PARAMS
+    monkeypatch.setitem(sys.modules, "tracemalloc", tracemalloc)
+    assert schemes._helper_for(image_trio.generator) is None  # loaded: no helper
+    monkeypatch.delitem(sys.modules, "tracemalloc")
+    ring_cfg, ring_trio = _mixture_setup("vacgan")  # a ring-width generator: serial
+    _run(ring_cfg, ring_trio, 1)
+    rng = np.random.default_rng(43)
+    real = LabeledBatch(features=rng.random((64, 784)), labels=rng.integers(0, 10, 64))
+    train_step(real, rng.integers(0, 10, 64), image_trio, cfg, rng)
+    assert threads[0] is threading.main_thread()
+    assert threads[1] is not threading.main_thread()
+
+
+def test_run_beside_joins_the_side_and_raises_the_main_error_first():
+    finished = []
+
+    def main():
+        raise ValueError("main failed")
+
+    def side():
+        time.sleep(0.05)
+        finished.append(True)
+        raise RuntimeError("side failed")
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        with pytest.raises(ValueError, match="main failed"):
+            schemes._run_beside(helper, main, side)
+        assert finished == [True]
+        with pytest.raises(RuntimeError, match="side failed"):
+            schemes._run_beside(helper, lambda: None, side)
 
 
 def test_vacgan_with_zero_class_weight_equals_plain_gan():

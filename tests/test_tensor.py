@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -118,6 +120,48 @@ def test_tape_wrt_records_nothing_that_misses_the_listed_leaves():
     tape.backward(loss)
     assert frozen.grad is None and zero.grad is None and constant.grad is None
     assert np.array_equal(w.grad, np.full((2, 2), 4.0))
+
+
+def test_threads_record_on_their_own_tapes_and_give_the_serial_gradients():
+    # the threads record at once; were the tape stack shared, one thread's
+    # records would land on another's tape
+    rng = np.random.default_rng(6)
+    n_threads = 4  # more than the cores of a small machine
+    nets = [MLP((8, 32, 1), ("tanh", "sigmoid"), rng=rng) for _ in range(n_threads)]
+    xs = [Tensor(rng.normal(size=(16, 8))) for _ in range(n_threads)]
+
+    def gradients(net, x, rounds=50):
+        out = []
+        for _ in range(rounds):
+            with Tape(wrt=net.params()) as tape:
+                loss = bce_loss(net(x), 1.0)
+            tape.backward(loss)
+            out.append(net.grad_buffer.copy())
+            net.zero_grad()
+        return out
+
+    serial = [gradients(net, x) for net, x in zip(nets, xs)]
+    concurrent = [None] * n_threads
+    barrier = threading.Barrier(n_threads)
+
+    def work(i):
+        barrier.wait()
+        concurrent[i] = gradients(nets[i], xs[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over between ops
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(concurrent, serial):
+        assert got is not None and len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_shared_first_gradient_is_not_changed_by_a_later_contribution():

@@ -15,12 +15,14 @@ def test_artifact_digests_repeat_line_for_line():
     first = run()
     assert first == run()
     names = [line.split()[0] for line in first]
-    for run_name in ("ring", "gan", "cgan", "acgan", "digits"):
+    for run_name in ("ring", "gan", "cgan", "acgan", "digits",
+                     "digits-gan", "digits-cgan", "digits-acgan"):
         for artifact in ("metrics.csv", "checkpoint.bin", "manifest.txt", "confusion.csv"):
             assert f"{run_name}/{artifact}" in names
     for name in ("ring/eval.stdout", "acgan/eval.stdout", "digits/eval.stdout",
                  "digits/probe/checkpoint.bin", "digits/probe/manifest.txt"):
         assert name in names
-    assert any(name.startswith("digits/samples_step") for name in names)
+    for run_name in ("digits", "digits-gan", "digits-cgan", "digits-acgan"):
+        assert any(name.startswith(f"{run_name}/samples_step") for name in names)
     assert not any("idx" in name for name in names)  # the corpus is an input
     assert all(len(line.split()[1]) == 64 for line in first)

@@ -3,14 +3,17 @@
     python3 tools/artifact_digests.py SEED [--tiny]
 
 Runs, in a temporary directory, the benchmark's two acceptance
-configurations (`ring` and `digits`, built by perfbench/workloads.py) and
-200-step `gan`, `cgan` and `acgan` runs on the ring, then `auxgan eval` on
-the ring, `acgan` and digit checkpoints.  Prints one `name sha256` line per
-file a run writes (metrics.csv, checkpoint.bin, manifest.txt, confusion.csv,
-the sample grid and the probe bundle; not the digit corpus) and per eval's
-stdout, sorted by name.  Run it on two commits and diff the output.
-`--tiny` runs the benchmark's smoke-test sizes and 40-step ring runs.
-BLAS is pinned to one thread before numpy loads.
+configurations (`ring` and `digits`, built by perfbench/workloads.py),
+200-step `gan`, `cgan` and `acgan` runs on the ring, and 1-epoch digit-width
+`gan`, `cgan` and `acgan` runs on the smoke test's tiny digit corpus
+(`digits-gan` and so on), then `auxgan eval` on the ring, `acgan` and digit
+checkpoints.  Prints one `name sha256` line per file a run writes
+(metrics.csv, checkpoint.bin, manifest.txt, confusion.csv, the sample grid
+and the probe bundle; not the digit corpus) and per eval's stdout, sorted by
+name.  Run it on two commits and diff the output.  `--tiny` runs the
+benchmark's smoke-test sizes and 40-step ring runs; the digit-width scheme
+runs are the same at both sizes.  BLAS is pinned to one thread before numpy
+loads.
 """
 
 import os
@@ -49,13 +52,18 @@ def _runs(seed, root, tiny):
             ring, output_dir=os.path.join(root, scheme),
             scheme=dataclasses.replace(ring.scheme, scheme=scheme, epochs=2))
         runs.append((scheme, config, None))
+    tiny_dir = os.path.join(root, "tiny-data")
+    n_train, n_test = workloads.TINY_DIGITS
+    write_synthetic_digit_files(tiny_dir, n_train=n_train, n_test=n_test)
     digits = workloads.experiment_config("digits", seed, os.path.join(root, "digits"), tiny)
-    mnist_dir = None
-    if tiny:
-        mnist_dir = os.path.join(root, "tiny-data")
-        n_train, n_test = workloads.TINY_DIGITS
-        write_synthetic_digit_files(mnist_dir, n_train=n_train, n_test=n_test)
-    return runs + [("digits", digits, mnist_dir)]
+    runs.append(("digits", digits, tiny_dir if tiny else None))
+    for scheme in ("gan", "cgan", "acgan"):
+        name = f"digits-{scheme}"
+        small = workloads.experiment_config("digits", seed, os.path.join(root, name), tiny=True)
+        config = dataclasses.replace(small, scheme=dataclasses.replace(small.scheme,
+                                                                       scheme=scheme))
+        runs.append((name, config, tiny_dir))
+    return runs
 
 
 def _eval_stdout(name, directory):
