@@ -18,7 +18,7 @@ XOR_Y = np.array([0, 1, 1, 0])
 def finite_difference_check():
     """Compare one tape gradient against central differences by hand."""
     rng = np.random.default_rng(1)
-    net = MLP((2, 8, 2), ("tanh", "softmax"), rng=rng)
+    net = MLP((2, 8, 2), ("tanh", "linear"), rng=rng)
     x = Tensor(XOR_X)
 
     with Tape(wrt=net.params()) as tape:
@@ -42,7 +42,7 @@ def finite_difference_check():
 
 def fit(optimizer_name, steps=400):
     rng = np.random.default_rng(2)
-    net = MLP((2, 8, 2), ("tanh", "softmax"), rng=rng)
+    net = MLP((2, 8, 2), ("tanh", "linear"), rng=rng)
     if optimizer_name == "adam":
         opt = Adam([net.segment()], learning_rate=0.05)
     else:

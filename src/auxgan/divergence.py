@@ -11,8 +11,8 @@ distributions are verified here with exact finite sums (no quadrature):
   generalized Jensen-Shannon divergence at uniform weights, so driving the
   cross-entropy down drives the divergence between the classes up.
 
-All entropies are in nats.  Logs are clamped at 1e-12, matching the
-training losses in `tensor`.
+All entropies are in nats.  Logs of classifier tables are clamped at
+EPS = 1e-12, so a zero output costs a finite log(EPS).
 """
 
 import warnings
@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import EPS
-
+EPS = 1e-12  # clamp applied inside the log of a classifier output
 SUM_TOL = 1e-12  # probability vectors must sum to 1 within this
 
 

@@ -222,10 +222,10 @@ class Probe:
 
 
 def train_probe(train, test, hidden, epochs, rng):
-    """Fit a softmax classifier on the real training split; returns a Probe."""
+    """Fit a classifier on the real training split; returns a Probe."""
     n_classes = int(train.labels.max()) + 1
     dims = (train.features.shape[1], *hidden, n_classes)
-    network = MLP(dims, ("relu",) * len(hidden) + ("softmax",), rng=rng)
+    network = MLP(dims, ("relu",) * len(hidden) + ("linear",), rng=rng)
     opt = Adam([network.segment()], learning_rate=PROBE_LEARNING_RATE, beta1=0.9)
     for _ in range(epochs):
         for batch in minibatches(train, PROBE_BATCH_SIZE, rng):

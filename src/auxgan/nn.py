@@ -64,7 +64,7 @@ class MLP:
     """Stack of dense layers with one activation name per layer.
 
     `dims` includes the input width, e.g. dims=(784, 256, 10) with
-    activations=("relu", "softmax").  The network owns one flat parameter
+    activations=("relu", "linear").  The network owns one flat parameter
     buffer and one gradient buffer: every layer's weights and bias are views
     into them, in layer order, and so are their gradients (see
     `tensor.parameters`).  Neither buffer is ever replaced.

@@ -50,7 +50,7 @@ from .tensor import Tape, Tensor, bce_loss, cce_loss, concat_cols
 SCHEMES = ("gan", "cgan", "acgan", "vacgan")
 
 # The network each classifier scheme trains as its classifier, by its
-# checkpoint name; acgan's is a softmax head on the discriminator trunk.
+# checkpoint name; acgan's is a linear head on the discriminator trunk.
 _CLASSIFIER_NET = {"vacgan": "classifier", "acgan": "classifier_head"}
 
 
@@ -189,7 +189,7 @@ class SchemeConfig:
 
 
 class SharedTrunkClassifier:
-    """ACGAN-style classifier: discriminator trunk plus a softmax head.
+    """ACGAN-style classifier: discriminator trunk plus a linear head giving class logits.
 
     A classifier step therefore updates the shared trunk; the vacgan
     classifier is a separate network and never touches the discriminator.
@@ -197,7 +197,7 @@ class SharedTrunkClassifier:
 
     def __init__(self, discriminator, head):
         self.discriminator = discriminator
-        self.head = head  # single-layer softmax MLP
+        self.head = head  # single-layer linear MLP
 
     def forward(self, x):
         trunk = self.discriminator.forward(x, upto=len(self.discriminator.layers) - 1)
@@ -250,15 +250,15 @@ def build_trio(config, data_dim, rng, generator_hidden=(32, 32),
 
     d_in = data_dim + (n if config.scheme == "cgan" else 0)
     d_dims = (d_in, *discriminator_hidden, 1)
-    d_acts = ("leaky_relu:0.2",) * len(discriminator_hidden) + ("sigmoid",)
+    d_acts = ("leaky_relu:0.2",) * len(discriminator_hidden) + ("linear",)
     discriminator = MLP(d_dims, d_acts, rng=rng)
 
     classifier_net = None
     if config.scheme == "vacgan":
         c_dims = (data_dim, *classifier_hidden, n)
-        classifier_net = MLP(c_dims, ("relu",) * len(classifier_hidden) + ("softmax",), rng=rng)
+        classifier_net = MLP(c_dims, ("relu",) * len(classifier_hidden) + ("linear",), rng=rng)
     elif config.scheme == "acgan":
-        classifier_net = MLP((d_dims[-2], n), ("softmax",), rng=rng)
+        classifier_net = MLP((d_dims[-2], n), ("linear",), rng=rng)
     return _assemble(config, data_dim, generator, discriminator, classifier_net)
 
 
@@ -287,23 +287,23 @@ def _assemble(config, data_dim, generator, discriminator, classifier_net, step=0
 # losses
 
 def discriminator_loss(d_real, d_fake):
-    """BCE(real, 1) + BCE(fake, 0)."""
+    """BCE(real, 1) + BCE(fake, 0), on the discriminator's logits."""
     return bce_loss(d_real, 1.0) + bce_loss(d_fake, 0.0)
 
 
-def generator_loss(d_fake, class_probs, labels, config):
-    """theta * BCE(fake, 1), plus zeta * CCE(class_probs, labels) if the scheme has a classifier.
+def generator_loss(d_fake, class_logits, labels, config):
+    """theta * BCE(fake, 1), plus zeta * CCE(class_logits, labels) if the scheme has a classifier.
 
-    Both terms differentiate into the generator: the classifier reads the
-    generated sample, so its cross-entropy reaches the generator parameters
-    whenever zeta > 0.
+    Both terms take logits and differentiate into the generator: the
+    classifier reads the generated sample, so its cross-entropy reaches the
+    generator parameters whenever zeta > 0.
     """
     loss = config.theta * bce_loss(d_fake, 1.0)
     if not config.has_classifier:
         return loss
-    if class_probs is None:
+    if class_logits is None:
         raise ValueError("classifier outputs are required for this scheme")
-    return loss + config.zeta * cce_loss(class_probs, labels)
+    return loss + config.zeta * cce_loss(class_logits, labels)
 
 
 def _check_finite(t, name, step=None):
@@ -333,9 +333,9 @@ def classifier_step(network, opt, batch):
     parameters.  Returns the loss.
     """
     with Tape(wrt=opt.params) as tape:
-        probs = _check_finite(network(Tensor(batch.features)),
-                              "classifier output in the classifier step")
-        loss = cce_loss(probs, batch.labels)
+        logits = _check_finite(network(Tensor(batch.features)),
+                               "classifier output in the classifier step")
+        loss = cce_loss(logits, batch.labels)
     value = _check_finite(loss, "classifier loss").item()
     tape.backward(loss)
     opt.step()
@@ -397,11 +397,11 @@ def train_step(real, labels_for_fake, trio, config, rng):
         d_in = (cgan_condition(fake_g, labels_for_fake, config.n_classes)
                 if scheme == "cgan" else fake_g)
         d_fake = trio.discriminator(d_in)
-        class_probs = None
+        class_logits = None
         if config.has_classifier:
-            class_probs = _check_finite(trio.classifier(fake_g),
-                                        "classifier output in the generator step", trio.step)
-        g_loss = generator_loss(d_fake, class_probs, labels_for_fake, config)
+            class_logits = _check_finite(trio.classifier(fake_g),
+                                         "classifier output in the generator step", trio.step)
+        g_loss = generator_loss(d_fake, class_logits, labels_for_fake, config)
     g_value = _check_finite(g_loss, "generator loss", trio.step).item()
     g_tape.backward(g_loss)
     trio.g_opt.step()
@@ -489,7 +489,10 @@ def _read_bundle(path, kind):
             networks[name] = MLP.from_spec(spec)
         except ValueError as e:
             raise ValueError(f"checkpoint manifest {manifest}, network {name}: {e}") from None
-    payload = os.path.join(os.path.dirname(manifest), keys["payload"])
+    if keys["payload"] != PAYLOAD_NAME:  # the payload lies beside its manifest, never elsewhere
+        raise ValueError(f"checkpoint manifest {manifest}: payload must be {PAYLOAD_NAME!r}, "
+                         f"got {keys['payload']!r}")
+    payload = os.path.join(os.path.dirname(manifest), PAYLOAD_NAME)
     with open(payload, "rb") as f:
         raw = f.read()
     offset = 0

@@ -8,7 +8,7 @@ computes only the backward products that lead to them.  A gradient lives
 until the optimizer step that reads it clears it.  Only the operations the
 GAN schemes record are provided: a dense layer, act(x @ W + b), as one op
 and one tape record (`dense`), a feature concat for the conditional input,
-BCE/CCE, and scalar `add`/`mul` to combine losses.
+BCE and CCE on logits, and scalar `add`/`mul` to combine losses.
 
 Everything is float64.  Ops are pure functions of their inputs apart from
 appending a backward rule to the active tape.
@@ -34,11 +34,10 @@ with the activation's product.  It is handed out only as the output of a
 `linear` layer, whose rule does not write it.
 """
 
+import numbers
 import threading
 
 import numpy as np
-
-EPS = 1e-12  # clamp applied inside every log()
 
 
 class _ActiveTapes(threading.local):
@@ -308,6 +307,8 @@ ACTIVATIONS = {
     "sigmoid": (_sigmoid_forward, _sigmoid_backward),
     "tanh": (lambda z, alpha: np.tanh(z),
              lambda g, z, y, alpha: np.multiply(g, 1.0 - y * y, out=z)),
+    # no network is built with softmax now (the losses take logits); checkpoints
+    # saved with softmax heads still load and evaluate through it
     "softmax": (_softmax_forward, _softmax_backward),
     "linear": (lambda z, alpha: z, lambda g, z, y, alpha: g),
 }
@@ -341,68 +342,60 @@ def dense(x, w, b, kind="linear", alpha=None):
 
 
 # ---------------------------------------------------------------------------
-# losses
+# losses on logits: the sigmoid and the softmax are part of the loss, and nothing is clamped
 
-def bce_loss(prediction, target):
-    """Mean binary cross-entropy -[t*log(p) + (1-t)*log(1-p)].
+def bce_loss(logits, target):
+    """Mean binary cross-entropy of sigmoid(logits) against a target of 0 or 1.
 
-    Predictions are clamped to [EPS, 1-EPS] before the log; the gradient is
-    zero in the clamped region, matching the piecewise forward value.
-    Target may be a Tensor, array, or scalar in [0, 1]; it is treated as a
-    constant.
+    With s = logits for target 0 and s = -logits for target 1, the loss is
+    mean(softplus(s)), softplus(s) = max(s, 0) + log1p(exp(-|s|)), and its
+    gradient is (sigmoid(logits) - target) / n, computed as
+    +-sigmoid(s) / n.  An infinite logit gives 0 or inf, never NaN.
     """
-    t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
-    # the comparisons are False on NaN, so a NaN target fails the check too
-    if not ((t >= 0.0) & (t <= 1.0)).all():
-        raise ValueError("bce_loss targets must lie in [0, 1]")
-    if t.ndim:
-        np.broadcast_to(t, prediction.shape)  # raises unless t fits the prediction
-    p = np.clip(prediction.data, EPS, 1.0 - EPS)
-    n = prediction.data.size
-    out = Tensor(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).mean())
+    if not (isinstance(target, numbers.Real) and target in (0.0, 1.0)):
+        raise ValueError(f"bce_loss target must be 0.0 or 1.0, got {target!r}")
+    sign = 1.0 - 2.0 * target
+    s = np.multiply(logits.data, sign)
+    e = np.exp(np.negative(np.abs(s)))
+    out = Tensor((np.maximum(s, 0.0) + np.log1p(e)).mean())
 
     def bwd():
-        # out.grad * (-(t / p - (1 - t) / (1 - p)) / n) * inside, in one owned array
-        g = np.divide(t, p, out=np.empty_like(p))
-        g -= (1.0 - t) / (1.0 - p)
-        np.negative(g, out=g)
-        g /= n
-        np.multiply(out.grad, g, out=g)
-        g *= (prediction.data > EPS) & (prediction.data < 1.0 - EPS)
-        prediction.accumulate_grad(g)
+        # sigmoid(s): the numerator is 1 where s >= 0 and e elsewhere
+        g = np.maximum(e, s >= 0.0)
+        g /= np.add(e, 1.0, out=e)
+        g *= sign * out.grad / s.size
+        logits.accumulate_grad(g)
 
-    _track(out, (prediction,), bwd)
+    _track(out, (logits,), bwd)
     return out
 
 
-def cce_loss(probabilities, labels):
-    """Mean categorical cross-entropy -log(p[label]) over the batch.
+def cce_loss(logits, labels):
+    """Mean categorical cross-entropy of softmax(logits) against integer labels.
 
-    `probabilities` is a (batch, n_classes) tensor whose rows sum to 1
-    (within 1e-6); `labels` is an integer vector.  Differentiable through a
-    preceding softmax.
+    `logits` is a (batch, n_classes) tensor; each row's loss is its
+    log-sum-exp minus the label's logit, and the gradient is
+    (softmax(logits) - onehot(labels)) / batch.
     """
-    if probabilities.data.ndim != 2:
-        raise ValueError(f"cce_loss needs (batch, classes) probabilities, got {probabilities.shape}")
+    if logits.data.ndim != 2:
+        raise ValueError(f"cce_loss needs (batch, classes) logits, got {logits.shape}")
     labels = np.asarray(labels)
-    batch, n_classes = probabilities.shape
+    batch, n_classes = logits.shape
     if labels.shape != (batch,):
         raise ValueError(f"cce_loss labels shape {labels.shape} does not match batch {batch}")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"cce_loss labels must lie in [0, {n_classes})")
-    # `<=` is False on NaN, so a NaN row fails the check too
-    if not (np.abs(probabilities.data.sum(axis=1) - 1.0) <= 1e-6).all():
-        raise ValueError("cce_loss probability rows must sum to 1 within 1e-6")
     rows = np.arange(batch)
-    picked = probabilities.data[rows, labels]
-    p = np.clip(picked, EPS, 1.0 - EPS)
-    out = Tensor(-np.log(p).mean())
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    out = Tensor((np.log(total) - shifted[rows, labels]).mean())
 
     def bwd():
-        g = np.zeros_like(probabilities.data)
-        inside = (picked > EPS) & (picked < 1.0 - EPS)
-        g[rows, labels] = -(inside / (batch * p))
-        probabilities.accumulate_grad(out.grad * g)
+        g = np.divide(e, total[:, None], out=e)
+        g[rows, labels] -= 1.0
+        g *= out.grad / batch
+        logits.accumulate_grad(g)
 
-    _track(out, (probabilities,), bwd)
+    _track(out, (logits,), bwd)
     return out

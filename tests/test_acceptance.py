@@ -176,32 +176,24 @@ def test_gradients_match_finite_differences():
         wc, bc = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3))
         labels = rng.integers(0, 3, size=5)
         theta, zeta = (float(v) for v in rng.uniform(0.1, 1.0, size=2))
-        return ((lambda t: theta * bce_loss(dense(t, wd, bd, "sigmoid"), 1.0)
-                 + zeta * cce_loss(dense(t, wc, bc, "softmax"), labels)),
+        return ((lambda t: theta * bce_loss(dense(t, wd, bd, "linear"), 1.0)
+                 + zeta * cce_loss(dense(t, wc, bc, "linear"), labels)),
                 rng.normal(size=(5, 4)))
 
+    # the losses take logits, here spread far into the sigmoid's and softmax's saturation
     def bce_case():
         target = float(rng.integers(0, 2))
-        return (lambda t: bce_loss(t, target)), rng.uniform(0.05, 0.95, size=(6, 1))
+        return (lambda t: bce_loss(t, target)), rng.uniform(-30.0, 30.0, size=(6, 1))
 
-    def bce_through_sigmoid():
-        target = float(rng.integers(0, 2))
-        w, b = identity(1)
-        return (lambda t: bce_loss(dense(t, w, b, "sigmoid"), target)), rng.normal(size=(6, 1))
-
-    def cce_through_softmax():
-        # cce validates that rows sum to one, which a perturbed input would
-        # break, so the check runs through softmax
+    def cce_case():
         labels = rng.integers(0, 3, size=5)
-        w, b = identity(3)
-        return (lambda t: cce_loss(dense(t, w, b, "softmax"), labels)), rng.normal(size=(5, 3))
+        return (lambda t: cce_loss(t, labels)), rng.uniform(-30.0, 30.0, size=(5, 3))
 
     cases = [
         ("dense x", dense_x), ("dense w", dense_w), ("dense b", dense_b),
         *((f"dense {kind}", activation_case(kind)) for kind in ACTIVATIONS),
         ("concat left", concat_left), ("concat right", concat_right),
-        ("scalar add/mul", scalar_add_mul), ("bce", bce_case),
-        ("bce+sigmoid", bce_through_sigmoid), ("cce+softmax", cce_through_softmax),
+        ("scalar add/mul", scalar_add_mul), ("bce", bce_case), ("cce", cce_case),
     ]
     failures = []
     checks = 0
@@ -218,7 +210,7 @@ def test_gradients_match_finite_differences():
     # end to end: class loss of a two-class toy classifier reading a
     # generator's output, gradients taken in the generator's parameters
     generator = MLP((4, 8, 3), ("tanh", "linear"), rng=rng)
-    classifier = MLP((3, 8, 2), ("tanh", "softmax"), rng=rng)
+    classifier = MLP((3, 8, 2), ("tanh", "linear"), rng=rng)
     z = Tensor(rng.normal(size=(6, 4)))
     labels = rng.integers(0, 2, size=6)
 

@@ -168,7 +168,7 @@ def test_eval_refuses_a_probe_whose_widths_do_not_fit_the_checkpoint(probe_dims,
                       generator_hidden=(8,), discriminator_hidden=(8,),
                       generator_output="sigmoid")
     save_checkpoint(tmp_path / "run", trio, seed=0)
-    probe = MLP(probe_dims, ("relu", "softmax"), rng=np.random.default_rng(1))
+    probe = MLP(probe_dims, ("relu", "linear"), rng=np.random.default_rng(1))
     save_probe_checkpoint(tmp_path / "probe", probe, 1.0, seed=0)
     rc = main(["eval", "--checkpoint", str(tmp_path / "run"),
                "--probe", str(tmp_path / "probe")])

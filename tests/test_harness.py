@@ -240,7 +240,7 @@ def test_probe_label_jsd_equals_a_second_pass_on_the_same_stream():
     cfg = SchemeConfig(scheme="gan", n_classes=4, noise_dim=3)
     gen = build_trio(cfg, 6, rng=np.random.default_rng(5), generator_hidden=(16,),
                      discriminator_hidden=(8,)).generator
-    probe = Probe(network=MLP((6, 12, 4), ("relu", "softmax"), rng=np.random.default_rng(6)),
+    probe = Probe(network=MLP((6, 12, 4), ("relu", "linear"), rng=np.random.default_rng(6)),
                   test_accuracy=1.0)
     _, confusion = probe_match_rate(gen, partition, probe, 200, np.random.default_rng(3))
 
@@ -328,7 +328,7 @@ def test_blocked_class_match_rate_equals_the_whole_set_pass(seed):
 def test_blocked_probe_match_rate_equals_the_whole_set_pass(data_dim, seed):
     trio = _random_trio(data_dim, seed)
     n = trio.partition.n_classes
-    network = MLP((data_dim, 128, n), ("relu", "softmax"), rng=np.random.default_rng(seed + 5))
+    network = MLP((data_dim, 128, n), ("relu", "linear"), rng=np.random.default_rng(seed + 5))
     rate, confusion = probe_match_rate(trio.generator, trio.partition, Probe(network, 1.0), 200,
                                        np.random.default_rng(seed + 20))
     labels, x = _whole_set(trio.generator, trio.partition, 200, np.random.default_rng(seed + 20))
@@ -336,6 +336,23 @@ def test_blocked_probe_match_rate_equals_the_whole_set_pass(data_dim, seed):
     assert 0 < np.trace(counts) < counts.sum()  # a mixed confusion, not a trivial one
     assert rate == np.trace(counts) / counts.sum()
     assert np.array_equal(confusion.counts, counts)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_softmax_headed_probe_assigns_what_its_linear_twin_does(seed):
+    # probes saved before the losses took logits end in softmax; argmax reads
+    # the same class from the probabilities as from the logits
+    trio = _random_trio(784, seed)
+    n = trio.partition.n_classes
+    twins = [MLP((784, 128, n), ("relu", head), rng=np.random.default_rng(seed + 5))
+             for head in ("linear", "softmax")]
+    assert twins[0].param_buffer.tobytes() == twins[1].param_buffer.tobytes()
+    (rate, confusion), (softmax_rate, softmax_confusion) = (
+        probe_match_rate(trio.generator, trio.partition, Probe(net, 1.0), 200,
+                         np.random.default_rng(seed + 20)) for net in twins)
+    assert 0 < np.trace(confusion.counts) < confusion.counts.sum()
+    assert softmax_rate == rate
+    assert np.array_equal(softmax_confusion.counts, confusion.counts)
 
 
 def test_blocked_sample_grid_equals_the_whole_set_pass(tmp_path):
@@ -353,7 +370,7 @@ def test_probe_match_rate_holds_one_class_block_at_a_time():
     cfg = SchemeConfig(scheme="vacgan", n_classes=10, noise_dim=16)
     trio = build_trio(cfg, 784, rng=np.random.default_rng(0), generator_hidden=(16,),
                       discriminator_hidden=(16,), generator_output="sigmoid")
-    probe = Probe(MLP((784, 16, 10), ("relu", "softmax"), rng=np.random.default_rng(1)), 1.0)
+    probe = Probe(MLP((784, 16, 10), ("relu", "linear"), rng=np.random.default_rng(1)), 1.0)
     tracemalloc.start()
     try:
         probe_match_rate(trio.generator, trio.partition, probe, 200, np.random.default_rng(2))
@@ -368,7 +385,7 @@ def test_probe_match_rate_holds_at_most_two_class_blocks_with_the_helper(monkeyp
     # beside the one before it; the result is the serial one
     cfg = SchemeConfig(scheme="vacgan", n_classes=10, noise_dim=16)
     trio = build_trio(cfg, 784, rng=np.random.default_rng(0), **harness._IMAGE_ARCH)
-    probe = Probe(MLP((784, 128, 10), ("relu", "softmax"), rng=np.random.default_rng(1)), 1.0)
+    probe = Probe(MLP((784, 128, 10), ("relu", "linear"), rng=np.random.default_rng(1)), 1.0)
 
     # the helper stays off while tracemalloc is loaded; it is started and
     # stopped here only while the helper is idle
@@ -541,6 +558,11 @@ def test_run_mnist_writes_probe_grid_and_metrics(tmp_path, digits_dir):
     confusion = np.loadtxt(out / "confusion.csv", delimiter=",", dtype=int)
     assert confusion.shape == (10, 10)
     assert confusion.sum(axis=1).tolist() == [200] * 10
+    # the losses take logits: D, C and the probe end in linear layers, G in sigmoid
+    heads = [line.rsplit(",", 1)[1]
+             for manifest in (out / "manifest.txt", out / "probe" / "manifest.txt")
+             for line in manifest.read_text().splitlines() if line.startswith("network ")]
+    assert heads == ["sigmoid", "linear", "linear", "linear"]
 
 
 def test_run_mnist_rejects_class_count_mismatch(tmp_path, digits_dir):

@@ -207,7 +207,7 @@ def test_nesterov_in_place_state_matches_textbook_formulas_over_50_steps():
 
 def _network_segment():
     """A network whose one segment spans two blocks and a short tail."""
-    net = MLP((784, 64, 10), ("relu", "softmax"), rng=np.random.default_rng(4))
+    net = MLP((784, 64, 10), ("relu", "linear"), rng=np.random.default_rng(4))
     assert BLOCK < net.param_buffer.size < 2 * BLOCK
     return net.segment()
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from auxgan.data import GaussianMixtureSpec, LabeledBatch, sample_mixture
 from auxgan.nn import MLP
@@ -135,12 +136,13 @@ def test_vacgan_classifier_is_separate():
 
 
 def test_discriminator_loss_value():
-    loss = discriminator_loss(Tensor([[0.5]]), Tensor([[0.5]]))
+    # logit 0 is D(x) = 1/2 on both batches
+    loss = discriminator_loss(Tensor([[0.0]]), Tensor([[0.0]]))
     assert loss.item() == pytest.approx(2.0 * np.log(2.0), rel=1e-12)
 
 
 def test_discriminator_loss_perfect_outputs():
-    loss = discriminator_loss(Tensor([[1.0 - 1e-12]]), Tensor([[1e-12]]))
+    loss = discriminator_loss(Tensor([[40.0]]), Tensor([[-40.0]]))
     assert loss.item() == pytest.approx(0.0, abs=1e-9)
 
 
@@ -154,9 +156,9 @@ def test_discriminator_loss_is_sum_of_bce_terms():
 
 def test_generator_loss_value():
     cfg = SchemeConfig(scheme="vacgan", n_classes=10, theta=0.2, zeta=0.8)
-    d_fake = Tensor(np.full((4, 1), 0.5))
-    probs = Tensor(np.full((4, 10), 0.1))
-    loss = generator_loss(d_fake, probs, np.array([0, 1, 2, 3]), cfg)
+    d_fake = Tensor(np.zeros((4, 1)))  # D(fake) = 1/2
+    logits = Tensor(np.zeros((4, 10)))  # uniform over the 10 classes
+    loss = generator_loss(d_fake, logits, np.array([0, 1, 2, 3]), cfg)
     expected = 0.2 * np.log(2.0) + 0.8 * np.log(10.0)
     assert loss.item() == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(1.980697, abs=1e-6)
@@ -166,8 +168,8 @@ def test_generator_loss_zeta_zero_reduces_to_scaled_bce():
     cfg = SchemeConfig(scheme="vacgan", n_classes=4, theta=0.2, zeta=0.0)
     rng = np.random.default_rng(6)
     d_fake = Tensor(rng.uniform(0.2, 0.8, size=(6, 1)))
-    probs = Tensor(np.full((6, 4), 0.25))
-    loss = generator_loss(d_fake, probs, np.zeros(6, dtype=int), cfg)
+    logits = Tensor(np.full((6, 4), 0.25))
+    loss = generator_loss(d_fake, logits, np.zeros(6, dtype=int), cfg)
     assert loss.item() == 0.2 * bce_loss(d_fake, 1.0).item()
 
 
@@ -210,11 +212,28 @@ def test_gradient_routing_through_classifier_term():
         assert np.array_equal(got, want)
 
 
+def test_generator_gradient_survives_a_discriminator_sure_of_the_fakes():
+    # D reads logits <= -40 on every fake, D(fake) < 1e-12: the
+    # non-saturating loss still moves the generator
+    cfg, trio = _mixture_setup("gan")
+    labels = np.array([0, 1, 0, 1])
+    z = sample_latent(trio.partition, labels, np.random.default_rng(7))
+    trio.discriminator.layers[-1].bias.data -= trio.discriminator(trio.generator(z)).data.max()
+    trio.discriminator.layers[-1].bias.data -= 40.0
+    with Tape(wrt=trio.g_opt.params) as tape:
+        d_fake = trio.discriminator(trio.generator(z))
+        loss = generator_loss(d_fake, None, labels, cfg)
+    tape.backward(loss)
+    assert d_fake.data.max() <= -40.0 + 1e-9
+    assert loss.item() >= cfg.theta * 40.0
+    assert all(np.abs(p.grad).max() > 0.0 for p in trio.generator.layers[-1].params())
+
+
 def test_generator_gradient_through_classifier_matches_finite_differences():
     # two-class toy with smooth activations end to end
     rng = np.random.default_rng(8)
     generator = MLP((3, 6, 2), ("tanh", "linear"), rng=rng)
-    classifier = MLP((2, 6, 2), ("tanh", "softmax"), rng=rng)
+    classifier = MLP((2, 6, 2), ("tanh", "linear"), rng=rng)
     z = Tensor(rng.normal(size=(5, 3)))
     labels = rng.integers(0, 2, size=5)
 
@@ -236,7 +255,7 @@ def _c_step(trio, features, labels):
 def test_classifier_step_uniform_start_loss_is_log_n():
     cfg, trio = _mixture_setup("vacgan", n_classes=4)
     for p in trio.classifier.params():
-        p.data[:] = 0.0  # zero weights make softmax exactly uniform
+        p.data[:] = 0.0  # zero weights give equal logits: exactly uniform
     features = np.random.default_rng(9).normal(size=(16, 2))
     loss = _c_step(trio, features, np.zeros(16, dtype=int))
     assert loss == pytest.approx(np.log(4.0), rel=1e-12)
@@ -252,8 +271,8 @@ def test_classifier_step_decreases_loss_on_separable_batch():
 
 def test_classifier_step_noop_when_outputs_saturated():
     cfg, trio = _mixture_setup("vacgan", n_classes=2)
-    # huge weights saturate the softmax to exact one-hots, so the clamped
-    # cross-entropy has zero gradient and Nesterov must not move anything
+    # logits 10000 apart: the other class's probability underflows to exactly
+    # 0, so the cross-entropy and its gradient are 0 and Nesterov moves nothing
     trio.classifier.layers[-1].weights.data[:] = 0.0
     trio.classifier.layers[-1].bias.data[:] = [5000.0, -5000.0]
     before = [p.data.copy() for p in trio.classifier.params()]
@@ -278,7 +297,7 @@ def test_a_non_finite_classifier_loss_stops_before_the_step(monkeypatch):
     cfg, trio = _mixture_setup("vacgan", n_classes=2)
     before = [p.data.copy() for p in trio.classifier.params()]
     cce = schemes.cce_loss
-    monkeypatch.setattr(schemes, "cce_loss", lambda probs, labels: mul(cce(probs, labels), np.inf))
+    monkeypatch.setattr(schemes, "cce_loss", lambda z, labels: mul(cce(z, labels), np.inf))
     with pytest.raises(TrainingDiverged, match="classifier loss is not finite"):
         _c_step(trio, np.ones((4, 2)), np.zeros(4, dtype=int))
     for p, b in zip(trio.classifier.params(), before):
@@ -286,7 +305,7 @@ def test_a_non_finite_classifier_loss_stops_before_the_step(monkeypatch):
 
 
 def _poison_classifier(trio):
-    """Set one classifier weight to NaN: vacgan's own network, acgan's softmax head."""
+    """Set one classifier weight to NaN: vacgan's own network, acgan's head."""
     network = trio.classifier.head if trio.config.scheme == "acgan" else trio.classifier
     network.layers[0].weights.data[0, 0] = np.nan
 
@@ -405,6 +424,15 @@ def test_train_step_deterministic():
 
     a, b = run_once(), run_once()
     assert a == b  # StepLosses are frozen dataclasses of floats
+
+
+def test_a_nan_discriminator_weight_diverges_in_the_discriminator_step():
+    cfg, trio = _mixture_setup("vacgan")
+    trio.discriminator.layers[-1].weights.data[0, 0] = np.nan
+    d_before = trio.discriminator.param_buffer.copy()
+    with pytest.raises(TrainingDiverged, match="discriminator loss is not finite at step 0"):
+        _run(cfg, trio, 1)
+    assert trio.discriminator.param_buffer.tobytes() == d_before.tobytes()
 
 
 def test_train_step_nan_abort_names_the_loss(monkeypatch):
@@ -630,6 +658,70 @@ def test_optimizer_segments_tile_their_parameters_in_order(scheme, tmp_path):
             assert np.array_equal(trunk_data, np.arange(trunk_data.size))  # a prefix of D's
 
 
+@pytest.mark.parametrize("scheme", schemes.SCHEMES)
+def test_saved_discriminators_and_classifiers_end_in_linear_layers(scheme, tmp_path):
+    # the losses take logits: no saved network ends in sigmoid or softmax
+    _, trio = _mixture_setup(scheme, n_classes=3)
+    save_checkpoint(tmp_path, trio, seed=3)
+    acts = {line.split()[1]: line.split("activations=")[1]
+            for line in (tmp_path / "manifest.txt").read_text().splitlines()
+            if line.startswith("network ")}
+    assert acts.pop("generator") == "relu,relu,linear"
+    assert all(a.split(",")[-1] == "linear" for a in acts.values())
+    assert len(acts) == 1 + (scheme in ("acgan", "vacgan"))
+
+
+def test_a_trio_saved_with_sigmoid_and_softmax_heads_still_loads(tmp_path):
+    # the manifest a vacgan trio got before the losses took logits
+    cfg, trio = _mixture_setup("vacgan", n_classes=3)
+    _run(cfg, trio, 2)
+    save_checkpoint(tmp_path, trio, seed=3)
+    manifest = tmp_path / "manifest.txt"
+    text = manifest.read_text()
+    old = (text.replace("activations=leaky_relu:0.2,leaky_relu:0.2,linear",
+                        "activations=leaky_relu:0.2,leaky_relu:0.2,sigmoid")
+           .replace("activations=relu,linear", "activations=relu,softmax"))
+    assert old.count("sigmoid") == 1 and old.count("softmax") == 1
+    manifest.write_text(old)
+    back, info = load_checkpoint(tmp_path)
+    assert info == {"step": 2, "seed": 3}
+    assert back.discriminator.activations[-1] == "sigmoid"
+    assert back.classifier.activations[-1] == "softmax"
+    x = Tensor(np.random.default_rng(18).normal(size=(4, 2)))
+    assert np.array_equal(_forward_probe(trio), _forward_probe(back))
+    assert np.allclose(back.discriminator(x).data, special.expit(trio.discriminator(x).data),
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(back.classifier(x).data,
+                       special.softmax(trio.classifier(x).data, axis=1), rtol=1e-12, atol=0.0)
+
+
+def test_a_probe_saved_with_a_softmax_head_still_loads(tmp_path):
+    net = MLP((4, 8, 3), ("relu", "linear"), rng=np.random.default_rng(20))
+    save_probe_checkpoint(tmp_path, net, test_accuracy=0.97, seed=2)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("activations=relu,linear",
+                                                     "activations=relu,softmax"))
+    back, accuracy = load_probe_checkpoint(tmp_path)
+    assert accuracy == 0.97 and back.activations == ("relu", "softmax")
+    x = Tensor(np.random.default_rng(21).normal(size=(5, 4)))
+    assert np.allclose(back(x).data, special.softmax(net(x).data, axis=1), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["trio", "probe"])
+@pytest.mark.parametrize("payload", ["../other/checkpoint.bin", "other.bin", ""])
+def test_a_payload_line_naming_another_file_never_loads(saved_bundles, tmp_path, kind, payload):
+    # the payload is always the checkpoint.bin beside the manifest
+    load = load_checkpoint if kind == "trio" else load_probe_checkpoint
+    shutil.copytree(saved_bundles / kind, tmp_path / "run" / kind)
+    shutil.copytree(saved_bundles / kind, tmp_path / "run" / "other")  # loadable, were it read
+    manifest = tmp_path / "run" / kind / "manifest.txt"
+    text = manifest.read_text()
+    manifest.write_text(text.replace("payload checkpoint.bin\n", f"payload {payload}\n"))
+    with pytest.raises(ValueError, match="payload must be 'checkpoint.bin'") as e:
+        load(manifest)
+    assert str(manifest) in str(e.value)
+
+
 def test_checkpoint_rejects_foreign_manifest(tmp_path):
     (tmp_path / "manifest.txt").write_text("format something-else\n")
     with pytest.raises(ValueError):
@@ -637,14 +729,14 @@ def test_checkpoint_rejects_foreign_manifest(tmp_path):
 
 
 def test_checkpoint_kind_mismatch(tmp_path):
-    net = MLP((4, 2), ("softmax",), rng=np.random.default_rng(19))
+    net = MLP((4, 2), ("linear",), rng=np.random.default_rng(19))
     save_probe_checkpoint(tmp_path, net, test_accuracy=0.99, seed=1)
     with pytest.raises(ValueError):
         load_checkpoint(tmp_path)
 
 
 def test_probe_checkpoint_round_trip(tmp_path):
-    net = MLP((4, 8, 3), ("relu", "softmax"), rng=np.random.default_rng(20))
+    net = MLP((4, 8, 3), ("relu", "linear"), rng=np.random.default_rng(20))
     save_probe_checkpoint(tmp_path / "a", net, test_accuracy=0.9785, seed=2)
     back, accuracy = load_probe_checkpoint(tmp_path / "a")
     assert accuracy == 0.9785
@@ -685,7 +777,7 @@ def saved_bundles(tmp_path_factory):
     cfg, trio = _mixture_setup("acgan", n_classes=3)
     _run(cfg, trio, 2)
     save_checkpoint(root / "trio", trio, seed=3)
-    net = MLP((4, 8, 3), ("relu", "softmax"), rng=np.random.default_rng(22))
+    net = MLP((4, 8, 3), ("relu", "linear"), rng=np.random.default_rng(22))
     save_probe_checkpoint(root / "probe", net, test_accuracy=0.97, seed=2)
     return root
 

@@ -2,16 +2,18 @@ import itertools
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import special
 
 from auxgan.nn import MLP, DenseLayer
-from auxgan.tensor import (ACTIVATIONS, EPS, Tape, Tensor, add, bce_loss, cce_loss,
-                           concat_cols, dense, mul, parameters)
+from auxgan.tensor import (ACTIVATIONS, Tape, Tensor, add, bce_loss, cce_loss, concat_cols,
+                           dense, mul, parameters)
 from gradcheck import (check_input_gradient, check_param_gradient, relative_error,
                        weighted_sum)
 
@@ -91,7 +93,7 @@ def test_tape_wrt_matches_full_backward_on_listed_leaves_only():
 
     def loss():
         h = dense(x, *first, "tanh")
-        return bce_loss(dense(h, *second, "sigmoid"), 1.0)
+        return bce_loss(dense(h, *second, "linear"), 1.0)
 
     with Tape(wrt=first + second) as tape:
         full_loss = loss()
@@ -127,7 +129,7 @@ def test_threads_record_on_their_own_tapes_and_give_the_serial_gradients():
     # records would land on another's tape
     rng = np.random.default_rng(6)
     n_threads = 4  # more than the cores of a small machine
-    nets = [MLP((8, 32, 1), ("tanh", "sigmoid"), rng=rng) for _ in range(n_threads)]
+    nets = [MLP((8, 32, 1), ("tanh", "linear"), rng=rng) for _ in range(n_threads)]
     xs = [Tensor(rng.normal(size=(16, 8))) for _ in range(n_threads)]
 
     def gradients(net, x, rounds=50):
@@ -395,7 +397,7 @@ def test_dense_gradients(kind):
 
 def test_parameter_gradcheck_perturbs_the_buffer_view_and_restores_its_bytes():
     rng = np.random.default_rng(25)
-    net = MLP((3, 4, 2), ("tanh", "softmax"), rng=rng)
+    net = MLP((3, 4, 2), ("tanh", "linear"), rng=rng)
     w = net.layers[0].weights
     x = Tensor(rng.normal(size=(5, 3)))
     labels = rng.integers(0, 2, size=5)
@@ -430,94 +432,119 @@ def test_sigmoid_finite_on_extreme_inputs():
 
 
 def test_bce_values():
-    assert bce_loss(Tensor([[0.5]]), 1.0).item() == pytest.approx(np.log(2.0), rel=1e-12)
-    assert bce_loss(Tensor([[1.0 - 1e-12]]), 1.0).item() == pytest.approx(0.0, abs=1e-9)
+    # sigmoid(0) = 1/2, and sigmoid(log(1e12 - 1)) = 1 - 1e-12
+    assert bce_loss(Tensor([[0.0]]), 1.0).item() == pytest.approx(np.log(2.0), rel=1e-12)
+    assert bce_loss(Tensor([[np.log(1e12 - 1)]]), 1.0).item() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_bce_target_validation():
-    with pytest.raises(ValueError):
-        bce_loss(Tensor([[0.5]]), 1.5)
+    for target in (1.5, 0.5, np.array([1.0])):  # targets are 0 or 1, as a number
+        with pytest.raises(ValueError, match="0.0 or 1.0"):
+            bce_loss(Tensor([[0.0]]), target)
 
 
 @pytest.mark.parametrize("target", [float("nan"), np.array([[0.5], [np.nan]]), -0.1])
 def test_bce_rejects_a_nan_or_out_of_range_target(target):
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        bce_loss(Tensor([[0.5], [0.5]]), target)
+    with pytest.raises(ValueError, match="0.0 or 1.0"):
+        bce_loss(Tensor([[0.0], [0.0]]), target)
 
 
 def test_bce_gradient_at_half_with_target_one():
-    # d/dp of -log(p) at p=0.5 is -2, divided by element count
-    p = Tensor(np.full((4, 1), 0.5))
-    with Tape(wrt=[p]) as tape:
-        loss = bce_loss(p, 1.0)
+    # d/dz of softplus(-z) at z = 0 (p = 1/2) is -sigmoid(0) = -1/2, divided by element count
+    z = Tensor(np.zeros((4, 1)))
+    with Tape(wrt=[z]) as tape:
+        loss = bce_loss(z, 1.0)
     tape.backward(loss)
-    assert np.allclose(p.grad, -2.0 / 4.0, atol=1e-15)
+    assert np.allclose(z.grad, -0.5 / 4.0, atol=1e-15)
 
 
-def test_bce_gradient_masked_in_clamped_region():
-    p = Tensor(np.array([[0.0, 1.0, 0.5]]))
-    with Tape(wrt=[p]) as tape:
-        loss = bce_loss(p, 1.0)
-    tape.backward(loss)
-    assert p.grad[0, 0] == 0.0 and p.grad[0, 1] == 0.0
-    assert p.grad[0, 2] != 0.0
+def test_bce_gradient_is_alive_at_saturated_logits():
+    # sigmoid(-40) ~ 4e-18 lies below any probability clamp: the loss still
+    # reads 40 and its gradient is the full (sigmoid(z) - t) / n = -+1/n
+    for target, logit in ((1.0, -40.0), (0.0, 40.0)):
+        z = Tensor(np.full((4, 1), logit))
+        with Tape(wrt=[z]) as tape:
+            loss = bce_loss(z, target)
+        tape.backward(loss)
+        assert loss.item() == 40.0
+        assert np.array_equal(z.grad, np.full((4, 1), (1.0 - 2.0 * target) / 4.0))
+
+
+def test_bce_at_an_infinite_logit_is_exact():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bce_loss(Tensor([[np.inf]]), 0.0).item() == np.inf
+        assert bce_loss(Tensor([[np.inf]]), 1.0).item() == 0.0
+        assert bce_loss(Tensor([[-np.inf]]), 0.0).item() == 0.0
 
 
 def test_cce_uniform_rows():
-    probs = Tensor(np.full((3, 10), 0.1))
-    loss = cce_loss(probs, np.array([0, 5, 9]))
+    logits = Tensor(np.full((3, 10), 3.7))
+    loss = cce_loss(logits, np.array([0, 5, 9]))
     assert loss.item() == pytest.approx(np.log(10.0), rel=1e-12)
 
 
 def test_cce_correct_one_hot_is_zero():
-    probs = Tensor(np.eye(4)[[0, 1, 2]])
-    assert cce_loss(probs, np.array([0, 1, 2])).item() == pytest.approx(0.0, abs=1e-9)
+    logits = Tensor(100.0 * np.eye(4)[[0, 1, 2]])
+    assert cce_loss(logits, np.array([0, 1, 2])).item() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cce_matches_direct_summation():
     rng = np.random.default_rng(3)
-    raw = rng.uniform(0.1, 1.0, size=(8, 4))
-    probs = raw / raw.sum(axis=1, keepdims=True)
+    logits = rng.uniform(-3.0, 3.0, size=(8, 4))
     labels = rng.integers(0, 4, size=8)
-    manual = -np.mean([np.log(probs[i, labels[i]]) for i in range(8)])
-    assert cce_loss(Tensor(probs), labels).item() == pytest.approx(manual, abs=1e-12)
+    manual = -np.mean([np.log(np.exp(logits[i, labels[i]]) / np.exp(logits[i]).sum())
+                       for i in range(8)])
+    assert cce_loss(Tensor(logits), labels).item() == pytest.approx(manual, abs=1e-12)
 
 
 def test_cce_validation():
-    probs = Tensor(np.full((2, 3), 1.0 / 3.0))
+    logits = Tensor(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        cce_loss(probs, np.array([0, 3]))  # label out of range
+        cce_loss(logits, np.array([0, 3]))  # label out of range
     with pytest.raises(ValueError):
-        cce_loss(probs, np.array([0]))  # batch mismatch
+        cce_loss(logits, np.array([0]))  # batch mismatch
     with pytest.raises(ValueError):
-        cce_loss(Tensor(np.full((2, 3), 0.5)), np.array([0, 1]))  # rows sum to 1.5
+        cce_loss(logits, np.array([[0], [1]]))  # labels not a vector
     with pytest.raises(ValueError):
         cce_loss(Tensor(np.zeros(3)), np.array([0]))  # rank
 
 
-def test_cce_row_sum_tolerance_is_absolute_1e6():
+def test_cce_rows_need_not_sum_to_one():
+    # logits are free: a constant added to a row moves neither the loss nor
+    # the gradient, and a NaN logit gives a NaN loss (the training steps
+    # report it as divergence) instead of an error
+    rng = np.random.default_rng(5)
+    logits = rng.normal(size=(2, 3))
     labels = np.array([0, 1])
-    near = np.array([[0.5, 0.5], [0.5, 0.5 + 5e-7]])
-    assert np.isfinite(cce_loss(Tensor(near), labels).item())
-    off = np.array([[0.5, 0.5], [0.5, 0.5 + 5e-6]])
-    with pytest.raises(ValueError, match="1e-6"):
-        cce_loss(Tensor(off), labels)
-    with pytest.raises(ValueError):
-        cce_loss(Tensor(np.array([[0.5, 0.5], [np.nan, 0.5]])), labels)
+    moved = logits + np.array([[5.0], [-7.0]])
+    assert cce_loss(Tensor(moved), labels).item() == pytest.approx(
+        cce_loss(Tensor(logits), labels).item(), rel=1e-12)
+    assert np.isnan(cce_loss(Tensor(np.array([[0.5, 0.5], [np.nan, 0.5]])), labels).item())
 
 
 def test_cce_gradient_matches_closed_form():
     rng = np.random.default_rng(4)
     for _ in range(N_INSTANCES):
-        raw = rng.uniform(0.1, 1.0, size=(6, 5))
-        probs = Tensor(raw / raw.sum(axis=1, keepdims=True))
+        logits = Tensor(rng.uniform(-30.0, 30.0, size=(6, 5)))
         labels = rng.integers(0, 5, size=6)
-        with Tape(wrt=[probs]) as tape:
-            loss = cce_loss(probs, labels)
+        with Tape(wrt=[logits]) as tape:
+            loss = cce_loss(logits, labels)
         tape.backward(loss)
-        expected = np.zeros((6, 5))
-        expected[np.arange(6), labels] = -1.0 / (6 * probs.data[np.arange(6), labels])
-        assert relative_error(probs.grad, expected) <= 1e-12
+        expected = special.softmax(logits.data, axis=1)
+        expected[np.arange(6), labels] -= 1.0
+        assert relative_error(logits.grad, expected / 6) <= 1e-12
+
+
+def test_cce_gradient_is_alive_for_a_confidently_wrong_classifier():
+    # the label's logit 50 below another class: its probability, ~2e-22,
+    # lies below any clamp, and its gradient is the full (p - 1) / batch
+    logits = Tensor(np.array([[0.0, 50.0], [50.0, 0.0]]))
+    with Tape(wrt=[logits]) as tape:
+        loss = cce_loss(logits, np.array([0, 1]))
+    tape.backward(loss)
+    assert loss.item() == 50.0
+    assert np.array_equal(logits.grad, np.array([[-0.5, 0.5], [0.5, -0.5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -600,33 +627,37 @@ def test_softmax_gradients():
 def test_bce_gradients():
     rng = np.random.default_rng(20)
     for _ in range(N_INSTANCES):
-        p0 = rng.uniform(0.05, 0.95, size=(4, 2))
-        target = rng.integers(0, 2, size=(4, 2)).astype(float)
-        check_input_gradient(lambda t: bce_loss(t, target), p0)
+        z0 = rng.uniform(-30.0, 30.0, size=(4, 2))
+        target = float(rng.integers(0, 2))
+        check_input_gradient(lambda t: bce_loss(t, target), z0)
 
 
 def test_bce_through_sigmoid_gradients():
-    # the composite used by every discriminator step
+    # the sigmoid lives inside the loss: the gradient is (sigmoid(z) - t) / n
     rng = np.random.default_rng(21)
     for _ in range(N_INSTANCES):
-        x0 = rng.normal(size=(4, 1)) * 2.0
-        check_input_gradient(lambda t: bce_loss(dense(t, *_identity(1), "sigmoid"), 1.0), x0)
+        z = Tensor(rng.uniform(-30.0, 30.0, size=(4, 1)))
+        target = float(rng.integers(0, 2))
+        with Tape(wrt=[z]) as tape:
+            loss = bce_loss(z, target)
+        tape.backward(loss)
+        assert relative_error(z.grad, (special.expit(z.data) - target) / 4) <= 1e-12
 
 
 def test_cce_through_softmax_gradients():
-    # perturbing raw probabilities would break the row-sum precondition, so
-    # the finite-difference check runs through softmax, as in real use
+    # the softmax lives inside the loss; logits spread far into saturation
     rng = np.random.default_rng(22)
     for _ in range(N_INSTANCES):
-        x0 = rng.normal(size=(4, 5)) * 2.0
+        z0 = rng.uniform(-30.0, 30.0, size=(4, 5))
         labels = rng.integers(0, 5, size=4)
-        check_input_gradient(lambda t: cce_loss(dense(t, *_identity(5), "softmax"), labels), x0)
+        check_input_gradient(lambda t: cce_loss(t, labels), z0)
 
 
 def test_dense_sigmoid_bce_composite_gradient():
+    # a discriminator's head: a linear layer's logit into the loss's sigmoid and BCE
     rng = np.random.default_rng(23)
     for _ in range(10):
         w = rng.normal(size=(3, 1))
         x0 = rng.normal(size=(5, 3))
         check_input_gradient(
-            lambda t: bce_loss(dense(t, Tensor(w), Tensor([0.1]), "sigmoid"), 1.0), x0)
+            lambda t: bce_loss(dense(t, Tensor(w), Tensor([0.1]), "linear"), 1.0), x0)
