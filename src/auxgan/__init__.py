@@ -13,6 +13,12 @@ The package has three layers:
   measures conditional fidelity.
 """
 
+import os
+
+# Artifact bytes depend on the BLAS thread count: 1 unless set, before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .tensor import Tape, Tensor
 from .divergence import (
     DiscreteDistribution,

@@ -36,7 +36,6 @@ import functools
 import math
 import numbers
 import os
-import struct
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -412,13 +411,14 @@ def train_step(real, labels_for_fake, trio, config, rng):
 
 # ---------------------------------------------------------------------------
 # checkpoints: one bundle format for trios and probes.  manifest.txt holds
-# "format", "kind", key lines, "payload" and one "network NAME SPEC" line per
-# network; checkpoint.bin holds each network's parameters in manifest order,
-# as length-prefixed little-endian float64 arrays.
+# "format", "kind", key lines, "payload", "payload_sha256" and one
+# "network NAME SPEC" line per network; checkpoint.bin holds each network's
+# `param_buffer` as little-endian float64, back to back in manifest order.
+# hashlib is imported where a bundle is read or written, so other runs never load it.
 
 MANIFEST_NAME = "manifest.txt"
 PAYLOAD_NAME = "checkpoint.bin"
-_FORMAT_LINE = "auxgan-checkpoint-v1"
+_FORMAT_LINE = "auxgan-checkpoint-v2"
 
 
 class _Manifest(dict):
@@ -446,29 +446,39 @@ class _Manifest(dict):
 
 
 def _write_bundle(directory, kind, keys, networks):
-    """Write one bundle; `keys` and `networks` are dicts in manifest order."""
+    """Write one bundle; `keys` and `networks` are dicts in manifest order.
+
+    Each file is renamed into place from a .tmp file, the payload first: a
+    crash between the renames leaves an old manifest that refuses the payload.
+    """
+    import hashlib
     os.makedirs(directory, exist_ok=True)
+    payload = os.path.join(directory, PAYLOAD_NAME)
+    digest = hashlib.sha256()
+    with open(payload + ".tmp", "wb") as f:
+        for net in networks.values():
+            buffer = net.param_buffer.astype("<f8", copy=False)
+            digest.update(buffer)
+            f.write(buffer)
+    os.replace(payload + ".tmp", payload)
     lines = [f"format {_FORMAT_LINE}", f"kind {kind}"]
     lines += [f"{key} {value}" for key, value in keys.items()]
-    lines.append(f"payload {PAYLOAD_NAME}")
+    lines += [f"payload {PAYLOAD_NAME}", f"payload_sha256 {digest.hexdigest()}"]
     lines += [f"network {name} {net.spec()}" for name, net in networks.items()]
-    with open(os.path.join(directory, MANIFEST_NAME), "w") as f:
+    manifest = os.path.join(directory, MANIFEST_NAME)
+    with open(manifest + ".tmp", "w") as f:
         f.write("\n".join(lines) + "\n")
-    with open(os.path.join(directory, PAYLOAD_NAME), "wb") as f:
-        for net in networks.values():
-            for p in net.params():
-                flat = np.ascontiguousarray(p.data, dtype="<f8").ravel()
-                f.write(struct.pack("<Q", flat.size))
-                f.write(flat.tobytes())
+    os.replace(manifest + ".tmp", manifest)
 
 
 def _read_bundle(path, kind):
     """Check and load one bundle; `path` is the manifest or its directory.
 
     Returns (keys, networks): the manifest keys and a dict of name -> MLP
-    with the saved weights.  The payload must hold exactly the arrays the
-    manifest declares, no fewer bytes and no more.
+    with the saved weights.  The payload must have exactly the size the
+    manifest's networks give and the manifest's sha256.
     """
+    import hashlib
     manifest = os.path.join(path, MANIFEST_NAME) if os.path.isdir(path) else path
     keys, specs = _Manifest(manifest), {}
     with open(manifest) as f:
@@ -480,7 +490,8 @@ def _read_bundle(path, kind):
             elif key:
                 keys[key] = rest
     if keys.get("format") != _FORMAT_LINE:
-        raise ValueError(f"not a recognized checkpoint manifest: {manifest}")
+        raise ValueError(f"checkpoint manifest {manifest} has format {keys.get('format')!r}, "
+                         f"not {_FORMAT_LINE!r}; re-run to regenerate it")
     if keys.get("kind") != kind:
         raise ValueError(f"expected a {kind} checkpoint, found kind {keys.get('kind')!r}")
     networks = _Manifest(manifest)
@@ -495,23 +506,17 @@ def _read_bundle(path, kind):
     payload = os.path.join(os.path.dirname(manifest), PAYLOAD_NAME)
     with open(payload, "rb") as f:
         raw = f.read()
+    size = sum(net.param_buffer.nbytes for net in networks.values())
+    if len(raw) != size:
+        raise ValueError(f"checkpoint payload {payload} has {len(raw)} bytes, "
+                         f"the networks of {manifest} need {size}")
+    if hashlib.sha256(raw).hexdigest() != keys["payload_sha256"]:
+        raise ValueError(f"checkpoint payload {payload} does not match "
+                         f"the payload_sha256 of {manifest}")
     offset = 0
     for net in networks.values():
-        for p in net.params():
-            size = p.data.size
-            end = offset + 8 + 8 * size
-            if end > len(raw):
-                raise ValueError(f"checkpoint payload {payload} ends at byte {len(raw)}, "
-                                 f"inside the array that starts at byte {offset}")
-            declared = struct.unpack_from("<Q", raw, offset)[0]
-            if declared != size:
-                raise ValueError(f"checkpoint array at byte {offset} declares {declared} "
-                                 f"values, its shape {p.data.shape} needs {size}")
-            p.data[...] = np.frombuffer(raw, "<f8", size, offset + 8).reshape(p.data.shape)
-            offset = end
-    if offset != len(raw):
-        raise ValueError(f"checkpoint payload {payload} has {len(raw) - offset} bytes "
-                         f"after its last array (byte {offset})")
+        net.param_buffer[...] = np.frombuffer(raw, "<f8", net.param_buffer.size, offset)
+        offset += net.param_buffer.nbytes
     return keys, networks
 
 

@@ -287,17 +287,6 @@ def _sigmoid_backward(g, z, y, alpha):
     return r
 
 
-def _softmax_forward(z, alpha):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _softmax_backward(g, z, y, alpha):
-    r = np.multiply(g, y, out=z)
-    np.subtract(g, r.sum(axis=1, keepdims=True), out=r)
-    return np.multiply(y, r, out=r)
-
-
 ACTIVATIONS = {
     "relu": (lambda z, alpha: np.maximum(z, 0.0),
              lambda g, z, y, alpha: np.multiply(g, z > 0.0, out=z)),
@@ -307,9 +296,6 @@ ACTIVATIONS = {
     "sigmoid": (_sigmoid_forward, _sigmoid_backward),
     "tanh": (lambda z, alpha: np.tanh(z),
              lambda g, z, y, alpha: np.multiply(g, 1.0 - y * y, out=z)),
-    # no network is built with softmax now (the losses take logits); checkpoints
-    # saved with softmax heads still load and evaluate through it
-    "softmax": (_softmax_forward, _softmax_backward),
     "linear": (lambda z, alpha: z, lambda g, z, y, alpha: g),
 }
 
@@ -386,7 +372,9 @@ def cce_loss(logits, labels):
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"cce_loss labels must lie in [0, {n_classes})")
     rows = np.arange(batch)
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    top = logits.data.max(axis=1, keepdims=True)
+    # z - top is 0 at the max, left unwritten: a +inf row loses 0 or inf, never inf - inf
+    shifted = np.subtract(logits.data, top, out=np.zeros(logits.shape), where=logits.data != top)
     e = np.exp(shifted)
     total = e.sum(axis=1)
     out = Tensor((np.log(total) - shifted[rows, labels]).mean())

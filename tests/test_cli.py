@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import auxgan.harness as harness
 from auxgan.cli import build_parser, main
+from auxgan.data import write_synthetic_digit_files
 from auxgan.nn import MLP
 from auxgan.schemes import SchemeConfig, build_trio, save_checkpoint, save_probe_checkpoint
 
@@ -223,3 +229,26 @@ def test_smallest_valid_sizes_are_accepted(image_checkpoint, tmp_path, capsys):
     assert main(["grid", "--checkpoint", str(image_checkpoint), "--cols", "1",
                  "--out", str(out)]) == 0
     assert out.read_bytes().startswith(b"P5\n28 280\n255\n")
+
+
+def test_train_pins_blas_so_its_thread_count_setting_moves_no_byte(tmp_path):
+    # a digit-width run, whose products a BLAS on more than one thread would split
+    data = tmp_path / "data"
+    write_synthetic_digit_files(data, n_train=3200, n_test=300)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "dataset": "mnist", "seed": 3, "probe_epochs": 6,
+        "scheme": {"scheme": "vacgan", "n_classes": 10, "noise_dim": 16, "epochs": 1}}))
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    artifacts = []
+    for threads in (None, "1"):  # unset, then set explicitly
+        env = {key: value for key, value in os.environ.items() if key not in blas}
+        env.update(dict.fromkeys(blas, threads) if threads else {})
+        env["PYTHONPATH"] = src
+        out = tmp_path / f"run-{threads}"
+        subprocess.run([sys.executable, "-m", "auxgan.cli", "train", "--config", str(config),
+                        "--out", str(out), "--mnist-dir", str(data)],
+                       env=env, capture_output=True, timeout=300, check=True)
+        artifacts.append([(out / name).read_bytes() for name in ("checkpoint.bin", "metrics.csv")])
+    assert artifacts[0] == artifacts[1]

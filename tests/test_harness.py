@@ -338,23 +338,6 @@ def test_blocked_probe_match_rate_equals_the_whole_set_pass(data_dim, seed):
     assert np.array_equal(confusion.counts, counts)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_a_softmax_headed_probe_assigns_what_its_linear_twin_does(seed):
-    # probes saved before the losses took logits end in softmax; argmax reads
-    # the same class from the probabilities as from the logits
-    trio = _random_trio(784, seed)
-    n = trio.partition.n_classes
-    twins = [MLP((784, 128, n), ("relu", head), rng=np.random.default_rng(seed + 5))
-             for head in ("linear", "softmax")]
-    assert twins[0].param_buffer.tobytes() == twins[1].param_buffer.tobytes()
-    (rate, confusion), (softmax_rate, softmax_confusion) = (
-        probe_match_rate(trio.generator, trio.partition, Probe(net, 1.0), 200,
-                         np.random.default_rng(seed + 20)) for net in twins)
-    assert 0 < np.trace(confusion.counts) < confusion.counts.sum()
-    assert softmax_rate == rate
-    assert np.array_equal(softmax_confusion.counts, confusion.counts)
-
-
 def test_blocked_sample_grid_equals_the_whole_set_pass(tmp_path):
     trio = _random_trio(784, 3)
     path = emit_sample_grid(trio.generator, trio.partition, 8, tmp_path / "grid.pgm",

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 from auxgan.data import GaussianMixtureSpec, LabeledBatch, sample_mixture
 from auxgan.nn import MLP
@@ -598,6 +597,13 @@ def test_loaded_parameters_stay_views_of_their_network_buffers(scheme, tmp_path)
                             for p in net.params()])
     assert saved.tobytes() == np.concatenate([back.generator.param_buffer,
                                               back.discriminator.param_buffer]).tobytes()
+    # the payload is each network's buffer, back to back in manifest order
+    names = [line.split()[1] for line in (tmp_path / "manifest.txt").read_text().splitlines()
+             if line.startswith("network ")]
+    assert names == ["generator", "discriminator"] + ([] if back.classifier is None else
+                                                      [schemes._CLASSIFIER_NET[scheme]])
+    assert (tmp_path / "checkpoint.bin").read_bytes() == b"".join(
+        net.param_buffer.astype("<f8").tobytes() for net in nets)
     _run(cfg, back, 1)  # the fresh optimizers step the loaded buffers
     assert not np.array_equal(back.generator.param_buffer, trio.generator.param_buffer)
 
@@ -671,42 +677,6 @@ def test_saved_discriminators_and_classifiers_end_in_linear_layers(scheme, tmp_p
     assert len(acts) == 1 + (scheme in ("acgan", "vacgan"))
 
 
-def test_a_trio_saved_with_sigmoid_and_softmax_heads_still_loads(tmp_path):
-    # the manifest a vacgan trio got before the losses took logits
-    cfg, trio = _mixture_setup("vacgan", n_classes=3)
-    _run(cfg, trio, 2)
-    save_checkpoint(tmp_path, trio, seed=3)
-    manifest = tmp_path / "manifest.txt"
-    text = manifest.read_text()
-    old = (text.replace("activations=leaky_relu:0.2,leaky_relu:0.2,linear",
-                        "activations=leaky_relu:0.2,leaky_relu:0.2,sigmoid")
-           .replace("activations=relu,linear", "activations=relu,softmax"))
-    assert old.count("sigmoid") == 1 and old.count("softmax") == 1
-    manifest.write_text(old)
-    back, info = load_checkpoint(tmp_path)
-    assert info == {"step": 2, "seed": 3}
-    assert back.discriminator.activations[-1] == "sigmoid"
-    assert back.classifier.activations[-1] == "softmax"
-    x = Tensor(np.random.default_rng(18).normal(size=(4, 2)))
-    assert np.array_equal(_forward_probe(trio), _forward_probe(back))
-    assert np.allclose(back.discriminator(x).data, special.expit(trio.discriminator(x).data),
-                       rtol=1e-12, atol=0.0)
-    assert np.allclose(back.classifier(x).data,
-                       special.softmax(trio.classifier(x).data, axis=1), rtol=1e-12, atol=0.0)
-
-
-def test_a_probe_saved_with_a_softmax_head_still_loads(tmp_path):
-    net = MLP((4, 8, 3), ("relu", "linear"), rng=np.random.default_rng(20))
-    save_probe_checkpoint(tmp_path, net, test_accuracy=0.97, seed=2)
-    manifest = tmp_path / "manifest.txt"
-    manifest.write_text(manifest.read_text().replace("activations=relu,linear",
-                                                     "activations=relu,softmax"))
-    back, accuracy = load_probe_checkpoint(tmp_path)
-    assert accuracy == 0.97 and back.activations == ("relu", "softmax")
-    x = Tensor(np.random.default_rng(21).normal(size=(5, 4)))
-    assert np.allclose(back(x).data, special.softmax(net(x).data, axis=1), rtol=1e-12, atol=0.0)
-
-
 @pytest.mark.parametrize("kind", ["trio", "probe"])
 @pytest.mark.parametrize("payload", ["../other/checkpoint.bin", "other.bin", ""])
 def test_a_payload_line_naming_another_file_never_loads(saved_bundles, tmp_path, kind, payload):
@@ -726,6 +696,21 @@ def test_checkpoint_rejects_foreign_manifest(tmp_path):
     (tmp_path / "manifest.txt").write_text("format something-else\n")
     with pytest.raises(ValueError):
         load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["trio", "probe"])
+def test_a_v1_manifest_is_refused_naming_both_formats(saved_bundles, tmp_path, kind):
+    load = load_checkpoint if kind == "trio" else load_probe_checkpoint
+    shutil.copytree(saved_bundles / kind, tmp_path / kind)
+    manifest = tmp_path / kind / "manifest.txt"
+    text = manifest.read_text()
+    manifest.write_text(text.replace("format auxgan-checkpoint-v2\n",
+                                     "format auxgan-checkpoint-v1\n"))
+    with pytest.raises(ValueError) as e:
+        load(manifest)
+    message = str(e.value)
+    assert "\n" not in message and str(manifest) in message
+    assert "'auxgan-checkpoint-v1'" in message and "'auxgan-checkpoint-v2'" in message
 
 
 def test_checkpoint_kind_mismatch(tmp_path):
@@ -794,8 +779,47 @@ def test_truncated_or_extended_payload_never_loads(saved_bundles, kind, data):
     with tempfile.TemporaryDirectory() as directory:
         shutil.copy(saved_bundles / kind / "manifest.txt", directory)
         Path(directory, "checkpoint.bin").write_bytes(damaged)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as e:
             load(directory)
+        assert str(Path(directory, "checkpoint.bin")) in str(e.value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["trio", "probe"]), data=st.data())
+def test_a_payload_with_a_flipped_bit_never_loads(saved_bundles, kind, data):
+    load = load_checkpoint if kind == "trio" else load_probe_checkpoint
+    damaged = bytearray((saved_bundles / kind / "checkpoint.bin").read_bytes())
+    damaged[data.draw(st.integers(0, len(damaged) - 1), label="offset")] ^= 1 << data.draw(
+        st.integers(0, 7), label="bit")
+    with tempfile.TemporaryDirectory() as directory:
+        shutil.copy(saved_bundles / kind / "manifest.txt", directory)
+        Path(directory, "checkpoint.bin").write_bytes(damaged)
+        with pytest.raises(ValueError, match="payload_sha256") as e:
+            load(directory)
+        assert str(Path(directory, "checkpoint.bin")) in str(e.value)
+
+
+def test_a_save_leaves_no_tmp_file_and_one_cut_between_its_renames_never_loads(
+        tmp_path, monkeypatch):
+    cfg, trio = _mixture_setup("vacgan")
+    save_checkpoint(tmp_path, trio, seed=3)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin", "manifest.txt"]
+    _run(cfg, trio, 1)
+    renames, replace = [], schemes.os.replace
+
+    def replace_once(source, target):  # the payload's rename, then a crash
+        renames.append(target)
+        if len(renames) == 2:
+            raise OSError("cut")
+        replace(source, target)
+
+    monkeypatch.setattr(schemes.os, "replace", replace_once)
+    with pytest.raises(OSError, match="cut"):
+        save_checkpoint(tmp_path, trio, seed=3)
+    monkeypatch.undo()
+    assert [Path(p).name for p in renames] == ["checkpoint.bin", "manifest.txt"]
+    with pytest.raises(ValueError, match="payload_sha256"):  # the old manifest, the new payload
+        load_checkpoint(tmp_path)
 
 
 @pytest.mark.parametrize("spec, named", [
@@ -803,6 +827,7 @@ def test_truncated_or_extended_payload_never_loads(saved_bundles, kind, data):
     ("garbage", "'garbage'"),
     ("dims=4,x,3 activations=relu,softmax", "'4,x,3'"),
     ("dims=4,8,3 activations=leaky_relu:abc,softmax", "'abc'"),
+    ("dims=4,8,3 activations=relu,softmax", "unknown activation 'softmax'"),
 ])
 @pytest.mark.parametrize("kind", ["trio", "probe"])
 def test_malformed_network_line_never_loads(saved_bundles, tmp_path, kind, spec, named):

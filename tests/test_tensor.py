@@ -182,7 +182,6 @@ def test_shared_first_gradient_is_not_changed_by_a_later_contribution():
 def test_activation_values():
     assert _act("sigmoid", 0.0) == 0.5
     assert _act("leaky_relu", -1.0, 0.2) == pytest.approx(-0.2)
-    assert np.allclose(_act("softmax", [[0.0, 0.0, 0.0, 0.0]]), 0.25, atol=1e-15)
 
 
 def test_tensor_wraps_its_array_and_a_parameter_owns_a_copy():
@@ -256,11 +255,6 @@ def test_activation_kernels_equal_the_sign_selecting_formulas_bit_for_bit(data, 
     assert grad.tobytes() == (upstream * slope).tobytes()
 
 
-def _softmax(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 # act(z) and g * act'(z) in plain numpy, in the kernels' op order; sigmoid and
 # leaky_relu by the sign-selecting formulas above
 _REFERENCE = {
@@ -269,8 +263,6 @@ _REFERENCE = {
                    lambda g, z, y, alpha: g * _where_leaky_relu(z, alpha)[1]),
     "sigmoid": (lambda z, alpha: _where_sigmoid(z), lambda g, z, y, alpha: g * y * (1.0 - y)),
     "tanh": (lambda z, alpha: np.tanh(z), lambda g, z, y, alpha: g * (1.0 - y * y)),
-    "softmax": (lambda z, alpha: _softmax(z),
-                lambda g, z, y, alpha: y * (g - (g * y).sum(axis=1, keepdims=True))),
     "linear": (lambda z, alpha: z, lambda g, z, y, alpha: g),
 }
 _WRT = [c for r in range(4) for c in itertools.combinations("xwb", r)]
@@ -412,19 +404,6 @@ def test_parameter_gradcheck_perturbs_the_buffer_view_and_restores_its_bytes():
     assert net.param_buffer.tobytes() == before
 
 
-def test_softmax_rows_sum_to_one_and_stay_in_unit_interval():
-    rng = np.random.default_rng(0)
-    y = _act("softmax", rng.normal(size=(20, 7)) * 30.0)
-    assert np.abs(y.sum(axis=1) - 1.0).max() <= 1e-12
-    assert (y > 0.0).all() and (y < 1.0).all()
-
-
-def test_softmax_requires_rank_two():
-    # softmax runs only inside dense, whose output is always (batch, n)
-    with pytest.raises(ValueError):
-        dense(Tensor(np.zeros(4)), *_identity(4), "softmax")
-
-
 def test_sigmoid_finite_on_extreme_inputs():
     y = dense(Tensor([[-1000.0, 1000.0]]), *_identity(2), "sigmoid").data
     assert np.isfinite(y).all()
@@ -476,6 +455,18 @@ def test_bce_at_an_infinite_logit_is_exact():
         assert bce_loss(Tensor([[np.inf]]), 0.0).item() == np.inf
         assert bce_loss(Tensor([[np.inf]]), 1.0).item() == 0.0
         assert bce_loss(Tensor([[-np.inf]]), 0.0).item() == 0.0
+
+
+def test_cce_at_an_infinite_logit_is_exact():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logits = Tensor([[np.inf, 0.0], [0.0, np.inf]])
+        assert cce_loss(logits, [0, 1]).item() == 0.0
+        assert cce_loss(logits, [1, 1]).item() == np.inf
+        with Tape(wrt=[logits]) as tape:
+            loss = cce_loss(logits, [0, 1])
+        tape.backward(loss)
+        assert np.array_equal(logits.grad, np.zeros((2, 2)))
 
 
 def test_cce_uniform_rows():
@@ -615,13 +606,6 @@ def test_tanh_gradients():
     for _ in range(N_INSTANCES):
         x0 = rng.normal(size=(3, 4)) * 2.0
         check_input_gradient(_activation_loss("tanh", rng.normal(size=(3, 4))), x0)
-
-
-def test_softmax_gradients():
-    rng = np.random.default_rng(19)
-    for _ in range(N_INSTANCES):
-        x0 = rng.normal(size=(3, 5)) * 2.0
-        check_input_gradient(_activation_loss("softmax", rng.normal(size=(3, 5))), x0)
 
 
 def test_bce_gradients():
