@@ -192,7 +192,7 @@ def _class_blocks(generator, partition, samples_per_class, rng, read=lambda x: x
         if len(z) == 1:
             yield block(z[0])
         else:
-            yield from _run_beside(helper, lambda: block(z[0]), lambda: block(z[1]))
+            yield from _run_beside(helper, lambda _: block(z[0]), lambda: block(z[1]))
 
 
 def class_match_rate(generator, partition, spec, samples_per_class, rng):

@@ -16,24 +16,27 @@ class DenseLayer:
 
     W and b lie back to back in `buffers`, a (parameters, gradients) pair of
     flat arrays of in_dim * out_dim + out_dim elements; by default the layer
-    allocates its own.  Initial weights are copied in: the optimizers update
-    parameters in place and never write the caller's arrays.
+    allocates its own, zero-filled.  W is copied from `weights`, else drawn
+    from `rng`; with neither it keeps what the buffer holds, for a caller
+    that fills the buffer itself.  b is copied from `bias`, zeros by
+    default.  The optimizers update parameters in place and never write the
+    caller's arrays.
     """
 
     def __init__(self, in_dim, out_dim, rng=None, weights=None, bias=None, buffers=None):
-        if weights is None:
+        if weights is None and rng is not None:
             weights = glorot_uniform(in_dim, out_dim, rng)
-        if bias is None:
-            bias = np.zeros(out_dim)
-        weights = np.asarray(weights, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64)
-        if weights.shape != (in_dim, out_dim) or bias.shape != (out_dim,):
-            raise ValueError(
-                f"dense layer ({in_dim}, {out_dim}) got weights {weights.shape}, bias {bias.shape}")
         if buffers is None:
-            size = weights.size + bias.size
-            buffers = np.empty(size), np.empty(size)
-        self.weights, self.bias = parameters((weights, bias), *buffers)
+            size = in_dim * out_dim + out_dim
+            buffers = np.zeros(size), np.empty(size)
+        self.weights, self.bias = parameters(((in_dim, out_dim), (out_dim,)), *buffers)
+        for param, initial in ((self.weights, weights), (self.bias, bias)):
+            if initial is not None and np.shape(initial) != param.shape:
+                raise ValueError(f"dense layer ({in_dim}, {out_dim}) got weights "
+                                 f"{np.shape(weights)}, bias {np.shape(bias)}")
+        if weights is not None:
+            self.weights.data[...] = weights
+        self.bias.data[...] = 0.0 if bias is None else bias
 
     def __call__(self, x):
         return dense(x, self.weights, self.bias)
@@ -67,7 +70,9 @@ class MLP:
     activations=("relu", "linear").  The network owns one flat parameter
     buffer and one gradient buffer: every layer's weights and bias are views
     into them, in layer order, and so are their gradients (see
-    `tensor.parameters`).  Neither buffer is ever replaced.
+    `tensor.parameters`).  Neither buffer is ever replaced.  The weights
+    are Glorot draws from `rng`; without one they are zeros, for a caller
+    that fills `param_buffer` (a checkpoint reader, see `from_spec`).
     """
 
     def __init__(self, dims, activations, rng=None):
@@ -78,7 +83,10 @@ class MLP:
                              f"got {len(activations)}")
         self._kinds = [_parse_activation(name) for name in activations]
         sizes = [n_in * n_out + n_out for n_in, n_out in zip(dims, dims[1:])]
-        self.param_buffer, self.grad_buffer = np.empty(sum(sizes)), np.empty(sum(sizes))
+        # with rng every weight is drawn and every bias set, so no element is
+        # read unset; a network built to be loaded starts at zero
+        allocate = np.empty if rng is not None else np.zeros
+        self.param_buffer, self.grad_buffer = allocate(sum(sizes)), np.empty(sum(sizes))
         self.layers, end = [], 0
         for n_in, n_out, size in zip(dims, dims[1:], sizes):
             start, end = end, end + size
@@ -137,5 +145,5 @@ class MLP:
         if not all(d.isdecimal() and int(d) > 0 for d in dims):
             raise ValueError(f"network spec dims {fields['dims']!r} are not positive integers")
         activations = fields["activations"].split(",")
-        # The checkpoint reader copies the saved weights into the buffer afterwards.
-        return cls(dims, activations, rng=np.random.default_rng(0))
+        # no initial weights: the checkpoint reader writes the saved ones into the buffer
+        return cls(dims, activations)

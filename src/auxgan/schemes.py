@@ -23,13 +23,18 @@ momentum steps.  Runs are bit-for-bit reproducible for a fixed seed.
 
 At image width (a generator of at least HELPER_MIN_PARAMS parameters) the
 parts of a step that never read the discriminator run on a helper thread
-while the discriminator steps: the generator's forward pass on the latent
-of its own step, recorded on the generator's tape, and the `vacgan`
-classifier step.  The order is then no longer strictly D, C, G, but the
-results are the same bits: both threads read the weights the serial order
-would give them and write disjoint buffers, and every rng draw stays on the
-calling thread.  `acgan`'s classifier step reads the discriminator's trunk,
-so it still follows the discriminator's step.
+while the discriminator steps.  The helper first generates D's fake batch
+while the calling thread records D on the real batch.  Then it runs the
+`vacgan` classifier step, the generator's forward pass on the latent of its
+own step (recorded on the generator's tape) and the classifier's half of
+the generator loss, differentiated into the generated batch, while the
+calling thread finishes D's step.  After the join the calling thread adds
+D's half of the loss and steps the generator.  The order is then no longer
+strictly D, C, G, but the results are the same bits: both threads read the
+weights the serial order would give them and write disjoint buffers, and
+every rng draw stays on the calling thread.  `acgan`'s classifier reads the
+discriminator's trunk, so its step and its half of the loss still follow
+the discriminator's step.
 """
 
 import functools
@@ -56,11 +61,13 @@ _CLASSIFIER_NET = {"vacgan": "classifier", "acgan": "classifier_head"}
 # Generators with at least this many parameters run part of each step and
 # evaluation on the helper thread (see `_helper_for`); smaller networks lose
 # more to the hand-offs of the interpreter lock than the second core gives.
-# On a 2-vCPU VM with one BLAS thread, a `vacgan` step of the mixture
-# architecture with every hidden width w took, serial against helper:
-# 10.8 against 13.3 ms at w = 256 (69,634 generator parameters), 18.3
-# against 18.1 at w = 320 (107,522) and 22.9 against 20.9 at w = 384
-# (153,602).  The ring generator has 1,538 and the digit generator 208,400.
+# A step hands the helper two calls (see `train_step`).  On a 2-vCPU VM with
+# one BLAS thread, a `vacgan` step of the mixture architecture with every
+# hidden width w took, serial against helper (medians of 500 steps): 9.33
+# against 9.85 ms at w = 256 (69,634 generator parameters), 11.49 against
+# 10.66 at w = 320 (107,522) and 15.64 against 14.23 at w = 384 (153,602).
+# Neither the ring generator (1,538) nor the digit generator (208,400) is
+# near the crossover.
 HELPER_MIN_PARAMS = 100_000
 
 
@@ -89,21 +96,25 @@ def _helper_for(network):
     return _helper()
 
 
-def _run_beside(helper, main, side):
-    """(main(), side()): `side` runs on `helper` while `main` runs here, or after it if None.
+def _run_beside(helper, main, side, lead=None):
+    """(main(fetch), side()): `lead`, if given, then `side` run on `helper` while `main` runs here.
 
-    Both have finished when this returns or raises, and an exception of
-    `main` is raised before one of `side`.
+    `fetch()` returns lead()'s result, waiting for it (None without a lead).
+    Without a helper they run here in their serial order: lead, main, side.
+    All of them have finished when this returns or raises, and an exception
+    of `main` is raised before one of `lead` or `side`.
     """
     if helper is None:
-        return main(), side()
-    pending = helper.submit(side)
+        led = None if lead is None else lead()
+        return main(lambda: led), side()
+    calls = [helper.submit(call) for call in (lead, side) if call is not None]
     try:
-        first = main()
+        first = main(calls[0].result if lead is not None else lambda: None)
     except BaseException:
-        pending.exception()  # waits; no helper work outlives the call
+        for call in calls:
+            call.exception()  # waits; no helper work outlives the call
         raise
-    return first, pending.result()
+    return first, calls[-1].result()
 
 
 class TrainingDiverged(RuntimeError):
@@ -290,19 +301,24 @@ def discriminator_loss(d_real, d_fake):
     return bce_loss(d_real, 1.0) + bce_loss(d_fake, 0.0)
 
 
-def generator_loss(d_fake, class_logits, labels, config):
-    """theta * BCE(fake, 1), plus zeta * CCE(class_logits, labels) if the scheme has a classifier.
+def generator_class_loss(class_logits, labels, config):
+    """zeta * CCE(class_logits, labels): the classifier's half of the generator loss, on logits."""
+    return config.zeta * cce_loss(class_logits, labels)
 
-    Both terms take logits and differentiate into the generator: the
-    classifier reads the generated sample, so its cross-entropy reaches the
-    generator parameters whenever zeta > 0.
+
+def generator_loss(d_fake, class_loss, config):
+    """theta * BCE(fake, 1), plus `class_loss` (`generator_class_loss`) if the scheme has a classifier.
+
+    Both terms differentiate into the generator: the classifier reads the
+    generated sample, so its cross-entropy reaches the generator parameters
+    whenever zeta > 0.
     """
     loss = config.theta * bce_loss(d_fake, 1.0)
     if not config.has_classifier:
         return loss
-    if class_logits is None:
-        raise ValueError("classifier outputs are required for this scheme")
-    return loss + config.zeta * cce_loss(class_logits, labels)
+    if class_loss is None:
+        raise ValueError("the classifier's half of the generator loss is required for this scheme")
+    return loss + class_loss
 
 
 def _check_finite(t, name, step=None):
@@ -348,59 +364,63 @@ def train_step(real, labels_for_fake, trio, config, rng):
     batch and one for the generator update; the classifier step reads only
     the real batch and draws nothing.  Every scheme consumes the identical
     random stream, so schemes that only differ by loss weights can be
-    compared trajectory-for-trajectory.  With a wide generator the work
-    that never reads D runs beside D's step (see the module docstring); the
-    results are the same bits.
+    compared trajectory-for-trajectory.  The classifier's half of the
+    generator loss is differentiated into the generated batch on its own
+    tape; the generator's tape then adds the discriminator's half.  With a
+    wide generator the work that never reads D runs beside D's step (see
+    the module docstring); the results are the same bits.
     """
     labels_for_fake = np.asarray(labels_for_fake)
-    partition = trio.partition
-    scheme = config.scheme
-    z_d = sample_latent(partition, labels_for_fake, rng)
-    z_g = sample_latent(partition, labels_for_fake, rng)
+    z_d = sample_latent(trio.partition, labels_for_fake, rng)
+    z_g = sample_latent(trio.partition, labels_for_fake, rng)
     helper = _helper_for(trio.generator)
-    # vacgan's classifier reads only the real batch and its own weights
-    c_beside = config.has_classifier and (helper is None or scheme == "vacgan")
+    # vacgan's classifier reads only the real batch, its own weights and G's output
+    c_beside = config.has_classifier and (helper is None or config.scheme == "vacgan")
 
-    def discriminator_step():
-        # the fake batch is a constant here
-        fake_d = Tensor(trio.generator(z_d).data)
-        real_x = Tensor(real.features)
-        if scheme == "cgan":
-            d_in_real = cgan_condition(real_x, real.labels, config.n_classes)
-            d_in_fake = cgan_condition(fake_d, labels_for_fake, config.n_classes)
-        else:
-            d_in_real, d_in_fake = real_x, fake_d
+    def d_input(x, labels):
+        return cgan_condition(x, labels, config.n_classes) if config.scheme == "cgan" else x
+
+    def fake_batch():  # a constant on D's tape
+        return d_input(Tensor(trio.generator(z_d).data), labels_for_fake)
+
+    def discriminator_step(fetch_fake):
         with Tape(wrt=trio.d_opt.params) as tape:
-            d_loss = discriminator_loss(trio.discriminator(d_in_real),
-                                        trio.discriminator(d_in_fake))
+            d_real = trio.discriminator(d_input(Tensor(real.features), real.labels))
+            d_loss = discriminator_loss(d_real, trio.discriminator(fetch_fake()))
         value = _check_finite(d_loss, "discriminator loss", trio.step).item()
         tape.backward(d_loss)
         trio.d_opt.step()
         return value
 
+    def classifier_half(fake_g):
+        # zeta * CCE of C on the generated batch, differentiated into fake_g only
+        with Tape(wrt=[fake_g]) as tape:
+            logits = _check_finite(trio.classifier(fake_g),
+                                   "classifier output in the generator step", trio.step)
+            c_half = generator_class_loss(logits, labels_for_fake, config)
+        tape.backward(c_half)
+        return c_half
+
     g_tape = Tape(wrt=trio.g_opt.params)
 
     def beside_discriminator():
-        # the classifier step on the real labelled batch, then the generator's
-        # forward pass, the start of its step
+        # C's step on the real batch, then G's forward pass, the start of its
+        # step, then C's half of G's loss
         c_value = classifier_step(trio.classifier, trio.c_opt, real) if c_beside else None
         with g_tape:
-            return c_value, trio.generator(z_g)
+            fake_g = trio.generator(z_g)
+        return c_value, fake_g, classifier_half(fake_g) if c_beside else None
 
-    d_value, (c_loss, fake_g) = _run_beside(helper, discriminator_step, beside_discriminator)
-    if config.has_classifier and not c_beside:  # acgan's reads the trunk D just stepped
+    d_value, (c_loss, fake_g, c_half) = _run_beside(
+        helper, discriminator_step, beside_discriminator, lead=fake_batch)
+    if config.has_classifier and not c_beside:  # acgan's C reads the trunk D just stepped
         c_loss = classifier_step(trio.classifier, trio.c_opt, real)
+        c_half = classifier_half(fake_g)
 
-    # The rest of the generator step; gradient flows through D and the classifier.
+    # The rest of the generator step; D's half of the gradient flows through D.
     with g_tape:
-        d_in = (cgan_condition(fake_g, labels_for_fake, config.n_classes)
-                if scheme == "cgan" else fake_g)
-        d_fake = trio.discriminator(d_in)
-        class_logits = None
-        if config.has_classifier:
-            class_logits = _check_finite(trio.classifier(fake_g),
-                                         "classifier output in the generator step", trio.step)
-        g_loss = generator_loss(d_fake, class_logits, labels_for_fake, config)
+        g_loss = generator_loss(trio.discriminator(d_input(fake_g, labels_for_fake)),
+                                c_half, config)
     g_value = _check_finite(g_loss, "generator loss", trio.step).item()
     g_tape.backward(g_loss)
     trio.g_opt.step()

@@ -22,11 +22,10 @@ Ownership: `Tensor(a)` wraps a float64 array `a` without copying, so the
 tensor and the caller share memory; ops never write into their inputs.  A
 parameter made by `parameters` lives in a flat buffer its network owns: its
 .data is a view into one buffer, its .grad_view a view into a gradient
-buffer, and neither is ever rebound.  The optimizers update .data in place,
-and an array passed in as initial weights is copied into the buffer, never
-written.  A parameter's gradient is written into its .grad_view: `dense`
-builds the first weight and bias gradient there (`out=`), later terms are
-added in place, and .grad is None until the first write.  Other backward
+buffer, and neither is ever rebound.  The optimizers update .data in place.
+A parameter's gradient is written into its .grad_view: `dense` builds the
+first weight and bias gradient there (`out=`), later terms are added in
+place, and .grad is None until the first write.  Other backward
 products live in arrays the rules own.  `dense` owns its pre-activation
 z = x @ W + b: the bias is added into it in place, once, the activation's
 forward kernel may use it as scratch, and the backward rule overwrites it
@@ -34,6 +33,7 @@ with the activation's product.  It is handed out only as the output of a
 `linear` layer, whose rule does not write it.
 """
 
+import math
 import numbers
 import threading
 
@@ -108,26 +108,25 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def parameters(arrays, data, grads):
-    """Parameter tensors holding copies of `arrays`, back to back in one flat buffer.
+def parameters(shapes, data, grads):
+    """Parameter tensors of the given shapes, back to back in one flat buffer.
 
-    `data` and `grads` are 1-D float64 buffers of the arrays' total size;
+    `data` and `grads` are 1-D float64 buffers of the shapes' total size;
     each tensor's .data is the view into `data` at its place and its
-    .grad_view the view at the same place in `grads`.  `(tensors, data,
-    grads)` is then a segment an optimizer can step as one flat array.
+    .grad_view the view at the same place in `grads`.  A parameter holds
+    what its buffer holds.  `(tensors, data, grads)` is then a segment an
+    optimizer can step as one flat array.
     """
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    size = sum(a.size for a in arrays)
+    sizes = [math.prod(shape) for shape in shapes]
     for buffer in (data, grads):
-        if buffer.shape != (size,) or buffer.dtype != np.float64:
-            raise ValueError(f"parameter buffers must be float64 of shape ({size},), "
+        if buffer.shape != (sum(sizes),) or buffer.dtype != np.float64:
+            raise ValueError(f"parameter buffers must be float64 of shape ({sum(sizes)},), "
                              f"got {buffer.dtype} {buffer.shape}")
     tensors, end = [], 0
-    for a in arrays:
-        start, end = end, end + a.size
-        t = Tensor(data[start:end].reshape(a.shape))
-        t.data[...] = a
-        t.grad_view = grads[start:end].reshape(a.shape)
+    for shape, size in zip(shapes, sizes):
+        start, end = end, end + size
+        t = Tensor(data[start:end].reshape(shape))
+        t.grad_view = grads[start:end].reshape(shape)
         tensors.append(t)
     return tensors
 

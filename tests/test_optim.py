@@ -13,7 +13,10 @@ def _segment(*arrays):
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     size = sum(a.size for a in arrays)
     data, grads = np.empty(size), np.empty(size)
-    return parameters(arrays, data, grads), data, grads
+    params = parameters([a.shape for a in arrays], data, grads)
+    for p, a in zip(params, arrays):
+        p.data[...] = a
+    return params, data, grads
 
 
 def _one(values, optimizer=Adam, **kwargs):

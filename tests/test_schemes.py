@@ -17,11 +17,11 @@ from auxgan.data import GaussianMixtureSpec, LabeledBatch, sample_mixture
 from auxgan.nn import MLP
 from auxgan.schemes import (LatentPartition, SchemeConfig, SharedTrunkClassifier,
                             TrainingDiverged, build_trio, cgan_condition,
-                            classifier_step, discriminator_loss,
-                            generator_loss, load_checkpoint,
+                            StepLosses, classifier_step, discriminator_loss,
+                            generator_class_loss, generator_loss, load_checkpoint,
                             load_probe_checkpoint, sample_latent,
                             save_checkpoint, save_probe_checkpoint, train_step)
-from auxgan import schemes
+from auxgan import nn, schemes
 from auxgan.harness import _IMAGE_ARCH
 from auxgan.tensor import Tape, Tensor, bce_loss, mul
 from gradcheck import check_param_gradient
@@ -157,7 +157,8 @@ def test_generator_loss_value():
     cfg = SchemeConfig(scheme="vacgan", n_classes=10, theta=0.2, zeta=0.8)
     d_fake = Tensor(np.zeros((4, 1)))  # D(fake) = 1/2
     logits = Tensor(np.zeros((4, 10)))  # uniform over the 10 classes
-    loss = generator_loss(d_fake, logits, np.array([0, 1, 2, 3]), cfg)
+    labels = np.array([0, 1, 2, 3])
+    loss = generator_loss(d_fake, generator_class_loss(logits, labels, cfg), cfg)
     expected = 0.2 * np.log(2.0) + 0.8 * np.log(10.0)
     assert loss.item() == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(1.980697, abs=1e-6)
@@ -168,18 +169,18 @@ def test_generator_loss_zeta_zero_reduces_to_scaled_bce():
     rng = np.random.default_rng(6)
     d_fake = Tensor(rng.uniform(0.2, 0.8, size=(6, 1)))
     logits = Tensor(np.full((6, 4), 0.25))
-    loss = generator_loss(d_fake, logits, np.zeros(6, dtype=int), cfg)
+    loss = generator_loss(d_fake, generator_class_loss(logits, np.zeros(6, dtype=int), cfg), cfg)
     assert loss.item() == 0.2 * bce_loss(d_fake, 1.0).item()
 
 
 def test_generator_loss_requires_classifier_scheme():
     gan_cfg = SchemeConfig(scheme="gan", n_classes=4)
     d_fake = Tensor([[0.5], [0.25]])
-    loss = generator_loss(d_fake, None, np.array([0, 1]), gan_cfg)
+    loss = generator_loss(d_fake, None, gan_cfg)
     assert loss.item() == gan_cfg.theta * bce_loss(d_fake, 1.0).item()
     vac_cfg = SchemeConfig(scheme="vacgan", n_classes=4)
     with pytest.raises(ValueError):
-        generator_loss(Tensor([[0.5]]), None, np.array([0]), vac_cfg)
+        generator_loss(Tensor([[0.5]]), None, vac_cfg)
 
 
 def test_gradient_routing_through_classifier_term():
@@ -194,8 +195,8 @@ def test_gradient_routing_through_classifier_term():
         trio.generator.zero_grad()
         with Tape(wrt=trio.g_opt.params) as tape:
             fake = trio.generator(z)
-            loss = generator_loss(trio.discriminator(fake),
-                                  trio.classifier(fake), labels, loss_cfg)
+            class_loss = generator_class_loss(trio.classifier(fake), labels, loss_cfg)
+            loss = generator_loss(trio.discriminator(fake), class_loss, loss_cfg)
         tape.backward(loss)
         return [p.grad.copy() for p in trio.generator.params()]
 
@@ -221,7 +222,7 @@ def test_generator_gradient_survives_a_discriminator_sure_of_the_fakes():
     trio.discriminator.layers[-1].bias.data -= 40.0
     with Tape(wrt=trio.g_opt.params) as tape:
         d_fake = trio.discriminator(trio.generator(z))
-        loss = generator_loss(d_fake, None, labels, cfg)
+        loss = generator_loss(d_fake, None, cfg)
     tape.backward(loss)
     assert d_fake.data.max() <= -40.0 + 1e-9
     assert loss.item() >= cfg.theta * 40.0
@@ -348,22 +349,26 @@ def test_a_nan_classifier_weight_diverges_in_the_classifier_step(scheme, monkeyp
 
 @pytest.mark.parametrize("scheme", ["vacgan", "acgan"])
 def test_a_nan_classifier_weight_diverges_in_the_generator_step(scheme, monkeypatch):
-    # the weight turns NaN after the classifier step, so only the generator step reads it
-    cfg, trio = _mixture_setup(scheme)
-    g_before = [p.data.copy() for p in trio.generator.params()]
+    # the weight turns NaN after the classifier step, so only the classifier's
+    # half of the generator loss reads it: on the helper for vacgan once it is on
     c_step = schemes.classifier_step
+    for helper_min_params in SERIAL_THEN_HELPER:
+        _set_helper_min_params(monkeypatch, helper_min_params)
+        cfg, trio = _mixture_setup(scheme)
+        g_before = trio.generator.param_buffer.copy()
 
-    def then_poison(network, opt, batch):
-        loss = c_step(network, opt, batch)
-        _poison_classifier(trio)
-        return loss
+        def then_poison(network, opt, batch, trio=trio):
+            loss = c_step(network, opt, batch)
+            _poison_classifier(trio)
+            return loss
 
-    monkeypatch.setattr(schemes, "classifier_step", then_poison)
-    with pytest.raises(TrainingDiverged,
-                       match="classifier output in the generator step is not finite at step 0"):
-        _run(cfg, trio, 1)
-    for p, b in zip(trio.generator.params(), g_before):
-        assert np.array_equal(p.data, b) and p.grad is None
+        monkeypatch.setattr(schemes, "classifier_step", then_poison)
+        with pytest.raises(TrainingDiverged,
+                           match="classifier output in the generator step is not finite at step 0"):
+            _run(cfg, trio, 1)
+        _assert_no_helper_work_left(trio, _state_bytes(trio))
+        assert trio.generator.param_buffer.tobytes() == g_before.tobytes()
+        assert all(p.grad is None for p in trio.generator.params())
 
 
 def test_train_step_trains_the_classifier_on_real_data_only():
@@ -452,9 +457,41 @@ def test_train_step_nan_abort_names_the_loss(monkeypatch):
     assert messages[1] == messages[0]
 
 
+def _reference_step(real, labels_for_fake, trio, config, rng):
+    """One step with the whole generator loss on one tape: `train_step` must give its bits.
+
+    Built from public pieces: D's step on the detached G(z_d), C's step, then
+    one tape for G's forward pass, D and C on the generated batch and
+    `generator_loss`.
+    """
+    def d_input(x, labels):
+        return cgan_condition(x, labels, config.n_classes) if config.scheme == "cgan" else x
+
+    z_d = sample_latent(trio.partition, labels_for_fake, rng)
+    z_g = sample_latent(trio.partition, labels_for_fake, rng)
+    fake_d = Tensor(trio.generator(z_d).data)
+    with Tape(wrt=trio.d_opt.params) as tape:
+        d_loss = discriminator_loss(trio.discriminator(d_input(Tensor(real.features), real.labels)),
+                                    trio.discriminator(d_input(fake_d, labels_for_fake)))
+    tape.backward(d_loss)
+    trio.d_opt.step()
+    c_loss = classifier_step(trio.classifier, trio.c_opt, real) if config.has_classifier else None
+    with Tape(wrt=trio.g_opt.params) as tape:
+        fake_g = trio.generator(z_g)
+        d_fake = trio.discriminator(d_input(fake_g, labels_for_fake))
+        class_loss = (generator_class_loss(trio.classifier(fake_g), labels_for_fake, config)
+                      if config.has_classifier else None)
+        g_loss = generator_loss(d_fake, class_loss, config)
+    tape.backward(g_loss)
+    trio.g_opt.step()
+    trio.step += 1
+    return StepLosses(step=trio.step, d_loss=d_loss.item(), g_loss=g_loss.item(), c_loss=c_loss)
+
+
 @pytest.mark.parametrize("scheme", schemes.SCHEMES)
 def test_the_helper_thread_changes_no_bit_of_a_digit_width_step(scheme, monkeypatch):
-    def three_steps(helper_min_params):
+    # serial and helper steps both give the reference step's bits
+    def three_steps(step, helper_min_params):
         _set_helper_min_params(monkeypatch, helper_min_params)
         cfg = SchemeConfig(scheme=scheme, n_classes=10, noise_dim=16)
         trio = build_trio(cfg, 784, rng=np.random.default_rng(40), **_IMAGE_ARCH)
@@ -462,16 +499,37 @@ def test_the_helper_thread_changes_no_bit_of_a_digit_width_step(scheme, monkeypa
         losses = []
         for _ in range(3):
             real = LabeledBatch(features=rng.random((64, 784)), labels=rng.integers(0, 10, 64))
-            losses.append(train_step(real, rng.integers(0, 10, 64), trio, cfg, rng))
+            losses.append(step(real, rng.integers(0, 10, 64), trio, cfg, rng))
         return losses, _state_bytes(trio)
 
-    serial_losses, serial_state = three_steps(float("inf"))
-    helper_losses, helper_state = three_steps(0)
-    assert helper_losses == serial_losses
-    assert helper_state == serial_state
+    reference = three_steps(_reference_step, float("inf"))
+    for helper_min_params in SERIAL_THEN_HELPER:
+        losses, state = three_steps(train_step, helper_min_params)
+        assert losses == reference[0]
+        assert state == reference[1]
+
+
+def _forward_threads(monkeypatch, *trios):
+    """A list that gets (network name, thread) for each forward pass of the trios' G, D and C."""
+    names = {}
+    for trio in trios:
+        names.update({id(trio.generator): "G", id(trio.discriminator): "D",
+                      id(trio.classifier): "C"})
+    calls, forward = [], MLP.forward
+
+    def recording(network, x, upto=None):
+        calls.append((names[id(network)], threading.current_thread()))
+        return forward(network, x, upto)
+
+    monkeypatch.setattr(MLP, "forward", recording)
+    monkeypatch.setattr(MLP, "__call__", recording)
+    return calls
 
 
 def test_vacgan_steps_its_classifier_on_the_helper_only_at_image_width(monkeypatch):
+    # at image width G's two forward passes, C's step and C on the generated
+    # batch run on the helper, and every D forward on the calling thread;
+    # at ring width all of them run on the calling thread
     threads = []
     c_step = schemes.classifier_step
 
@@ -487,31 +545,73 @@ def test_vacgan_steps_its_classifier_on_the_helper_only_at_image_width(monkeypat
     assert schemes._helper_for(image_trio.generator) is None  # loaded: no helper
     monkeypatch.delitem(sys.modules, "tracemalloc")
     ring_cfg, ring_trio = _mixture_setup("vacgan")  # a ring-width generator: serial
+    forwards = _forward_threads(monkeypatch, ring_trio, image_trio)
     _run(ring_cfg, ring_trio, 1)
+    ring_forwards = forwards[:]
+    del forwards[:]
     rng = np.random.default_rng(43)
     real = LabeledBatch(features=rng.random((64, 784)), labels=rng.integers(0, 10, 64))
     train_step(real, rng.integers(0, 10, 64), image_trio, cfg, rng)
     assert threads[0] is threading.main_thread()
     assert threads[1] is not threading.main_thread()
+    for calls in (ring_forwards, forwards):
+        assert sorted(name for name, _ in calls) == ["C", "C", "D", "D", "D", "G", "G"]
+    assert {thread for _, thread in ring_forwards} == {threading.main_thread()}
+    for name, thread in forwards:
+        assert (thread is threading.main_thread()) is (name == "D"), name
+
+
+def test_a_discriminator_error_before_the_fake_batch_arrives_waits_for_the_helper(monkeypatch):
+    # D fails on the real batch while the helper still makes G(z_d), which
+    # then fails too: the step joins the helper and raises D's error
+    _set_helper_min_params(monkeypatch, 0)
+    cfg, trio = _mixture_setup("vacgan")
+    generated, forward = [], MLP.forward
+
+    def failing(network, x, upto=None):
+        if network is trio.discriminator:
+            raise ValueError("D failed on the real batch")
+        if network is trio.generator and not generated:
+            time.sleep(0.05)
+            generated.append(threading.current_thread())
+            raise RuntimeError("G(z_d) failed")
+        return forward(network, x, upto)
+
+    monkeypatch.setattr(MLP, "forward", failing)
+    monkeypatch.setattr(MLP, "__call__", failing)
+    with pytest.raises(ValueError, match="D failed on the real batch"):
+        _run(cfg, trio, 1)
+    assert len(generated) == 1 and generated[0] is not threading.main_thread()
+    _assert_no_helper_work_left(trio, _state_bytes(trio))
+    assert all(p.grad is None for p in trio.all_params())
 
 
 def test_run_beside_joins_the_side_and_raises_the_main_error_first():
-    finished = []
+    finished, order = [], []
 
-    def main():
+    def main(fetch):
         raise ValueError("main failed")
 
-    def side():
-        time.sleep(0.05)
-        finished.append(True)
-        raise RuntimeError("side failed")
+    def failing(name):
+        def call():
+            time.sleep(0.05)
+            finished.append(name)
+            raise RuntimeError(f"{name} failed")
+        return call
 
     with ThreadPoolExecutor(max_workers=1) as helper:
         with pytest.raises(ValueError, match="main failed"):
-            schemes._run_beside(helper, main, side)
-        assert finished == [True]
+            schemes._run_beside(helper, main, failing("side"), lead=failing("lead"))
+        assert finished == ["lead", "side"]
         with pytest.raises(RuntimeError, match="side failed"):
-            schemes._run_beside(helper, lambda: None, side)
+            schemes._run_beside(helper, lambda fetch: None, failing("side"))
+        with pytest.raises(RuntimeError, match="lead failed"):
+            schemes._run_beside(helper, lambda fetch: fetch(), lambda: None, lead=failing("lead"))
+    # without a helper: lead, main, side, in that order, and main reads lead's result
+    result = schemes._run_beside(None, lambda fetch: order.append("main") or fetch(),
+                                 lambda: order.append("side") or "s",
+                                 lead=lambda: order.append("lead") or "l")
+    assert result == ("l", "s") and order == ["lead", "main", "side"]
 
 
 def test_vacgan_with_zero_class_weight_equals_plain_gan():
@@ -579,6 +679,21 @@ def test_checkpoint_round_trip_reproduces_forward(scheme, tmp_path):
     save_checkpoint(tmp_path / "b", back, seed=info["seed"])
     for name in ("manifest.txt", "checkpoint.bin"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_a_loaded_network_draws_no_initial_weights(tmp_path, monkeypatch):
+    # the payload overwrites every weight, so none is drawn or copied first
+    cfg, trio = _mixture_setup("vacgan", n_classes=3)
+    save_checkpoint(tmp_path, trio, seed=3)
+
+    def no_draws(*args):
+        raise AssertionError("a loaded network drew initial weights")
+
+    monkeypatch.setattr(nn, "glorot_uniform", no_draws)
+    net = MLP.from_spec(trio.generator.spec())
+    assert not net.param_buffer.any()
+    back, _ = load_checkpoint(tmp_path)
+    assert np.array_equal(_forward_probe(trio), _forward_probe(back))
 
 
 @pytest.mark.parametrize("scheme", schemes.SCHEMES)

@@ -197,7 +197,7 @@ def test_tensor_wraps_its_array_and_a_parameter_owns_a_copy():
 def test_parameter_buffers_must_be_float64_of_the_arrays_total_size(data):
     # a float32 buffer would be copied by Tensor, and the parameter would not be a view
     with pytest.raises(ValueError, match=r"float64 of shape \(5,\)"):
-        parameters([np.ones((2, 2)), np.ones(())], data, np.empty(5))
+        parameters([(2, 2), ()], data, np.empty(5))
 
 
 def test_a_tape_must_name_its_leaves():
