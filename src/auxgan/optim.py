@@ -18,19 +18,35 @@ every update is bit-identical to the per-array formulas.
 A step reads every parameter's gradient from its gradient view: it first
 checks that each .grad is its own .grad_view and otherwise raises, before
 it changes anything.  It consumes the gradients: it clears .grad on every
-parameter.  It allocates no arrays: it works in place and in two scratch
-blocks made by the constructor.
+parameter, and a block's update uses its gradient as scratch once it has
+read it.  The update's other scratch is one block: on the thread that
+calls the step, the optimizer's own, made by the constructor, so the step
+allocates no arrays.  `step(helper)` hands each block to `tensor.share` as
+one task, so a helper thread that is free updates blocks too; the blocks
+are disjoint, so the results are the same bits.  Blocks the helper takes
+use one scratch block per helper, made by the calling thread the first
+time it shares a step with that helper and used by every optimizer.
 """
+
+import threading
+import weakref
 
 import numpy as np
 
+from .tensor import share
+
 # Elements per block.  A block's parameters, gradient, two state arrays and
-# two scratch arrays (6 x 256 KB) fit in a 2 MB L2 cache, so each block is
-# read from memory once and its twelve ops run from cache.  On a 2-vCPU Xeon
-# VM (2 MB L2 per core, one BLAS thread, a cache sweep between steps), ADAM
-# on the digit generator's 208,400 parameters took 1.59 ms per step at 32k,
-# 1.67 at 64k, 1.75 at 16k and 2.12 ms as one unblocked array.
+# scratch (5 x 256 KB) fit in a 2 MB L2 cache, so each block is read from
+# memory once and its ops run from cache.  On a 2-vCPU Xeon VM (2 MB L2 per
+# core, one BLAS thread, a cache sweep between steps), ADAM on the digit
+# generator's 208,400 parameters took 1.59 ms per step at 32k, 1.67 at 64k,
+# 1.75 at 16k and 2.12 ms as one unblocked array (with a second scratch
+# array per block, before the gradient doubled as one).
 BLOCK = 32768
+
+
+# helper executor -> the scratch block its thread uses for the blocks it takes
+_HELPER_SCRATCH = weakref.WeakKeyDictionary()
 
 
 class _FlatState:
@@ -50,14 +66,14 @@ class _FlatState:
             flats.append((data, grads))
         self._state = [np.zeros(sum(data.size for data, _ in flats)) for _ in range(n_state)]
         work = min(BLOCK, max((data.size for data, _ in flats), default=0))
-        self._work = np.empty(work), np.empty(work)
-        # (param, grad, *state, *scratch), same-size blocks of every segment in order
+        self._work = np.empty(work)
+        # ((param, grad, *state), own scratch), same-size blocks of every segment in order
         self._blocks, lo = [], 0
         for data, grads in flats:
             n = data.size
             arrays = (data, grads, *(s[lo:lo + n] for s in self._state))
-            self._blocks += [tuple(a[i:i + BLOCK] for a in arrays)
-                             + tuple(w[:min(BLOCK, n - i)] for w in self._work)
+            self._blocks += [(tuple(a[i:i + BLOCK] for a in arrays),
+                              self._work[:min(BLOCK, n - i)])
                              for i in range(0, n, BLOCK)]
             lo += n
 
@@ -68,6 +84,27 @@ class _FlatState:
                 where = "no gradient" if p.grad is None else "a gradient outside its buffer"
                 raise ValueError(f"parameter of shape {p.shape} has {where}; "
                                  f"a step reads every gradient from its gradient view")
+
+    def _update_blocks(self, helper, update):
+        """update(*block, scratch) for every block, in order; with `helper`, as tasks of `share`.
+
+        A block the helper takes uses the helper's scratch, never the optimizer's own.
+        """
+        if helper is None:
+            for block, own in self._blocks:
+                update(*block, own)
+            return
+        there = _HELPER_SCRATCH.get(helper)
+        if there is None or there.size < self._work.size:
+            # made here: in the helper thread's own heap it raised peak memory by 0.5-1.1 MB
+            there = _HELPER_SCRATCH[helper] = np.empty(max(self._work.size, BLOCK))
+        here = threading.get_ident()
+
+        def task(block, own):
+            return lambda: update(*block, own if threading.get_ident() == here
+                                  else there[:own.size])
+
+        share(helper, [task(block, own) for block, own in self._blocks])
 
     def _clear(self):
         for p in self.params:
@@ -86,28 +123,32 @@ class Adam(_FlatState):
         self.t = 0
         self.m, self.v = self._state
 
-    def step(self):
+    def step(self, helper=None):
+        """One update of every parameter; a `helper` executor updates blocks while it is free."""
         self._check_grads()
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.epsilon
         m_debias, v_debias = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        for p, g, m, v, a, b in self._blocks:
+
+        def update(p, g, m, v, a):
             # the textbook op order, so updates are bit-identical to
-            # p -= lr * m_hat / (sqrt(v_hat) + eps)
-            np.multiply(g, 1.0 - b1, out=a)
-            m *= b1
-            m += a
+            # p -= lr * m_hat / (sqrt(v_hat) + eps); g is scratch once v has read it
             v *= b2
             np.multiply(g, 1.0 - b2, out=a)
             a *= g
             v += a
-            np.divide(v, v_debias, out=b)  # v_hat
-            np.sqrt(b, out=b)
-            b += eps
-            np.divide(m, m_debias, out=a)  # m_hat
-            a *= lr
-            a /= b
-            p -= a
+            g *= 1.0 - b1
+            m *= b1
+            m += g
+            np.divide(v, v_debias, out=a)  # v_hat
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(m, m_debias, out=g)  # m_hat
+            g *= lr
+            g /= a
+            p -= g
+
+        self._update_blocks(helper, update)
         self._clear()
 
 
@@ -120,14 +161,18 @@ class NesterovMomentum(_FlatState):
         self.momentum = momentum
         self.velocity, = self._state
 
-    def step(self):
+    def step(self, helper=None):
+        """One update of every parameter; a `helper` executor updates blocks while it is free."""
         self._check_grads()
         lr, mu = self.learning_rate, self.momentum
-        for p, g, v, lr_g, step in self._blocks:
-            np.multiply(g, lr, out=lr_g)
+
+        def update(p, g, v, step):
+            g *= lr
             v *= mu
-            v -= lr_g
+            v -= g
             np.multiply(v, mu, out=step)
-            step -= lr_g
+            step -= g
             p += step
+
+        self._update_blocks(helper, update)
         self._clear()

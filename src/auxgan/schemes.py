@@ -21,20 +21,20 @@ Per batch the update order is discriminator, classifier, generator.  The
 generator and discriminator take ADAM steps; the classifier takes Nesterov
 momentum steps.  Runs are bit-for-bit reproducible for a fixed seed.
 
-At image width (a generator of at least HELPER_MIN_PARAMS parameters) the
-parts of a step that never read the discriminator run on a helper thread
-while the discriminator steps.  The helper first generates D's fake batch
-while the calling thread records D on the real batch.  Then it runs the
-`vacgan` classifier step, the generator's forward pass on the latent of its
-own step (recorded on the generator's tape) and the classifier's half of
-the generator loss, differentiated into the generated batch, while the
-calling thread finishes D's step.  After the join the calling thread adds
-D's half of the loss and steps the generator.  The order is then no longer
-strictly D, C, G, but the results are the same bits: both threads read the
-weights the serial order would give them and write disjoint buffers, and
-every rng draw stays on the calling thread.  `acgan`'s classifier reads the
-discriminator's trunk, so its step and its half of the loss still follow
-the discriminator's step.
+At image width (a generator of at least HELPER_MIN_PARAMS parameters) a
+helper thread takes the work of a step that never reads the discriminator:
+D's fake batch, while the calling thread records D on the real batch, then
+the `vacgan` classifier step, the generator's forward pass (recorded on
+its tape) and the classifier's half of the generator loss, differentiated
+into the generated batch, while the calling thread finishes D's step.
+After the join the calling thread adds D's half and steps G.  Once free,
+the helper also takes pieces of the calling thread's own work
+(`tensor.share`): blocks of D's and G's Adam steps and of `acgan`'s
+Nesterov step, and one of the two products of a G layer that needs both.
+The results are the same bits as in the serial order D, C, G: both threads
+read the weights the serial order gives them and write disjoint buffers,
+and every rng draw stays on the calling thread.  `acgan`'s classifier
+reads D's trunk, so its step and its half of the loss follow D's step.
 """
 
 import functools
@@ -59,16 +59,14 @@ _CLASSIFIER_NET = {"vacgan": "classifier", "acgan": "classifier_head"}
 
 
 # Generators with at least this many parameters run part of each step and
-# evaluation on the helper thread (see `_helper_for`); smaller networks lose
-# more to the hand-offs of the interpreter lock than the second core gives.
-# A step hands the helper two calls (see `train_step`).  On a 2-vCPU VM with
-# one BLAS thread, a `vacgan` step of the mixture architecture with every
-# hidden width w took, serial against helper (medians of 500 steps): 9.33
-# against 9.85 ms at w = 256 (69,634 generator parameters), 11.49 against
-# 10.66 at w = 320 (107,522) and 15.64 against 14.23 at w = 384 (153,602).
-# Neither the ring generator (1,538) nor the digit generator (208,400) is
-# near the crossover.
-HELPER_MIN_PARAMS = 100_000
+# evaluation on the helper thread (see `_helper_for`); below it, hand-offs of
+# the interpreter lock cost more than the second core gives.  On a 2-vCPU VM
+# with one BLAS thread, a `vacgan` step of the mixture architecture at hidden
+# width w took, helper over serial (runs of 12 alternating 50-step chunks),
+# 1.19 at w = 192 (39,938 generator parameters), 0.98-1.05 at w = 224
+# (53,762), 0.94-0.95 at w = 240 (61,442) and 0.94 at w = 256 (69,634).
+# Ring: 1,538; digits: 208,400.
+HELPER_MIN_PARAMS = 60_000
 
 
 @functools.cache
@@ -101,8 +99,8 @@ def _run_beside(helper, main, side, lead=None):
 
     `fetch()` returns lead()'s result, waiting for it (None without a lead).
     Without a helper they run here in their serial order: lead, main, side.
-    All of them have finished when this returns or raises, and an exception
-    of `main` is raised before one of `lead` or `side`.
+    All of them have finished when this returns or raises; an exception of
+    `main` is raised first, then one of `lead`, then one of `side`.
     """
     if helper is None:
         led = None if lead is None else lead()
@@ -110,11 +108,11 @@ def _run_beside(helper, main, side, lead=None):
     calls = [helper.submit(call) for call in (lead, side) if call is not None]
     try:
         first = main(calls[0].result if lead is not None else lambda: None)
-    except BaseException:
+    finally:
         for call in calls:
             call.exception()  # waits; no helper work outlives the call
-        raise
-    return first, calls[-1].result()
+    results = [call.result() for call in calls]  # lead's error before side's
+    return first, results[-1]
 
 
 class TrainingDiverged(RuntimeError):
@@ -340,21 +338,29 @@ class StepLosses:
     c_loss: Optional[float]  # None for schemes without a classifier
 
 
-def classifier_step(network, opt, batch):
-    """One step of `opt` on the cross-entropy of `network` over a labelled batch.
+def _descend(tape, loss, opt, helper, name, step=None):
+    """Check `loss` (named `name`), run `tape`'s backward pass, step `opt`; returns the loss."""
+    value = _check_finite(loss, name, step).item()
+    tape.backward(loss)
+    if helper is None:  # a traced benchmark round wraps step() as a one-argument call
+        opt.step()
+    else:
+        opt.step(helper)
+    return value
+
+
+def classifier_step(network, opt, batch, helper=None):
+    """One step of `opt` (sharing its blocks with `helper`) on the cross-entropy of `network`.
 
     The tape differentiates only `opt.params`; the output and the loss are
     checked before they are read, so a non-finite value never reaches the
-    parameters.  Returns the loss.
+    parameters.  Returns the loss on the labelled `batch`.
     """
     with Tape(wrt=opt.params) as tape:
         logits = _check_finite(network(Tensor(batch.features)),
                                "classifier output in the classifier step")
         loss = cce_loss(logits, batch.labels)
-    value = _check_finite(loss, "classifier loss").item()
-    tape.backward(loss)
-    opt.step()
-    return value
+    return _descend(tape, loss, opt, helper, "classifier loss")
 
 
 def train_step(real, labels_for_fake, trio, config, rng):
@@ -366,9 +372,9 @@ def train_step(real, labels_for_fake, trio, config, rng):
     random stream, so schemes that only differ by loss weights can be
     compared trajectory-for-trajectory.  The classifier's half of the
     generator loss is differentiated into the generated batch on its own
-    tape; the generator's tape then adds the discriminator's half.  With a
-    wide generator the work that never reads D runs beside D's step (see
-    the module docstring); the results are the same bits.
+    tape; the generator's tape then adds the discriminator's half.  A wide
+    generator's step shares work with the helper thread (see the module
+    docstring) and gives the same bits.
     """
     labels_for_fake = np.asarray(labels_for_fake)
     z_d = sample_latent(trio.partition, labels_for_fake, rng)
@@ -387,10 +393,7 @@ def train_step(real, labels_for_fake, trio, config, rng):
         with Tape(wrt=trio.d_opt.params) as tape:
             d_real = trio.discriminator(d_input(Tensor(real.features), real.labels))
             d_loss = discriminator_loss(d_real, trio.discriminator(fetch_fake()))
-        value = _check_finite(d_loss, "discriminator loss", trio.step).item()
-        tape.backward(d_loss)
-        trio.d_opt.step()
-        return value
+        return _descend(tape, d_loss, trio.d_opt, helper, "discriminator loss", trio.step)
 
     def classifier_half(fake_g):
         # zeta * CCE of C on the generated batch, differentiated into fake_g only
@@ -401,7 +404,7 @@ def train_step(real, labels_for_fake, trio, config, rng):
         tape.backward(c_half)
         return c_half
 
-    g_tape = Tape(wrt=trio.g_opt.params)
+    g_tape = Tape(wrt=trio.g_opt.params, helper=helper)
 
     def beside_discriminator():
         # C's step on the real batch, then G's forward pass, the start of its
@@ -414,17 +417,14 @@ def train_step(real, labels_for_fake, trio, config, rng):
     d_value, (c_loss, fake_g, c_half) = _run_beside(
         helper, discriminator_step, beside_discriminator, lead=fake_batch)
     if config.has_classifier and not c_beside:  # acgan's C reads the trunk D just stepped
-        c_loss = classifier_step(trio.classifier, trio.c_opt, real)
+        c_loss = classifier_step(trio.classifier, trio.c_opt, real, helper)
         c_half = classifier_half(fake_g)
 
     # The rest of the generator step; D's half of the gradient flows through D.
     with g_tape:
         g_loss = generator_loss(trio.discriminator(d_input(fake_g, labels_for_fake)),
                                 c_half, config)
-    g_value = _check_finite(g_loss, "generator loss", trio.step).item()
-    g_tape.backward(g_loss)
-    trio.g_opt.step()
-
+    g_value = _descend(g_tape, g_loss, trio.g_opt, helper, "generator loss", trio.step)
     trio.step += 1
     return StepLosses(step=trio.step, d_loss=d_value, g_loss=g_value, c_loss=c_loss)
 

@@ -16,7 +16,13 @@ appending a backward rule to the active tape.
 Tapes are per thread: each thread has its own stack of active tapes, and
 an op records onto the innermost tape of the thread that runs it.  A tape
 is used by one thread at a time; it may be entered on one thread, left, and
-entered again on another, and its records stay in execution order.
+entered again on another, and its records stay in execution order.  A tape
+may carry a helper thread, `Tape(wrt, helper=...)`: the backward rule of a
+`dense` record that needs both the input and the weight gradient then
+computes the two products as two tasks of `share`, so the helper takes one
+while it is free.  Each product is written to its own array and the
+gradients are accumulated after the share, in the serial order, so the
+results are the same bits.
 
 Ownership: `Tensor(a)` wraps a float64 array `a` without copying, so the
 tensor and the caller share memory; ops never write into their inputs.  A
@@ -33,6 +39,7 @@ with the activation's product.  It is handed out only as the output of a
 `linear` layer, whose rule does not write it.
 """
 
+import functools
 import math
 import numbers
 import threading
@@ -48,6 +55,31 @@ class _ActiveTapes(threading.local):
 
 
 _ACTIVE = _ActiveTapes()
+
+
+def share(helper, tasks):
+    """[task() for task in tasks], with this thread and `helper` taking them from one queue.
+
+    Each task is a call with no arguments that writes only outputs of its
+    own, so the thread that runs it changes no bit.  `helper` is a
+    single-worker executor: it takes the queued tasks, in order, once it is
+    free.  This thread runs them in order and never waits for one the
+    helper has not started: it cancels it (`Future.cancel`) and runs it
+    itself.  Every task the helper started has finished when this returns
+    or raises; an exception of this thread is raised before one of the
+    helper's, and after it no further task starts.
+    """
+    futures = [helper.submit(task) for task in tasks]
+    here = {}
+    try:
+        for i, (task, future) in enumerate(zip(tasks, futures)):
+            if future.cancel():  # not started: run it here
+                here[i] = task()
+    finally:
+        started = [future for future in futures if not future.cancel()]  # cancels the rest
+        for future in started:
+            future.exception()  # waits; no helper work outlives the share
+    return [here[i] if i in here else future.result() for i, future in enumerate(futures)]
 
 
 class Tensor:
@@ -138,13 +170,16 @@ class Tape:
     the reverse sweep is a valid topological order.  A tape may be replayed
     backward exactly once; training steps build a fresh tape each time.
     Only the leaves in `wrt` and the outputs that depend on them get
-    gradients; every other input is a constant on this tape.
+    gradients; every other input is a constant on this tape.  With a
+    `helper` executor, `dense` rules share their two matrix products with
+    it (see `share`).
     """
 
-    def __init__(self, wrt):
+    def __init__(self, wrt, helper=None):
         self._records = []  # backward closures, execution order
         self._spent = False
         self._needed = set(wrt)
+        self.helper = helper
 
     def __enter__(self):
         _ACTIVE.stack.append(self)
@@ -299,6 +334,14 @@ ACTIVATIONS = {
 }
 
 
+def _input_grad(g, w):
+    return g @ w.data.T
+
+
+def _weight_grad(x, g, w):
+    return np.matmul(x.data.T, g, out=w.grad_slot())
+
+
 def dense(x, w, b, kind="linear", alpha=None):
     """act(x @ w + b) as one tape record.
 
@@ -317,12 +360,20 @@ def dense(x, w, b, kind="linear", alpha=None):
         g = backward(out.grad, z, y, alpha)
         if need_b:
             b.accumulate_grad(g.sum(axis=0, out=b.grad_slot()))
+        if helper is None:
+            gx = _input_grad(g, w) if need_x else None
+            gw = _weight_grad(x, g, w) if need_w else None
+        else:  # both are needed, and the helper may take one
+            gx, gw = share(helper, (functools.partial(_input_grad, g, w),
+                                    functools.partial(_weight_grad, x, g, w)))
         if need_x:
-            x.accumulate_grad(g @ w.data.T)
+            x.accumulate_grad(gx)
         if need_w:
-            w.accumulate_grad(np.matmul(x.data.T, g, out=w.grad_slot()))
+            w.accumulate_grad(gw)
 
     need_x, need_w, need_b = _track(out, (x, w, b), bwd)
+    # only a rule that needs both products shares them with its tape's helper
+    helper = _ACTIVE.stack[-1].helper if need_x and need_w else None
     return out
 
 

@@ -1,8 +1,12 @@
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from auxgan import optim
 from auxgan.nn import MLP, DenseLayer
 from auxgan.optim import BLOCK, Adam, NesterovMomentum
 from auxgan.tensor import parameters
@@ -332,3 +336,91 @@ def test_step_never_writes_the_arrays_given_as_initial_weights(optimizer):
     opt.step()
     assert not np.array_equal(layer.weights.data, weights)
     assert np.array_equal(weights, np.ones((3, 2))) and np.array_equal(bias, np.zeros(2))
+
+
+def _helper_takes_a_block(monkeypatch):
+    """Make every shared step hand the helper a block: the first waits until the second started."""
+    share = optim.share
+
+    def forcing(helper, tasks):
+        started = threading.Event()
+
+        def first():
+            assert started.wait(timeout=10)
+            return tasks[0]()
+
+        def second():
+            started.set()
+            return tasks[1]()
+
+        return share(helper, [first, second, *tasks[2:]])
+
+    monkeypatch.setattr(optim, "share", forcing)
+
+
+def _state(params, opt):
+    return [p.data.tobytes() for p in params] + [s.tobytes() for s in opt._state]
+
+
+@pytest.mark.parametrize("optimizer", [Adam, NesterovMomentum])
+@pytest.mark.parametrize("forced", [False, True])
+def test_a_shared_step_equals_the_serial_step_bit_for_bit_over_50_steps(optimizer, forced,
+                                                                        monkeypatch):
+    # segments of several small blocks, each big enough for numpy to let
+    # the other thread run; unforced, the helper takes blocks as it can
+    monkeypatch.setattr(optim, "BLOCK", 1024)
+
+    def build():
+        rng = np.random.default_rng(8)
+        segments = [_sized_segment(rng, 3000), _segment(rng.normal(size=(40, 30)))]
+        return [p for segment in segments for p in segment[0]], optimizer(segments)
+
+    serial, shared = build(), build()
+    assert len(shared[1]._blocks) == 5
+    if forced:
+        _helper_takes_a_block(monkeypatch)
+    on_helper, share = [], optim.share
+
+    def counting(helper, tasks):
+        def count(task):
+            def run():
+                on_helper.append(threading.current_thread() is not threading.main_thread())
+                return task()
+            return run
+        return share(helper, [count(task) for task in tasks])
+
+    monkeypatch.setattr(optim, "share", counting)
+    rng, interval = np.random.default_rng(9), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            for _ in range(50):
+                grads = [rng.normal(size=p.shape) for p in serial[0]]
+                for (params, opt), use in ((serial, None), (shared, helper)):
+                    for p, g in zip(params, grads):
+                        p.accumulate_grad(g)
+                    opt.step(use)
+                assert _state(*shared) == _state(*serial)
+                assert all(p.grad is None for p in shared[0])
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(on_helper) >= (50 if forced else 1)
+
+
+def test_the_helpers_scratch_never_shares_memory_with_an_optimizers(monkeypatch):
+    # one block per helper, made on the first shared step, for every optimizer
+    _helper_takes_a_block(monkeypatch)
+    segments = [_network_segment(), _network_segment()]
+    opts = [Adam([segments[0]]), NesterovMomentum([segments[1]])]
+    scratch = []
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        assert helper not in optim._HELPER_SCRATCH
+        for opt in opts:
+            for p in opt.params:
+                p.accumulate_grad(np.full(p.shape, 0.5))
+            opt.step(helper)
+            scratch.append(optim._HELPER_SCRATCH[helper])
+    assert scratch[1] is scratch[0] and scratch[0].size == BLOCK
+    for opt, (_, data, grads) in zip(opts, segments):
+        assert not any(np.shares_memory(scratch[0], a)
+                       for a in (opt._work, *opt._state, data, grads))

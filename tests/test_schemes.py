@@ -21,7 +21,7 @@ from auxgan.schemes import (LatentPartition, SchemeConfig, SharedTrunkClassifier
                             generator_class_loss, generator_loss, load_checkpoint,
                             load_probe_checkpoint, sample_latent,
                             save_checkpoint, save_probe_checkpoint, train_step)
-from auxgan import nn, schemes
+from auxgan import nn, schemes, tensor
 from auxgan.harness import _IMAGE_ARCH
 from auxgan.tensor import Tape, Tensor, bce_loss, mul
 from gradcheck import check_param_gradient
@@ -357,8 +357,8 @@ def test_a_nan_classifier_weight_diverges_in_the_generator_step(scheme, monkeypa
         cfg, trio = _mixture_setup(scheme)
         g_before = trio.generator.param_buffer.copy()
 
-        def then_poison(network, opt, batch, trio=trio):
-            loss = c_step(network, opt, batch)
+        def then_poison(network, opt, batch, helper=None, trio=trio):
+            loss = c_step(network, opt, batch, helper)
             _poison_classifier(trio)
             return loss
 
@@ -383,22 +383,18 @@ def test_train_step_trains_the_classifier_on_real_data_only():
         assert np.array_equal(p.data, q.data)
 
 
-def test_discriminator_step_never_touches_classifier():
-    cfg, trio = _mixture_setup("vacgan", n_classes=2)
-    c_before = [p.data.copy() for p in trio.classifier.params()]
-    spec = GaussianMixtureSpec.ring(n_classes=2)
-    rng = np.random.default_rng(11)
-    # one full step updates all three; to isolate D, compare C params after
-    # re-running only the D portion via a fresh trio and a manual tape
-    real = sample_mixture(spec, rng, 16)
-    fake = Tensor(trio.generator(sample_latent(trio.partition, real.labels, rng)).data)
-    with Tape(wrt=trio.d_opt.params) as tape:
-        loss = discriminator_loss(trio.discriminator(Tensor(real.features)),
-                                  trio.discriminator(fake))
-    tape.backward(loss)
-    trio.d_opt.step()
-    for p, b in zip(trio.classifier.params(), c_before):
-        assert np.array_equal(p.data, b)
+def test_discriminator_step_never_touches_classifier(monkeypatch):
+    # with C's own step patched out, the rest of train_step (D's step, whose
+    # Adam may share its blocks with the helper, then G's) leaves C as it was
+    monkeypatch.setattr(schemes, "classifier_step", lambda *args: 0.0)
+    for helper_min_params in SERIAL_THEN_HELPER:
+        _set_helper_min_params(monkeypatch, helper_min_params)
+        cfg, trio = _mixture_setup("vacgan", n_classes=2)
+        c_before = trio.classifier.param_buffer.tobytes(), trio.c_opt.velocity.tobytes()
+        d_before = trio.discriminator.param_buffer.tobytes()
+        _run(cfg, trio, 2)
+        assert trio.discriminator.param_buffer.tobytes() != d_before
+        assert (trio.classifier.param_buffer.tobytes(), trio.c_opt.velocity.tobytes()) == c_before
 
 
 def test_train_step_gan_has_no_classifier_loss():
@@ -607,11 +603,52 @@ def test_run_beside_joins_the_side_and_raises_the_main_error_first():
             schemes._run_beside(helper, lambda fetch: None, failing("side"))
         with pytest.raises(RuntimeError, match="lead failed"):
             schemes._run_beside(helper, lambda fetch: fetch(), lambda: None, lead=failing("lead"))
+        # a lead's error is raised even when main never fetched it, before side's
+        for side in (lambda: None, failing("side")):
+            with pytest.raises(RuntimeError, match="lead failed"):
+                schemes._run_beside(helper, lambda fetch: None, side, lead=failing("lead"))
+    with pytest.raises(RuntimeError, match="lead failed"):
+        schemes._run_beside(None, lambda fetch: None, lambda: None, lead=failing("lead"))
     # without a helper: lead, main, side, in that order, and main reads lead's result
     result = schemes._run_beside(None, lambda fetch: order.append("main") or fetch(),
                                  lambda: order.append("side") or "s",
                                  lead=lambda: order.append("lead") or "l")
     assert result == ("l", "s") and order == ["lead", "main", "side"]
+
+
+@pytest.mark.parametrize("failing_thread", ["calling", "helper"])
+def test_a_product_that_fails_in_the_generators_backward_pass_leaves_no_helper_work(
+        failing_thread, monkeypatch):
+    # each thread computes one of the two products of a G layer; one fails,
+    # the other is slow, and the step raises only once it has finished
+    _set_helper_min_params(monkeypatch, 0)
+    cfg, trio = _mixture_setup("vacgan")
+    g_before = trio.generator.param_buffer.tobytes()
+    shared, done = tensor.share, []
+
+    def failing(helper, tasks):
+        barrier = threading.Barrier(2)
+
+        def meeting(task):
+            def run():
+                barrier.wait(timeout=10)
+                here = threading.current_thread() is threading.main_thread()
+                if here is (failing_thread == "calling"):
+                    raise RuntimeError(f"a product on the {failing_thread} thread failed")
+                time.sleep(0.05)
+                done.append(task())
+                return done[-1]
+            return run
+
+        return shared(helper, [meeting(task) for task in tasks])
+
+    monkeypatch.setattr(tensor, "share", failing)
+    with pytest.raises(RuntimeError, match=f"on the {failing_thread} thread failed"):
+        _run(cfg, trio, 1)
+    assert len(done) == 1  # the other product had finished when the step raised
+    _assert_no_helper_work_left(trio, _state_bytes(trio))
+    assert trio.generator.param_buffer.tobytes() == g_before
+    assert trio.g_opt.t == 0
 
 
 def test_vacgan_with_zero_class_weight_equals_plain_gan():

@@ -1,8 +1,10 @@
 import itertools
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special
 
+from auxgan import tensor
 from auxgan.nn import MLP, DenseLayer
 from auxgan.tensor import (ACTIVATIONS, Tape, Tensor, add, bce_loss, cce_loss, concat_cols,
-                           dense, mul, parameters)
+                           dense, mul, parameters, share)
 from gradcheck import (check_input_gradient, check_param_gradient, relative_error,
                        weighted_sum)
 
@@ -365,6 +368,88 @@ def test_dense_backward_of_one_use_allocates_no_weight_gradient():
     # only weighted_sum's 64x256 output gradient, a twelfth of the weight array
     assert peak < layer.weights.data.nbytes // 6
     assert np.shares_memory(layer.weights.grad, layer.weights.grad_view)
+
+
+def test_share_beside_a_busy_helper_runs_every_task_here_without_waiting():
+    release, ran = threading.Event(), []
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        blocked = helper.submit(release.wait, 10)
+        results = share(helper, [lambda i=i: ran.append(threading.current_thread()) or i
+                                 for i in range(4)])
+        assert not release.is_set()  # returned while the helper was still blocked
+        release.set()
+        assert blocked.result(timeout=60)
+    assert results == [0, 1, 2, 3]
+    assert ran == [threading.current_thread()] * 4
+
+
+def test_share_joins_the_helpers_task_and_raises_this_threads_error_first():
+    # each thread runs one of the first two tasks; the helper's fails late
+    finished, never = [], []
+
+    def meeting(barrier, here_fails):
+        def task():
+            barrier.wait(timeout=10)
+            if threading.current_thread() is threading.main_thread():
+                if here_fails:
+                    raise ValueError("here failed")
+                return
+            time.sleep(0.05)
+            finished.append(1)
+            raise RuntimeError("helper failed")
+        return task
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        barrier = threading.Barrier(2)
+        task = meeting(barrier, here_fails=True)
+        with pytest.raises(ValueError, match="here failed"):
+            share(helper, [task, task, lambda: never.append(1)])
+        assert finished == [1]  # joined before raising
+        assert never == []  # nothing starts after this thread's error
+        # the helper's error, once this thread has run the rest
+        task = meeting(threading.Barrier(2), here_fails=False)
+        with pytest.raises(RuntimeError, match="helper failed"):
+            share(helper, [task, task, lambda: never.append(2)])
+        assert finished == [1, 1] and never == [2]
+
+
+def test_a_tape_with_a_helper_shares_the_two_products_of_a_layer_and_changes_no_bit(monkeypatch):
+    # a digit-width generator: only the last layer needs both products,
+    # and the helper computes one of them
+    threads, calls, shared = [], [], tensor.share
+
+    def recording(helper, tasks):
+        started = threading.Event()
+
+        def on(task, first):
+            def run():
+                if first:
+                    assert started.wait(timeout=10)  # the helper took the other one
+                started.set()
+                threads.append(threading.current_thread())
+                return task()
+            return run
+
+        calls.append(len(tasks))
+        return shared(helper, [on(task, i == 0) for i, task in enumerate(tasks)])
+
+    monkeypatch.setattr(tensor, "share", recording)
+    net = MLP((26, 256, 784), ("relu", "sigmoid"), rng=np.random.default_rng(7))
+    x = Tensor(np.random.default_rng(8).normal(size=(64, 26)))
+    weights = np.random.default_rng(9).normal(size=(64, 784))
+    grads = []
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for use in (None, helper):
+            with Tape(wrt=net.params(), helper=use) as tape:
+                loss = weighted_sum(net(x), weights)
+            tape.backward(loss)
+            grads.append(net.grad_buffer.tobytes())
+            for p in net.params():
+                assert p.grad is p.grad_view
+                p.grad = None
+    assert grads[1] == grads[0]
+    assert calls == [2]
+    assert len(set(threads)) == 2
 
 
 @pytest.mark.parametrize("kind", ACTIVATIONS)

@@ -1,6 +1,6 @@
 """Print the sha256 of every artifact that a change must keep byte-identical.
 
-    python3 tools/artifact_digests.py SEED [--tiny]
+    python3 tools/artifact_digests.py SEED [--tiny] [--serial]
 
 Runs, in a temporary directory, the benchmark's two acceptance
 configurations (`ring` and `digits`, built by perfbench/workloads.py),
@@ -12,8 +12,10 @@ checkpoints.  Prints one `name sha256` line per file a run writes
 and the probe bundle; not the digit corpus) and per eval's stdout, sorted by
 name.  Run it on two commits and diff the output.  `--tiny` runs the
 benchmark's smoke-test sizes and 40-step ring runs; the digit-width scheme
-runs are the same at both sizes.  BLAS is pinned to one thread before numpy
-loads.
+runs are the same at both sizes.  `--serial` keeps every run off the helper
+thread (`schemes.HELPER_MIN_PARAMS` is set to infinity in this process), so
+the two outputs show whether the helper changes any bit.  BLAS is pinned to
+one thread before numpy loads.
 """
 
 import os
@@ -26,6 +28,7 @@ import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 
@@ -33,7 +36,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from auxgan import cli, harness  # noqa: E402
+from auxgan import cli, harness, schemes  # noqa: E402
 from auxgan.data import write_synthetic_digit_files  # noqa: E402
 
 CORPUS_DIR = "data"  # the synthetic digit corpus, an input rather than an artifact
@@ -100,7 +103,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seed", type=int)
     parser.add_argument("--tiny", action="store_true", help="smoke-test sizes")
+    parser.add_argument("--serial", action="store_true", help="never use the helper thread")
     args = parser.parse_args(argv)
+    if args.serial:
+        schemes.HELPER_MIN_PARAMS = math.inf
     for name, digest in digests(args.seed, args.tiny):
         print(name, digest)
     return 0
