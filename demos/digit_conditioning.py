@@ -7,8 +7,9 @@ the requested digit.  The probe must clear a 0.95 test-accuracy gate before
 its verdicts count.
 
 By default this trains on a small deterministic synthetic digit corpus so it
-works offline; point AUXGAN_MNIST_DIR (or --mnist-dir on the CLI) at a
-directory with the four classic IDX files to use real MNIST.
+works offline; to use real MNIST, pass a directory with the four classic IDX
+files (`--mnist-dir` on the CLI):
+    python demos/digit_conditioning.py [MNIST_DIR]
 
 Equivalent CLI runs:
     auxgan train --config digits.json
@@ -16,6 +17,7 @@ Equivalent CLI runs:
     auxgan grid --checkpoint <run dir> --cols 8
 """
 
+import argparse
 import tempfile
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from auxgan.harness import ExperimentConfig, run_experiment
 from auxgan.schemes import load_checkpoint, load_probe_checkpoint
 
 
-def main():
+def main(mnist_dir=None):
     out = Path(tempfile.mkdtemp(prefix="digit_demo_")) / "run"
     config = ExperimentConfig.from_dict({
         "dataset": "mnist",
@@ -36,9 +38,9 @@ def main():
         "eval_every": 100,
     })
 
-    print("training (five epochs, synthetic corpus unless AUXGAN_MNIST_DIR is set;"
-          " half a minute or so)")
-    record = run_experiment(config)
+    corpus = mnist_dir or "the synthetic corpus, half a minute or so"
+    print(f"training (five epochs on {corpus})")
+    record = run_experiment(config, mnist_dir=mnist_dir)
 
     _, probe_accuracy = load_probe_checkpoint(out / "probe")
     print(f"\nprobe test accuracy: {probe_accuracy:.4f} (gate: 0.95)")
@@ -59,4 +61,6 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="conditional digit generation with a probe")
+    parser.add_argument("mnist_dir", nargs="?", help="directory holding the four IDX files")
+    main(parser.parse_args().mnist_dir)

@@ -108,8 +108,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="override the output directory")
     p.add_argument("--mnist-dir", default=None,
-                   help="directory holding the four IDX files (else AUXGAN_MNIST_DIR, "
-                        "else a synthetic digit corpus is generated)")
+                   help="directory holding the four IDX files (else a synthetic digit "
+                        "corpus is generated)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("verify-identities",

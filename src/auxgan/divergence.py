@@ -134,11 +134,14 @@ class IdentityReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # elementary quantities
 
-def shannon_entropy(p):
-    """-sum p*log(p) in nats, with 0*log(0) = 0.  Lies in [0, log S]."""
-    probs = _probs(p)
+def _entropy(probs):
     mask = probs > 0.0
     return float(-(probs[mask] * np.log(probs[mask])).sum())
+
+
+def shannon_entropy(p):
+    """-sum p*log(p) in nats, with 0*log(0) = 0.  Lies in [0, log S]."""
+    return _entropy(_probs(p))
 
 
 def kl_divergence(p, q):
@@ -165,10 +168,8 @@ def tv_distance(p, q):
 def generalized_jsd(family):
     """H(sum_i pi_i p_i) - sum_i pi_i H(p_i); in [0, H(pi)], 0 iff members equal."""
     mixture = family.weights @ family.members
-    mixture_entropy = shannon_entropy(DiscreteDistribution.from_weights(mixture))
-    member_entropy = sum(
-        w * shannon_entropy(DiscreteDistribution(m))
-        for w, m in zip(family.weights, family.members))
+    mixture_entropy = _entropy(mixture / mixture.sum())
+    member_entropy = sum(w * _entropy(m) for w, m in zip(family.weights, family.members))
     # Exact value is non-negative; rounding may leave a tiny negative residue.
     return max(0.0, float(mixture_entropy - member_entropy))
 

@@ -312,21 +312,19 @@ _IMAGE_ARCH = {"generator_hidden": (256,), "discriminator_hidden": (256,),
 
 
 def _resolve_mnist_files(config, mnist_dir):
-    """Locate the four IDX files; synthesize a stand-in corpus if none given.
+    """Locate the four IDX files in `mnist_dir`; synthesize a stand-in corpus if none given.
 
-    A directory can be supplied via argument or AUXGAN_MNIST_DIR.  Without
-    one, a deterministic synthetic digit corpus is generated under the run's
-    output directory so image runs work offline.
+    Without a directory, a deterministic synthetic digit corpus is generated
+    under the run's output directory so image runs work offline.
     """
-    directory = mnist_dir or os.environ.get("AUXGAN_MNIST_DIR")
-    if directory:
+    if mnist_dir:
         names = {
             "train_images": "train-images-idx3-ubyte",
             "train_labels": "train-labels-idx1-ubyte",
             "test_images": "t10k-images-idx3-ubyte",
             "test_labels": "t10k-labels-idx1-ubyte",
         }
-        paths = {k: os.path.join(directory, v) for k, v in names.items()}
+        paths = {k: os.path.join(mnist_dir, v) for k, v in names.items()}
         missing = [p for p in paths.values() if not os.path.exists(p)]
         if missing:
             raise FileNotFoundError(f"missing IDX files: {missing}")
@@ -360,6 +358,8 @@ def _evaluate(trio, config, mixture_spec, probe, step, losses, t0):
 def run_experiment(config, mnist_dir=None, log=print):
     """Train per the config and write every artifact under config.output_dir.
 
+    An mnist run reads the four IDX files in `mnist_dir`, or without one
+    trains on a synthetic digit corpus it writes under the output directory.
     Returns the final MetricsRecord.  If a loss turns non-finite the partial
     metrics.csv is kept and the TrainingDiverged propagates to the caller.
     """

@@ -12,31 +12,10 @@ def glorot_uniform(fan_in, fan_out, rng):
 
 
 class DenseLayer:
-    """Affine map x @ W + b with W (in_dim, out_dim) and b (out_dim,).
+    """Affine map x @ W + b over the views its network made: W (in_dim, out_dim), b (out_dim,)."""
 
-    W and b lie back to back in `buffers`, a (parameters, gradients) pair of
-    flat arrays of in_dim * out_dim + out_dim elements; by default the layer
-    allocates its own, zero-filled.  W is copied from `weights`, else drawn
-    from `rng`; with neither it keeps what the buffer holds, for a caller
-    that fills the buffer itself.  b is copied from `bias`, zeros by
-    default.  The optimizers update parameters in place and never write the
-    caller's arrays.
-    """
-
-    def __init__(self, in_dim, out_dim, rng=None, weights=None, bias=None, buffers=None):
-        if weights is None and rng is not None:
-            weights = glorot_uniform(in_dim, out_dim, rng)
-        if buffers is None:
-            size = in_dim * out_dim + out_dim
-            buffers = np.zeros(size), np.empty(size)
-        self.weights, self.bias = parameters(((in_dim, out_dim), (out_dim,)), *buffers)
-        for param, initial in ((self.weights, weights), (self.bias, bias)):
-            if initial is not None and np.shape(initial) != param.shape:
-                raise ValueError(f"dense layer ({in_dim}, {out_dim}) got weights "
-                                 f"{np.shape(weights)}, bias {np.shape(bias)}")
-        if weights is not None:
-            self.weights.data[...] = weights
-        self.bias.data[...] = 0.0 if bias is None else bias
+    def __init__(self, weights, bias):
+        self.weights, self.bias = weights, bias
 
     def __call__(self, x):
         return dense(x, self.weights, self.bias)
@@ -82,16 +61,19 @@ class MLP:
             raise ValueError(f"{len(dims) - 1} layers need {len(dims) - 1} activations, "
                              f"got {len(activations)}")
         self._kinds = [_parse_activation(name) for name in activations]
-        sizes = [n_in * n_out + n_out for n_in, n_out in zip(dims, dims[1:])]
+        shapes = [shape for n_in, n_out in zip(dims, dims[1:])
+                  for shape in ((n_in, n_out), (n_out,))]
+        size = sum(n_in * n_out + n_out for n_in, n_out in zip(dims, dims[1:]))
         # with rng every weight is drawn and every bias set, so no element is
         # read unset; a network built to be loaded starts at zero
         allocate = np.empty if rng is not None else np.zeros
-        self.param_buffer, self.grad_buffer = allocate(sum(sizes)), np.empty(sum(sizes))
-        self.layers, end = [], 0
-        for n_in, n_out, size in zip(dims, dims[1:], sizes):
-            start, end = end, end + size
-            buffers = self.param_buffer[start:end], self.grad_buffer[start:end]
-            self.layers.append(DenseLayer(n_in, n_out, rng=rng, buffers=buffers))
+        self.param_buffer, self.grad_buffer = allocate(size), np.empty(size)
+        views = parameters(shapes, self.param_buffer, self.grad_buffer)
+        self.layers = [DenseLayer(w, b) for w, b in zip(views[::2], views[1::2])]
+        if rng is not None:
+            for layer in self.layers:  # in layer order, so a seed pins every weight
+                layer.weights.data[...] = glorot_uniform(*layer.weights.shape, rng)
+                layer.bias.data[...] = 0.0
         self.dims = dims
         self.activations = activations
 

@@ -21,19 +21,19 @@ it changes anything.  It consumes the gradients: it clears .grad on every
 parameter, and a block's update uses its gradient as scratch once it has
 read it.  The update's other scratch is one block: on the thread that
 calls the step, the optimizer's own, made by the constructor, so the step
-allocates no arrays.  `step(helper)` hands each block to `tensor.share` as
-one task, so a helper thread that is free updates blocks too; the blocks
-are disjoint, so the results are the same bits.  Blocks the helper takes
-use one scratch block per helper, made by the calling thread the first
-time it shares a step with that helper and used by every optimizer.
+allocates no arrays.  A step asks `tensor.helper_for` with its total size;
+given the helper thread, it hands each block to `tensor.share` as one
+task, so the helper updates blocks too while it is free.  The blocks are
+disjoint, so the results are the same bits.  Blocks the helper takes use
+a scratch block shared by every optimizer.
 """
 
+import functools
 import threading
-import weakref
 
 import numpy as np
 
-from .tensor import share
+from .tensor import helper_for, share
 
 # Elements per block.  A block's parameters, gradient, two state arrays and
 # scratch (5 x 256 KB) fit in a 2 MB L2 cache, so each block is read from
@@ -45,8 +45,14 @@ from .tensor import share
 BLOCK = 32768
 
 
-# helper executor -> the scratch block its thread uses for the blocks it takes
-_HELPER_SCRATCH = weakref.WeakKeyDictionary()
+@functools.cache
+def _helper_scratch(size):
+    """The scratch of the blocks of up to `size` elements the helper thread takes.
+
+    One per size, shared by every optimizer, and made on a calling thread: in
+    the helper thread's own heap it raised peak memory by 0.5-1.1 MB.
+    """
+    return np.empty(size)
 
 
 class _FlatState:
@@ -64,7 +70,8 @@ class _FlatState:
                                      f"got {flat.dtype} {flat.shape}")
             self.params += params
             flats.append((data, grads))
-        self._state = [np.zeros(sum(data.size for data, _ in flats)) for _ in range(n_state)]
+        self.size = sum(data.size for data, _ in flats)
+        self._state = [np.zeros(self.size) for _ in range(n_state)]
         work = min(BLOCK, max((data.size for data, _ in flats), default=0))
         self._work = np.empty(work)
         # ((param, grad, *state), own scratch), same-size blocks of every segment in order
@@ -85,20 +92,17 @@ class _FlatState:
                 raise ValueError(f"parameter of shape {p.shape} has {where}; "
                                  f"a step reads every gradient from its gradient view")
 
-    def _update_blocks(self, helper, update):
-        """update(*block, scratch) for every block, in order; with `helper`, as tasks of `share`.
+    def _update_blocks(self, update):
+        """update(*block, scratch) for every block, in order, sharing them with the helper thread.
 
         A block the helper takes uses the helper's scratch, never the optimizer's own.
         """
+        helper = helper_for(self.size)
         if helper is None:
             for block, own in self._blocks:
                 update(*block, own)
             return
-        there = _HELPER_SCRATCH.get(helper)
-        if there is None or there.size < self._work.size:
-            # made here: in the helper thread's own heap it raised peak memory by 0.5-1.1 MB
-            there = _HELPER_SCRATCH[helper] = np.empty(max(self._work.size, BLOCK))
-        here = threading.get_ident()
+        here, there = threading.get_ident(), _helper_scratch(self._work.size)
 
         def task(block, own):
             return lambda: update(*block, own if threading.get_ident() == here
@@ -123,8 +127,8 @@ class Adam(_FlatState):
         self.t = 0
         self.m, self.v = self._state
 
-    def step(self, helper=None):
-        """One update of every parameter; a `helper` executor updates blocks while it is free."""
+    def step(self):
+        """One update of every parameter."""
         self._check_grads()
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.epsilon
@@ -148,7 +152,7 @@ class Adam(_FlatState):
             g /= a
             p -= g
 
-        self._update_blocks(helper, update)
+        self._update_blocks(update)
         self._clear()
 
 
@@ -161,8 +165,8 @@ class NesterovMomentum(_FlatState):
         self.momentum = momentum
         self.velocity, = self._state
 
-    def step(self, helper=None):
-        """One update of every parameter; a `helper` executor updates blocks while it is free."""
+    def step(self):
+        """One update of every parameter."""
         self._check_grads()
         lr, mu = self.learning_rate, self.momentum
 
@@ -174,5 +178,5 @@ class NesterovMomentum(_FlatState):
             step -= g
             p += step
 
-        self._update_blocks(helper, update)
+        self._update_blocks(update)
         self._clear()

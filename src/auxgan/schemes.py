@@ -21,27 +21,26 @@ Per batch the update order is discriminator, classifier, generator.  The
 generator and discriminator take ADAM steps; the classifier takes Nesterov
 momentum steps.  Runs are bit-for-bit reproducible for a fixed seed.
 
-At image width (a generator of at least HELPER_MIN_PARAMS parameters) a
-helper thread takes the work of a step that never reads the discriminator:
-D's fake batch, while the calling thread records D on the real batch, then
-the `vacgan` classifier step, the generator's forward pass (recorded on
-its tape) and the classifier's half of the generator loss, differentiated
-into the generated batch, while the calling thread finishes D's step.
-After the join the calling thread adds D's half and steps G.  Once free,
-the helper also takes pieces of the calling thread's own work
-(`tensor.share`): blocks of D's and G's Adam steps and of `acgan`'s
-Nesterov step, and one of the two products of a G layer that needs both.
-The results are the same bits as in the serial order D, C, G: both threads
-read the weights the serial order gives them and write disjoint buffers,
-and every rng draw stays on the calling thread.  `acgan`'s classifier
-reads D's trunk, so its step and its half of the loss follow D's step.
+At image width, where `tensor.helper_for` gives the generator's size the
+helper thread, the helper takes the work of a step that never reads the
+discriminator: D's fake batch, while the calling thread records D on the
+real batch, then the `vacgan` classifier step, the generator's forward pass
+(recorded on its tape) and the classifier's half of the generator loss,
+differentiated into the generated batch, while the calling thread finishes
+D's step.  After the join the calling thread adds D's half and steps G.
+Once free, the helper also takes the pieces of the calling thread's own
+work that `helper_for` gives it by their size: blocks of D's and G's Adam
+steps and of `acgan`'s Nesterov step, and one of the two products of G's
+last layer.  The results are the same bits as in the serial order D, C, G:
+both threads read the weights the serial order gives them and write
+disjoint buffers, and every rng draw stays on the calling thread.
+`acgan`'s classifier reads D's trunk, so its step and its half of the loss
+always follow D's step.
 """
 
-import functools
 import math
 import numbers
 import os
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,7 +48,7 @@ import numpy as np
 
 from .nn import MLP
 from .optim import Adam, NesterovMomentum
-from .tensor import Tape, Tensor, bce_loss, cce_loss, concat_cols
+from .tensor import Tape, Tensor, bce_loss, cce_loss, concat_cols, helper_for
 
 SCHEMES = ("gan", "cgan", "acgan", "vacgan")
 
@@ -58,40 +57,10 @@ SCHEMES = ("gan", "cgan", "acgan", "vacgan")
 _CLASSIFIER_NET = {"vacgan": "classifier", "acgan": "classifier_head"}
 
 
-# Generators with at least this many parameters run part of each step and
-# evaluation on the helper thread (see `_helper_for`); below it, hand-offs of
-# the interpreter lock cost more than the second core gives.  On a 2-vCPU VM
-# with one BLAS thread, a `vacgan` step of the mixture architecture at hidden
-# width w took, helper over serial (runs of 12 alternating 50-step chunks),
-# 1.19 at w = 192 (39,938 generator parameters), 0.98-1.05 at w = 224
-# (53,762), 0.94-0.95 at w = 240 (61,442) and 0.94 at w = 256 (69,634).
-# Ring: 1,538; digits: 208,400.
-HELPER_MIN_PARAMS = 60_000
-
-
-@functools.cache
-def _helper():
-    """The one helper thread, as a single-worker executor made on first use.
-
-    The import is here so that runs that never use the thread do not pay it.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="auxgan-helper")
-
-
 def _helper_for(network):
-    """The helper if `network` is wide enough for it to pay, else None.
-
-    A network without a `param_buffer` (a stub) never uses it.  No network
-    does while the `tracemalloc` module is loaded: whoever loaded it may
-    start and stop tracing around any call, and on CPython 3.11 stopping it
-    while another thread allocates can crash the process (a segfault in a
-    numpy allocation on the helper, under a profiler that traces each call).
-    """
+    """`helper_for` the network's parameter count; None for a stub without a `param_buffer`."""
     buffer = getattr(network, "param_buffer", None)
-    if buffer is None or buffer.size < HELPER_MIN_PARAMS or "tracemalloc" in sys.modules:
-        return None
-    return _helper()
+    return None if buffer is None else helper_for(buffer.size)
 
 
 def _run_beside(helper, main, side, lead=None):
@@ -338,19 +307,16 @@ class StepLosses:
     c_loss: Optional[float]  # None for schemes without a classifier
 
 
-def _descend(tape, loss, opt, helper, name, step=None):
+def _descend(tape, loss, opt, name, step=None):
     """Check `loss` (named `name`), run `tape`'s backward pass, step `opt`; returns the loss."""
     value = _check_finite(loss, name, step).item()
     tape.backward(loss)
-    if helper is None:  # a traced benchmark round wraps step() as a one-argument call
-        opt.step()
-    else:
-        opt.step(helper)
+    opt.step()
     return value
 
 
-def classifier_step(network, opt, batch, helper=None):
-    """One step of `opt` (sharing its blocks with `helper`) on the cross-entropy of `network`.
+def classifier_step(network, opt, batch):
+    """One step of `opt` on the cross-entropy of `network`.
 
     The tape differentiates only `opt.params`; the output and the loss are
     checked before they are read, so a non-finite value never reaches the
@@ -360,7 +326,7 @@ def classifier_step(network, opt, batch, helper=None):
         logits = _check_finite(network(Tensor(batch.features)),
                                "classifier output in the classifier step")
         loss = cce_loss(logits, batch.labels)
-    return _descend(tape, loss, opt, helper, "classifier loss")
+    return _descend(tape, loss, opt, "classifier loss")
 
 
 def train_step(real, labels_for_fake, trio, config, rng):
@@ -381,7 +347,7 @@ def train_step(real, labels_for_fake, trio, config, rng):
     z_g = sample_latent(trio.partition, labels_for_fake, rng)
     helper = _helper_for(trio.generator)
     # vacgan's classifier reads only the real batch, its own weights and G's output
-    c_beside = config.has_classifier and (helper is None or config.scheme == "vacgan")
+    c_beside = config.scheme == "vacgan"
 
     def d_input(x, labels):
         return cgan_condition(x, labels, config.n_classes) if config.scheme == "cgan" else x
@@ -393,7 +359,7 @@ def train_step(real, labels_for_fake, trio, config, rng):
         with Tape(wrt=trio.d_opt.params) as tape:
             d_real = trio.discriminator(d_input(Tensor(real.features), real.labels))
             d_loss = discriminator_loss(d_real, trio.discriminator(fetch_fake()))
-        return _descend(tape, d_loss, trio.d_opt, helper, "discriminator loss", trio.step)
+        return _descend(tape, d_loss, trio.d_opt, "discriminator loss", trio.step)
 
     def classifier_half(fake_g):
         # zeta * CCE of C on the generated batch, differentiated into fake_g only
@@ -404,7 +370,7 @@ def train_step(real, labels_for_fake, trio, config, rng):
         tape.backward(c_half)
         return c_half
 
-    g_tape = Tape(wrt=trio.g_opt.params, helper=helper)
+    g_tape = Tape(wrt=trio.g_opt.params)
 
     def beside_discriminator():
         # C's step on the real batch, then G's forward pass, the start of its
@@ -416,15 +382,15 @@ def train_step(real, labels_for_fake, trio, config, rng):
 
     d_value, (c_loss, fake_g, c_half) = _run_beside(
         helper, discriminator_step, beside_discriminator, lead=fake_batch)
-    if config.has_classifier and not c_beside:  # acgan's C reads the trunk D just stepped
-        c_loss = classifier_step(trio.classifier, trio.c_opt, real, helper)
+    if config.scheme == "acgan":  # its C reads the trunk D just stepped
+        c_loss = classifier_step(trio.classifier, trio.c_opt, real)
         c_half = classifier_half(fake_g)
 
     # The rest of the generator step; D's half of the gradient flows through D.
     with g_tape:
         g_loss = generator_loss(trio.discriminator(d_input(fake_g, labels_for_fake)),
                                 c_half, config)
-    g_value = _descend(g_tape, g_loss, trio.g_opt, helper, "generator loss", trio.step)
+    g_value = _descend(g_tape, g_loss, trio.g_opt, "generator loss", trio.step)
     trio.step += 1
     return StepLosses(step=trio.step, d_loss=d_value, g_loss=g_value, c_loss=c_loss)
 

@@ -16,13 +16,14 @@ appending a backward rule to the active tape.
 Tapes are per thread: each thread has its own stack of active tapes, and
 an op records onto the innermost tape of the thread that runs it.  A tape
 is used by one thread at a time; it may be entered on one thread, left, and
-entered again on another, and its records stay in execution order.  A tape
-may carry a helper thread, `Tape(wrt, helper=...)`: the backward rule of a
-`dense` record that needs both the input and the weight gradient then
-computes the two products as two tasks of `share`, so the helper takes one
-while it is free.  Each product is written to its own array and the
-gradients are accumulated after the share, in the serial order, so the
-results are the same bits.
+entered again on another, and its records stay in execution order.
+
+`helper_for(size)` alone decides what work goes to the helper thread.  A
+`dense` rule that needs both the input and the weight gradient asks with
+its weight's size; given the helper, it computes the two products as two
+tasks of `share`, so the helper takes one while it is free.  Each product
+is written to its own array and the gradients are accumulated after the
+share, in the serial order, so the results are the same bits.
 
 Ownership: `Tensor(a)` wraps a float64 array `a` without copying, so the
 tensor and the caller share memory; ops never write into their inputs.  A
@@ -42,6 +43,7 @@ with the activation's product.  It is handed out only as the output of a
 import functools
 import math
 import numbers
+import sys
 import threading
 
 import numpy as np
@@ -55,6 +57,42 @@ class _ActiveTapes(threading.local):
 
 
 _ACTIVE = _ActiveTapes()
+
+# Work of at least this many elements goes to the helper thread (see
+# `helper_for`); below it, hand-offs of the interpreter lock cost more than
+# the second core gives.  On a 2-vCPU VM with one BLAS thread, a `vacgan`
+# step of the mixture architecture at hidden width w took, helper over
+# serial (runs of 12 alternating 50-step chunks), 1.19 at w = 192 (39,938
+# generator parameters), 0.98-1.05 at w = 224 (53,762), 0.94-0.95 at
+# w = 240 (61,442) and 0.94 at w = 256 (69,634).  Ring: 1,538; digits: 208,400.
+HELPER_MIN_PARAMS = 60_000
+_HELPER_NAME = "auxgan-helper"
+
+
+@functools.cache
+def _helper():
+    """The one helper thread, as a single-worker executor made on first use.
+
+    The import is here so that runs that never use the thread do not pay it.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix=_HELPER_NAME)
+
+
+def helper_for(size):
+    """The helper thread's executor for work of `size` elements, or None to run it here.
+
+    None below HELPER_MIN_PARAMS (checked first, so small runs never import
+    `concurrent.futures`), on the helper thread itself, and while the
+    `tracemalloc` module is loaded: whoever loaded it may start and stop
+    tracing around any call, and on CPython 3.11 stopping it while another
+    thread allocates can crash the process (a segfault in a numpy
+    allocation on the helper, under a profiler that traces each call).
+    """
+    if (size < HELPER_MIN_PARAMS or threading.current_thread().name.startswith(_HELPER_NAME)
+            or "tracemalloc" in sys.modules):
+        return None
+    return _helper()
 
 
 def share(helper, tasks):
@@ -170,16 +208,13 @@ class Tape:
     the reverse sweep is a valid topological order.  A tape may be replayed
     backward exactly once; training steps build a fresh tape each time.
     Only the leaves in `wrt` and the outputs that depend on them get
-    gradients; every other input is a constant on this tape.  With a
-    `helper` executor, `dense` rules share their two matrix products with
-    it (see `share`).
+    gradients; every other input is a constant on this tape.
     """
 
-    def __init__(self, wrt, helper=None):
+    def __init__(self, wrt):
         self._records = []  # backward closures, execution order
         self._spent = False
         self._needed = set(wrt)
-        self.helper = helper
 
     def __enter__(self):
         _ACTIVE.stack.append(self)
@@ -360,6 +395,8 @@ def dense(x, w, b, kind="linear", alpha=None):
         g = backward(out.grad, z, y, alpha)
         if need_b:
             b.accumulate_grad(g.sum(axis=0, out=b.grad_slot()))
+        # asked here, not when recording: a tape may be recorded on the helper thread
+        helper = helper_for(w.data.size) if need_x and need_w else None
         if helper is None:
             gx = _input_grad(g, w) if need_x else None
             gw = _weight_grad(x, g, w) if need_w else None
@@ -372,8 +409,6 @@ def dense(x, w, b, kind="linear", alpha=None):
             w.accumulate_grad(gw)
 
     need_x, need_w, need_b = _track(out, (x, w, b), bwd)
-    # only a rule that needs both products shares them with its tape's helper
-    helper = _ACTIVE.stack[-1].helper if need_x and need_w else None
     return out
 
 

@@ -10,6 +10,7 @@ import pytest
 import auxgan
 import auxgan.harness as harness
 import auxgan.schemes as schemes
+import auxgan.tensor as tensor
 from auxgan.cli import main
 from auxgan.data import GaussianMixtureSpec, write_synthetic_digit_files
 from auxgan.harness import (ConfusionMatrix, ExperimentConfig, MetricsRecord,
@@ -375,7 +376,7 @@ def test_probe_match_rate_holds_at_most_two_class_blocks_with_the_helper(monkeyp
     monkeypatch.delitem(sys.modules, "tracemalloc")
 
     def measured(helper_min_params):
-        monkeypatch.setattr(schemes, "HELPER_MIN_PARAMS", helper_min_params)
+        monkeypatch.setattr(tensor, "HELPER_MIN_PARAMS", helper_min_params)
         schemes._helper_for(trio.generator)  # a first use makes the executor: not measured
         tracemalloc.start()
         try:
@@ -393,7 +394,7 @@ def test_probe_match_rate_holds_at_most_two_class_blocks_with_the_helper(monkeyp
 
 
 def test_a_ring_run_starts_no_thread(tmp_path):
-    # ring networks are far below HELPER_MIN_PARAMS: the run stays on its
+    # ring networks are far below tensor.HELPER_MIN_PARAMS: the run stays on its
     # thread and never imports the executor
     code = "\n".join([
         "import sys, threading",

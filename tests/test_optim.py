@@ -1,13 +1,12 @@
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from auxgan import optim
-from auxgan.nn import MLP, DenseLayer
+from auxgan import optim, tensor
+from auxgan.nn import MLP
 from auxgan.optim import BLOCK, Adam, NesterovMomentum
 from auxgan.tensor import parameters
 
@@ -325,17 +324,10 @@ def test_a_segment_whose_arrays_do_not_fit_its_parameters_is_refused(optimizer):
             optimizer([segment])
 
 
-@pytest.mark.parametrize("optimizer", [Adam, NesterovMomentum])
-def test_step_never_writes_the_arrays_given_as_initial_weights(optimizer):
-    weights, bias = np.ones((3, 2)), np.zeros(2)
-    data, grads = np.empty(8), np.empty(8)
-    layer = DenseLayer(3, 2, weights=weights, bias=bias, buffers=(data, grads))
-    opt = optimizer([(layer.params(), data, grads)])
-    for p in layer.params():
-        p.accumulate_grad(np.ones(p.shape))
-    opt.step()
-    assert not np.array_equal(layer.weights.data, weights)
-    assert np.array_equal(weights, np.ones((3, 2))) and np.array_equal(bias, np.zeros(2))
+def _set_helper_min_params(monkeypatch, helper_min_params):
+    """Set HELPER_MIN_PARAMS, and unload tracemalloc, which keeps the helper off."""
+    monkeypatch.setattr(tensor, "HELPER_MIN_PARAMS", helper_min_params)
+    monkeypatch.delitem(sys.modules, "tracemalloc", raising=False)
 
 
 def _helper_takes_a_block(monkeypatch):
@@ -393,33 +385,34 @@ def test_a_shared_step_equals_the_serial_step_bit_for_bit_over_50_steps(optimize
     rng, interval = np.random.default_rng(9), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            for _ in range(50):
-                grads = [rng.normal(size=p.shape) for p in serial[0]]
-                for (params, opt), use in ((serial, None), (shared, helper)):
-                    for p, g in zip(params, grads):
-                        p.accumulate_grad(g)
-                    opt.step(use)
-                assert _state(*shared) == _state(*serial)
-                assert all(p.grad is None for p in shared[0])
+        for _ in range(50):
+            grads = [rng.normal(size=p.shape) for p in serial[0]]
+            for (params, opt), helper_min_params in ((serial, float("inf")), (shared, 0)):
+                _set_helper_min_params(monkeypatch, helper_min_params)
+                for p, g in zip(params, grads):
+                    p.accumulate_grad(g)
+                opt.step()
+            assert _state(*shared) == _state(*serial)
+            assert all(p.grad is None for p in shared[0])
     finally:
         sys.setswitchinterval(interval)
     assert sum(on_helper) >= (50 if forced else 1)
 
 
 def test_the_helpers_scratch_never_shares_memory_with_an_optimizers(monkeypatch):
-    # one block per helper, made on the first shared step, for every optimizer
+    # one block, made on the first shared step, for every optimizer
+    _set_helper_min_params(monkeypatch, 0)
     _helper_takes_a_block(monkeypatch)
+    optim._helper_scratch.cache_clear()
     segments = [_network_segment(), _network_segment()]
     opts = [Adam([segments[0]]), NesterovMomentum([segments[1]])]
     scratch = []
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        assert helper not in optim._HELPER_SCRATCH
-        for opt in opts:
-            for p in opt.params:
-                p.accumulate_grad(np.full(p.shape, 0.5))
-            opt.step(helper)
-            scratch.append(optim._HELPER_SCRATCH[helper])
+    for opt in opts:
+        for p in opt.params:
+            p.accumulate_grad(np.full(p.shape, 0.5))
+        opt.step()
+        assert optim._helper_scratch.cache_info().currsize == 1  # made by the step
+        scratch.append(optim._helper_scratch(BLOCK))
     assert scratch[1] is scratch[0] and scratch[0].size == BLOCK
     for opt, (_, data, grads) in zip(opts, segments):
         assert not any(np.shares_memory(scratch[0], a)

@@ -21,7 +21,8 @@ from auxgan.schemes import (LatentPartition, SchemeConfig, SharedTrunkClassifier
                             generator_class_loss, generator_loss, load_checkpoint,
                             load_probe_checkpoint, sample_latent,
                             save_checkpoint, save_probe_checkpoint, train_step)
-from auxgan import nn, schemes, tensor
+from auxgan import nn, optim, schemes, tensor
+from auxgan.optim import Adam, NesterovMomentum
 from auxgan.harness import _IMAGE_ARCH
 from auxgan.tensor import Tape, Tensor, bce_loss, mul
 from gradcheck import check_param_gradient
@@ -310,14 +311,41 @@ def _poison_classifier(trio):
     network.layers[0].weights.data[0, 0] = np.nan
 
 
-# HELPER_MIN_PARAMS settings: every step serial, then the helper thread forced on
+# tensor.HELPER_MIN_PARAMS settings: every step serial, then the helper thread forced on
 SERIAL_THEN_HELPER = (float("inf"), 0)
 
 
 def _set_helper_min_params(monkeypatch, helper_min_params):
     """Set HELPER_MIN_PARAMS, and unload tracemalloc, which keeps the helper off."""
-    monkeypatch.setattr(schemes, "HELPER_MIN_PARAMS", helper_min_params)
+    monkeypatch.setattr(tensor, "HELPER_MIN_PARAMS", helper_min_params)
     monkeypatch.delitem(sys.modules, "tracemalloc", raising=False)
+
+
+def _digit_setup(scheme, seed=40):
+    cfg = SchemeConfig(scheme=scheme, n_classes=10, noise_dim=16)
+    return cfg, build_trio(cfg, 784, rng=np.random.default_rng(seed), **_IMAGE_ARCH)
+
+
+def _digit_run(cfg, trio, steps, step=train_step, seed=41):
+    rng = np.random.default_rng(seed)
+    losses = []
+    for _ in range(steps):
+        real = LabeledBatch(features=rng.random((64, 784)), labels=rng.integers(0, 10, 64))
+        losses.append(step(real, rng.integers(0, 10, 64), trio, cfg, rng))
+    return losses
+
+
+def _record_forward_threads(monkeypatch):
+    """The set of threads that run a forward pass of any MLP from now on."""
+    threads, forward = set(), MLP.forward
+
+    def recording(network, x, upto=None):
+        threads.add(threading.current_thread())
+        return forward(network, x, upto)
+
+    monkeypatch.setattr(MLP, "forward", recording)
+    monkeypatch.setattr(MLP, "__call__", recording)
+    return threads
 
 
 def _state_bytes(trio):
@@ -331,7 +359,7 @@ def _state_bytes(trio):
 
 def _assert_no_helper_work_left(trio, right_after):
     """`right_after`, the state read as the error arrived, equals it once the helper is idle."""
-    schemes._helper().submit(lambda: None).result(timeout=60)  # one worker: earlier tasks are done
+    tensor._helper().submit(lambda: None).result(timeout=60)  # one worker: earlier tasks are done
     assert _state_bytes(trio) == right_after
 
 
@@ -357,8 +385,8 @@ def test_a_nan_classifier_weight_diverges_in_the_generator_step(scheme, monkeypa
         cfg, trio = _mixture_setup(scheme)
         g_before = trio.generator.param_buffer.copy()
 
-        def then_poison(network, opt, batch, helper=None, trio=trio):
-            loss = c_step(network, opt, batch, helper)
+        def then_poison(network, opt, batch, trio=trio):
+            loss = c_step(network, opt, batch)
             _poison_classifier(trio)
             return loss
 
@@ -484,25 +512,43 @@ def _reference_step(real, labels_for_fake, trio, config, rng):
     return StepLosses(step=trio.step, d_loss=d_loss.item(), g_loss=g_loss.item(), c_loss=c_loss)
 
 
+def _three_digit_steps(monkeypatch, scheme, step, helper_min_params):
+    """(losses, state) of three digit-width steps of `scheme` at `helper_min_params`."""
+    _set_helper_min_params(monkeypatch, helper_min_params)
+    cfg, trio = _digit_setup(scheme)
+    return _digit_run(cfg, trio, 3, step), _state_bytes(trio)
+
+
 @pytest.mark.parametrize("scheme", schemes.SCHEMES)
 def test_the_helper_thread_changes_no_bit_of_a_digit_width_step(scheme, monkeypatch):
     # serial and helper steps both give the reference step's bits
-    def three_steps(step, helper_min_params):
-        _set_helper_min_params(monkeypatch, helper_min_params)
-        cfg = SchemeConfig(scheme=scheme, n_classes=10, noise_dim=16)
-        trio = build_trio(cfg, 784, rng=np.random.default_rng(40), **_IMAGE_ARCH)
-        rng = np.random.default_rng(41)
-        losses = []
-        for _ in range(3):
-            real = LabeledBatch(features=rng.random((64, 784)), labels=rng.integers(0, 10, 64))
-            losses.append(step(real, rng.integers(0, 10, 64), trio, cfg, rng))
-        return losses, _state_bytes(trio)
-
-    reference = three_steps(_reference_step, float("inf"))
+    reference = _three_digit_steps(monkeypatch, scheme, _reference_step, float("inf"))
+    threads = _record_forward_threads(monkeypatch)
     for helper_min_params in SERIAL_THEN_HELPER:
-        losses, state = three_steps(train_step, helper_min_params)
-        assert losses == reference[0]
-        assert state == reference[1]
+        assert _three_digit_steps(monkeypatch, scheme, train_step, helper_min_params) == reference
+    assert len(threads) == 2  # the helper ran G(z_d)
+
+
+@pytest.mark.parametrize("scheme", ["vacgan", "acgan"])
+def test_a_one_argument_step_wrapper_gives_the_serial_bits_with_the_helper_on(scheme,
+                                                                              monkeypatch):
+    # the benchmark's tracer wraps each optimizer's step as a call of one
+    # argument; the optimizers still share their blocks with the helper
+    for cls in (Adam, NesterovMomentum):
+        monkeypatch.setattr(cls, "step", lambda opt, step=cls.step: step(opt))
+    serial = _three_digit_steps(monkeypatch, scheme, train_step, float("inf"))
+    blocks, share = [], optim.share
+
+    def counting(helper, tasks):
+        blocks.append(len(tasks))
+        return share(helper, tasks)
+
+    monkeypatch.setattr(optim, "share", counting)
+    threads = _record_forward_threads(monkeypatch)
+    assert _three_digit_steps(monkeypatch, scheme, train_step, 0) == serial
+    assert len(threads) == 2  # the helper ran G(z_d)
+    # D's and G's Adam steps, and acgan's C step after the join, shared their blocks
+    assert len(blocks) == 3 * (3 if scheme == "acgan" else 2) and min(blocks) > 1
 
 
 def _forward_threads(monkeypatch, *trios):
@@ -536,7 +582,7 @@ def test_vacgan_steps_its_classifier_on_the_helper_only_at_image_width(monkeypat
     monkeypatch.setattr(schemes, "classifier_step", recording)
     cfg = SchemeConfig(scheme="vacgan", n_classes=10, noise_dim=16)
     image_trio = build_trio(cfg, 784, rng=np.random.default_rng(42), **_IMAGE_ARCH)
-    assert image_trio.generator.param_buffer.size >= schemes.HELPER_MIN_PARAMS
+    assert image_trio.generator.param_buffer.size >= tensor.HELPER_MIN_PARAMS
     monkeypatch.setitem(sys.modules, "tracemalloc", tracemalloc)
     assert schemes._helper_for(image_trio.generator) is None  # loaded: no helper
     monkeypatch.delitem(sys.modules, "tracemalloc")
@@ -619,10 +665,11 @@ def test_run_beside_joins_the_side_and_raises_the_main_error_first():
 @pytest.mark.parametrize("failing_thread", ["calling", "helper"])
 def test_a_product_that_fails_in_the_generators_backward_pass_leaves_no_helper_work(
         failing_thread, monkeypatch):
-    # each thread computes one of the two products of a G layer; one fails,
-    # the other is slow, and the step raises only once it has finished
-    _set_helper_min_params(monkeypatch, 0)
-    cfg, trio = _mixture_setup("vacgan")
+    # each thread computes one of the two products of G's last layer, the
+    # one layer of a digit step whose weight is wide enough for the helper;
+    # one fails, the other is slow, and the step raises only once it has finished
+    _set_helper_min_params(monkeypatch, tensor.HELPER_MIN_PARAMS)
+    cfg, trio = _digit_setup("vacgan")
     g_before = trio.generator.param_buffer.tobytes()
     shared, done = tensor.share, []
 
@@ -644,7 +691,7 @@ def test_a_product_that_fails_in_the_generators_backward_pass_leaves_no_helper_w
 
     monkeypatch.setattr(tensor, "share", failing)
     with pytest.raises(RuntimeError, match=f"on the {failing_thread} thread failed"):
-        _run(cfg, trio, 1)
+        _digit_run(cfg, trio, 1)
     assert len(done) == 1  # the other product had finished when the step raised
     _assert_no_helper_work_left(trio, _state_bytes(trio))
     assert trio.generator.param_buffer.tobytes() == g_before

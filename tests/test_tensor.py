@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import special
 
 from auxgan import tensor
-from auxgan.nn import MLP, DenseLayer
+from auxgan.nn import MLP
 from auxgan.tensor import (ACTIVATIONS, Tape, Tensor, add, bce_loss, cce_loss, concat_cols,
                            dense, mul, parameters, share)
 from gradcheck import (check_input_gradient, check_param_gradient, relative_error,
@@ -190,10 +190,11 @@ def test_activation_values():
 def test_tensor_wraps_its_array_and_a_parameter_owns_a_copy():
     a = np.arange(6.0).reshape(2, 3)
     assert np.shares_memory(Tensor(a).data, a)
-    b = np.zeros(3)
-    layer = DenseLayer(2, 3, weights=a, bias=b)
-    assert not np.shares_memory(layer.weights.data, a)
-    assert not np.shares_memory(layer.bias.data, b)
+    # a parameter lives in its network's buffer: initial values are copied in
+    net = MLP((2, 3), ("linear",))
+    w = net.layers[0].weights
+    w.data[...] = a
+    assert np.shares_memory(w.data, net.param_buffer) and not np.shares_memory(w.data, a)
 
 
 @pytest.mark.parametrize("data", [np.empty(7), np.empty(5, dtype=np.float32)])
@@ -333,7 +334,7 @@ def test_dense_backward_writes_weight_gradients_into_the_layer_buffer():
     # real and the fake batch: the first term is built in the gradient view,
     # the second is added to it in place
     rng = np.random.default_rng(5)
-    layer = DenseLayer(784, 256, rng=rng)
+    layer = MLP((784, 256), ("linear",), rng=rng).layers[0]
     w, b = layer.weights, layer.bias
     x1, x2 = (Tensor(rng.normal(size=(64, 784))) for _ in range(2))
     ones = np.ones((64, 256))
@@ -355,7 +356,7 @@ def test_dense_backward_writes_weight_gradients_into_the_layer_buffer():
 
 def test_dense_backward_of_one_use_allocates_no_weight_gradient():
     rng = np.random.default_rng(6)
-    layer = DenseLayer(784, 256, rng=rng)
+    layer = MLP((784, 256), ("linear",), rng=rng).layers[0]
     x = Tensor(rng.normal(size=(64, 784)))
     with Tape(wrt=layer.params()) as tape:
         loss = weighted_sum(dense(x, layer.weights, layer.bias), np.ones((64, 256)))
@@ -413,9 +414,27 @@ def test_share_joins_the_helpers_task_and_raises_this_threads_error_first():
         assert finished == [1, 1] and never == [2]
 
 
-def test_a_tape_with_a_helper_shares_the_two_products_of_a_layer_and_changes_no_bit(monkeypatch):
-    # a digit-width generator: only the last layer needs both products,
-    # and the helper computes one of them
+def _set_helper_min_params(monkeypatch, helper_min_params):
+    """Set HELPER_MIN_PARAMS, and unload tracemalloc, which keeps the helper off."""
+    monkeypatch.setattr(tensor, "HELPER_MIN_PARAMS", helper_min_params)
+    monkeypatch.delitem(sys.modules, "tracemalloc", raising=False)
+
+
+def test_helper_for_gives_no_helper_below_the_threshold_under_tracemalloc_or_on_the_helper(
+        monkeypatch):
+    _set_helper_min_params(monkeypatch, 1000)
+    helper = tensor.helper_for(1000)
+    assert helper is tensor._helper() and tensor.helper_for(10**9) is helper
+    assert tensor.helper_for(999) is None
+    assert helper.submit(tensor.helper_for, 1000).result(timeout=60) is None
+    monkeypatch.setitem(sys.modules, "tracemalloc", tracemalloc)
+    assert tensor.helper_for(1000) is None
+
+
+def test_a_dense_rule_needing_both_products_of_a_wide_weight_shares_them_and_changes_no_bit(
+        monkeypatch):
+    # a digit-width generator: only the last layer needs both products, and
+    # its weight is wide enough for the helper, which computes one of them
     threads, calls, shared = [], [], tensor.share
 
     def recording(helper, tasks):
@@ -435,18 +454,19 @@ def test_a_tape_with_a_helper_shares_the_two_products_of_a_layer_and_changes_no_
 
     monkeypatch.setattr(tensor, "share", recording)
     net = MLP((26, 256, 784), ("relu", "sigmoid"), rng=np.random.default_rng(7))
+    assert net.layers[0].weights.data.size < tensor.HELPER_MIN_PARAMS
     x = Tensor(np.random.default_rng(8).normal(size=(64, 26)))
     weights = np.random.default_rng(9).normal(size=(64, 784))
     grads = []
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        for use in (None, helper):
-            with Tape(wrt=net.params(), helper=use) as tape:
-                loss = weighted_sum(net(x), weights)
-            tape.backward(loss)
-            grads.append(net.grad_buffer.tobytes())
-            for p in net.params():
-                assert p.grad is p.grad_view
-                p.grad = None
+    for helper_min_params in (float("inf"), tensor.HELPER_MIN_PARAMS):
+        _set_helper_min_params(monkeypatch, helper_min_params)
+        with Tape(wrt=net.params()) as tape:
+            loss = weighted_sum(net(x), weights)
+        tape.backward(loss)
+        grads.append(net.grad_buffer.tobytes())
+        for p in net.params():
+            assert p.grad is p.grad_view
+            p.grad = None
     assert grads[1] == grads[0]
     assert calls == [2]
     assert len(set(threads)) == 2

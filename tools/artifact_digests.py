@@ -13,7 +13,7 @@ and the probe bundle; not the digit corpus) and per eval's stdout, sorted by
 name.  Run it on two commits and diff the output.  `--tiny` runs the
 benchmark's smoke-test sizes and 40-step ring runs; the digit-width scheme
 runs are the same at both sizes.  `--serial` keeps every run off the helper
-thread (`schemes.HELPER_MIN_PARAMS` is set to infinity in this process), so
+thread (`tensor.HELPER_MIN_PARAMS` is set to infinity in this process), so
 the two outputs show whether the helper changes any bit.  BLAS is pinned to
 one thread before numpy loads.
 """
@@ -36,7 +36,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from auxgan import cli, harness, schemes  # noqa: E402
+from auxgan import cli, harness, tensor  # noqa: E402
 from auxgan.data import write_synthetic_digit_files  # noqa: E402
 
 CORPUS_DIR = "data"  # the synthetic digit corpus, an input rather than an artifact
@@ -106,7 +106,7 @@ def main(argv=None):
     parser.add_argument("--serial", action="store_true", help="never use the helper thread")
     args = parser.parse_args(argv)
     if args.serial:
-        schemes.HELPER_MIN_PARAMS = math.inf
+        tensor.HELPER_MIN_PARAMS = math.inf
     for name, digest in digests(args.seed, args.tiny):
         print(name, digest)
     return 0
