@@ -4,8 +4,11 @@ Subcommands:
 
 * ``train``              run an experiment from a JSON config
 * ``verify-identities``  cross-entropy / divergence identity check, CSV out
-* ``eval``               measure a saved generator against a probe or the mixture
+* ``eval``               recount a checkpoint's evaluation: match, JSD, confusion
 * ``grid``               render a per-class sample grid from a checkpoint
+
+``eval`` and ``grid`` redraw the run's rng streams at the checkpoint's step: on
+a finished run they reproduce its confusion.csv, last metrics row and grid.
 """
 
 import argparse
@@ -15,9 +18,8 @@ import sys
 import numpy as np
 
 from .divergence import random_family, verify_identity
-from .harness import (ExperimentConfig, Probe, class_match_rate, emit_sample_grid,
-                      probe_match_rate, rng_stream, run_experiment)
-from .data import GaussianMixtureSpec
+from .harness import (SAMPLES_PER_CLASS, ExperimentConfig, Probe, emit_sample_grid, evaluate,
+                      rng_stream, run_experiment)
 from .schemes import TrainingDiverged, load_checkpoint, load_probe_checkpoint
 
 
@@ -49,7 +51,7 @@ def _cmd_verify_identities(args):
 
 def _cmd_eval(args):
     trio, info = load_checkpoint(args.checkpoint)
-    rng = rng_stream(info["seed"], "cli_eval", info["step"])
+    probe = None
     if args.probe is not None:
         network, accuracy = load_probe_checkpoint(args.probe)
         for end, width, key, want in (("input", network.dims[0], "data_dim", trio.data_dim),
@@ -59,18 +61,12 @@ def _cmd_eval(args):
                 raise ValueError(f"probe {args.probe} has {end} width {width}, "
                                  f"the checkpoint's {key} is {want}")
         probe = Probe(network=network, test_accuracy=accuracy)
-        match, confusion = probe_match_rate(trio.generator, trio.partition, probe,
-                                            args.samples_per_class, rng)
-        print(f"probe test accuracy: {accuracy!r}")
-    elif trio.data_dim == 2:
-        spec = GaussianMixtureSpec.ring(n_classes=trio.config.n_classes)
-        match, confusion, _ = class_match_rate(trio.generator, trio.partition, spec,
-                                               args.samples_per_class, rng)
-    else:
-        print("a probe checkpoint is required to evaluate image generators",
-              file=sys.stderr)
-        return 2
+    match, confusion, jsd = evaluate(trio, probe, info["seed"], info["step"],
+                                     args.samples_per_class)
+    if probe is not None:
+        print(f"probe test accuracy: {probe.test_accuracy!r}")
     print(f"match rate: {match!r}")
+    print(f"jsd estimate: {jsd!r}")
     print("confusion (rows = requested class):")
     print(confusion.to_csv(), end="")
     if args.out is not None:
@@ -125,7 +121,9 @@ def build_parser():
                    help="run directory or manifest.txt path")
     p.add_argument("--probe", default=None,
                    help="probe checkpoint (required for image generators)")
-    p.add_argument("--samples-per-class", type=_at_least(1), default=200)
+    p.add_argument("--samples-per-class", type=_at_least(1), default=None,
+                   help="default: the run's own count, %(ring)d on the ring and %(probe)d "
+                        "with a probe" % SAMPLES_PER_CLASS)
     p.add_argument("--out", default=None, help="also write the confusion CSV here")
     p.set_defaults(func=_cmd_eval)
 

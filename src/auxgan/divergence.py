@@ -11,8 +11,8 @@ distributions are verified here with exact finite sums (no quadrature):
   generalized Jensen-Shannon divergence at uniform weights, so driving the
   cross-entropy down drives the divergence between the classes up.
 
-All entropies are in nats.  Logs of classifier tables are clamped at
-EPS = 1e-12, so a zero output costs a finite log(EPS).
+All entropies are in nats.  A table that gives a class zero where that
+class has mass has cross-entropy +inf, as KL(p||q) does where q = 0 < p.
 """
 
 import warnings
@@ -20,12 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-EPS = 1e-12  # clamp applied inside the log of a classifier output
 SUM_TOL = 1e-12  # probability vectors must sum to 1 within this
 
 
 class AbsoluteContinuityWarning(RuntimeWarning):
-    """Raised as a warning when KL(p||q) is +inf because q=0 where p>0."""
+    """Raised as a warning when KL(p||q) or a cross-entropy is +inf because q=0 where p>0."""
 
 
 class DiscreteDistribution:
@@ -193,16 +192,22 @@ def optimal_classifier(family):
 def cce_of_classifier(family, table):
     """Categorical cross-entropy -sum_i sum_x p_i(x) log(table[x][i]).
 
-    Logs are clamped at 1e-12; zero-mass terms contribute exactly zero.
+    Zero-mass terms contribute exactly zero; a zero output where the mass is
+    positive gives +inf with AbsoluteContinuityWarning.
     """
     if table.n_classes != family.n_members:
         raise ValueError(f"table has {table.n_classes} classes, family has {family.n_members}")
     if table.support.size and table.support.max() >= family.support_size:
         raise ValueError("table support indices exceed the family support")
     mass = family.members[:, table.support]  # (N, S_kept)
-    log_out = np.log(np.clip(table.outputs, EPS, 1.0))  # (S_kept, N)
-    # 0 * log(clamped 0) must be exactly 0, which holds because log is finite.
-    return float(-(mass * log_out.T).sum())
+    outputs = table.outputs  # (S_kept, N)
+    if not outputs.min() > 0.0:  # 1.0 where a member has no mass: its term is 0 * log 1
+        outputs = np.where(mass.T > 0.0, outputs, 1.0)
+        if not outputs.min() > 0.0:
+            warnings.warn("cross-entropy is +inf: the table gives zero where a member has mass",
+                          AbsoluteContinuityWarning, stacklevel=2)
+            return float("inf")
+    return float(-(mass * np.log(outputs).T).sum())
 
 
 def verify_identity(family):
@@ -225,8 +230,8 @@ def random_family(n_members, support_size, rng, min_offset=1e-3):
     """Random family with every probability bounded away from zero.
 
     The offset keeps normalized entries >= min_offset / (S * (1 + min_offset)),
-    which for support <= 64 keeps them above 1e-6, so the 1e-12 log clamp
-    never bites and identity residuals stay at float64 rounding level.
+    which for support <= 64 keeps them above 1e-6, so identity residuals stay
+    at float64 rounding level.
     """
     raw = rng.random((n_members, support_size)) + min_offset
     members = raw / raw.sum(axis=1, keepdims=True)

@@ -36,9 +36,10 @@ from .tensor import Tensor
 DATASETS = ("mixture2d", "mnist")
 
 # rng streams by name: the run-wide ones are default_rng([seed, tag]), the evaluation
-# ones at a step default_rng([seed, 2, step, *sub_tags]).  A retired tag is never reused.
+# ones at a step default_rng([seed, 2, step, *sub_tags]).  A retired tag is never
+# reused: sub-tag 9 was `auxgan eval`'s own stream, which now redraws `match`.
 _RUN_STREAMS = {"build": 0, "train": 1, "probe": 3}
-_EVAL_STREAMS = {"match": (), "grid": (2,), "cli_eval": (9,)}
+_EVAL_STREAMS = {"match": (), "grid": (2,)}
 
 
 def rng_stream(seed, name, step=None):
@@ -55,6 +56,7 @@ JSD_BINS = 32
 PROBE_ACCURACY_FLOOR = 0.95
 PROBE_BATCH_SIZE = 128
 PROBE_LEARNING_RATE = 1e-3
+SAMPLES_PER_CLASS = {"ring": 500, "probe": 200}  # of one evaluation, by its reader
 
 
 @dataclass
@@ -332,27 +334,23 @@ def _resolve_mnist_files(config, mnist_dir):
     return write_synthetic_digit_files(os.path.join(config.output_dir, "data"))
 
 
-def _evaluate(trio, config, mixture_spec, probe, step, losses, t0):
-    # one labelled sample set, generated and classified one class block at a
-    # time inside the match call
-    rng = rng_stream(config.seed, "match", step)
-    if config.dataset == "mixture2d":
-        match, confusion, points = class_match_rate(
-            trio.generator, trio.partition, mixture_spec, 500, rng)
-        jsd = jsd_snapshot(points)
-    else:
-        match, confusion = probe_match_rate(trio.generator, trio.partition, probe, 200, rng)
-        jsd = probe_label_jsd(confusion)
-    record = MetricsRecord(
-        step=step,
-        d_loss=None if losses is None else losses.d_loss,
-        g_loss=None if losses is None else losses.g_loss,
-        c_loss=None if losses is None else losses.c_loss,
-        class_match_rate=match,
-        jsd_estimate=jsd,
-        wall_time=time.time() - t0,
-    )
-    return record, confusion
+def evaluate(trio, probe, seed, step, samples_per_class=None):
+    """(match, confusion, jsd) of the generator on the sample set of the run's `step`.
+
+    It draws the `match` stream of (seed, step), so a finished run's checkpoint
+    recounts its confusion.csv.  With no probe the ring's nearest mean reads it.
+    """
+    reader = "ring" if probe is None else "probe"
+    n = SAMPLES_PER_CLASS[reader] if samples_per_class is None else samples_per_class
+    rng = rng_stream(seed, "match", step)
+    if probe is not None:
+        match, confusion = probe_match_rate(trio.generator, trio.partition, probe, n, rng)
+        return match, confusion, probe_label_jsd(confusion)
+    if trio.data_dim != 2:
+        raise ValueError("a probe checkpoint is required to evaluate image generators")
+    spec = GaussianMixtureSpec.ring(n_classes=trio.partition.n_classes)
+    match, confusion, points = class_match_rate(trio.generator, trio.partition, spec, n, rng)
+    return match, confusion, jsd_snapshot(points)
 
 
 def run_experiment(config, mnist_dir=None, log=print):
@@ -367,9 +365,7 @@ def run_experiment(config, mnist_dir=None, log=print):
     os.makedirs(config.output_dir, exist_ok=True)
     scheme_cfg = config.scheme
 
-    mixture_spec = None
-    probe = None
-    train_set = None
+    mixture_spec = probe = train_set = None
     if config.dataset == "mixture2d":
         if scheme_cfg.n_classes > 8:
             raise ValueError("the ring layout supports at most 8 well-separated classes")
@@ -404,7 +400,10 @@ def run_experiment(config, mnist_dir=None, log=print):
 
         def emit(step, losses):
             nonlocal record, confusion
-            record, confusion = _evaluate(trio, config, mixture_spec, probe, step, losses, t0)
+            match, confusion, jsd = evaluate(trio, probe, config.seed, step)
+            record = MetricsRecord(
+                step, *(getattr(losses, name, None) for name in ("d_loss", "g_loss", "c_loss")),
+                class_match_rate=match, jsd_estimate=jsd, wall_time=time.time() - t0)
             metrics_file.write(record.csv_row() + "\n")
             metrics_file.flush()
             log(f"step {record.step}: match={record.class_match_rate:.3f} "

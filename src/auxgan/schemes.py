@@ -186,9 +186,6 @@ class SharedTrunkClassifier:
         """Optimizer segments: the discriminator's trunk (a prefix of its buffers), the head."""
         return [self.discriminator.segment(upto=-1), self.head.segment()]
 
-    def params(self):
-        return [p for params, _, _ in self.segments() for p in params]
-
 
 @dataclass
 class TrioState:

@@ -33,7 +33,7 @@ def test_parser_knows_all_subcommands():
     args = parser.parse_args(["train", "--config", "c.json"])
     assert args.out is None and args.mnist_dir is None
     args = parser.parse_args(["eval", "--checkpoint", "run"])
-    assert args.samples_per_class == 200
+    assert args.samples_per_class is None  # harness.evaluate takes the run's own count
     args = parser.parse_args(["grid", "--checkpoint", "run"])
     assert args.cols == 8
 
@@ -79,6 +79,14 @@ def test_train_then_eval_mixture(tmp_path, capsys):
     lines = (out_dir / "metrics.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in lines] == ["step", "0", "10", "20"]
     capsys.readouterr()
+
+    # without --samples-per-class, eval recounts the run's last evaluation
+    recount_path = tmp_path / "recount.csv"
+    assert main(["eval", "--checkpoint", str(out_dir), "--out", str(recount_path)]) == 0
+    assert recount_path.read_bytes() == (out_dir / "confusion.csv").read_bytes()
+    last = lines[-1].split(",")
+    out, _ = capsys.readouterr()
+    assert f"match rate: {last[4]}\n" in out and f"jsd estimate: {last[5]}\n" in out
 
     confusion_path = tmp_path / "confusion_eval.csv"
     rc = main(["eval", "--checkpoint", str(out_dir),

@@ -206,6 +206,20 @@ def test_cce_one_hot_on_disjoint_supports_is_zero():
     assert abs(cce) <= 1e-9
 
 
+def test_cce_of_a_zero_output_where_a_member_has_mass_is_inf():
+    fam = _family([0.5, 0.5], [0.0, 1.0])
+    with pytest.warns(AbsoluteContinuityWarning):
+        assert cce_of_classifier(fam, ClassifierTable([[1.0, 0.0], [0.0, 1.0]])) == np.inf
+
+
+def test_cce_reads_zero_outputs_without_mass_and_tiny_outputs_unclamped():
+    # member 1 has no mass at point 0, so the table's zero there costs nothing;
+    # an output of 1e-300 costs its own log, not a clamp's
+    fam = _family([0.5, 0.5], [0.0, 1.0])
+    table = ClassifierTable([[1.0, 0.0], [1e-300, 1.0]])
+    assert cce_of_classifier(fam, table) == -0.5 * np.log(1e-300)
+
+
 def test_cce_shape_mismatch():
     fam = _family([0.5, 0.5], [0.4, 0.6])
     bad = ClassifierTable(np.full((2, 3), 1.0 / 3.0))

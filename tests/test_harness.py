@@ -279,15 +279,14 @@ def test_one_evaluation_runs_the_generator_once(dataset):
     partition = LatentPartition(n_classes=n, noise_dim=2)
     spec = GaussianMixtureSpec.ring(n_classes=n)
     gen = CountingGenerator(spec.means if dataset == "mixture2d" else np.eye(n), n)
-    trio = SimpleNamespace(generator=gen, partition=partition)
-    config = ExperimentConfig(dataset=dataset,
-                              scheme=SchemeConfig(scheme="gan", n_classes=n, noise_dim=2))
-    probe = Probe(network=IdentityNetwork(), test_accuracy=1.0)
-    record, _ = harness._evaluate(trio, config, spec, probe, 0, None, 0.0)
+    trio = SimpleNamespace(generator=gen, partition=partition, data_dim=gen.rows.shape[1])
+    probe = None if dataset == "mixture2d" else Probe(network=IdentityNetwork(),
+                                                      test_accuracy=1.0)
+    match, _, jsd = harness.evaluate(trio, probe, 0, 0)
     assert sum(len(block) for block in gen.blocks) == n * per_class
     assert [np.unique(block).tolist() for block in gen.blocks] == [[c] for c in range(n)]
-    assert record.class_match_rate == 1.0
-    assert record.jsd_estimate == pytest.approx(np.log(n), abs=1e-9)
+    assert match == 1.0
+    assert jsd == pytest.approx(np.log(n), abs=1e-9)
 
 
 def _random_trio(data_dim, seed):
@@ -520,7 +519,7 @@ def digits_dir(tmp_path_factory):
     return directory
 
 
-def test_run_mnist_writes_probe_grid_and_metrics(tmp_path, digits_dir):
+def test_run_mnist_writes_probe_grid_and_metrics(tmp_path, digits_dir, capsys):
     out = tmp_path / "mrun"
     cfg = ExperimentConfig(
         dataset="mnist",
@@ -537,7 +536,14 @@ def test_run_mnist_writes_probe_grid_and_metrics(tmp_path, digits_dir):
     # the grid subcommand draws the same rng stream from the checkpoint
     assert main(["grid", "--checkpoint", str(out), "--out", str(tmp_path / "again.pgm")]) == 0
     assert (tmp_path / "again.pgm").read_bytes() == grid
+    # and eval the same sample set as the run's last evaluation
+    assert main(["eval", "--checkpoint", str(out), "--probe", str(out / "probe"),
+                 "--out", str(tmp_path / "recount.csv")]) == 0
+    assert (tmp_path / "recount.csv").read_bytes() == (out / "confusion.csv").read_bytes()
     lines = (out / "metrics.csv").read_text().splitlines()
+    last = lines[-1].split(",")
+    printed = capsys.readouterr()[0]
+    assert f"match rate: {last[4]}\n" in printed and f"jsd estimate: {last[5]}\n" in printed
     assert len(lines) == 4  # header plus steps 0, 20, 40
     confusion = np.loadtxt(out / "confusion.csv", delimiter=",", dtype=int)
     assert confusion.shape == (10, 10)

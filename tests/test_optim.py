@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from auxgan import optim, tensor
+from auxgan import optim
 from auxgan.nn import MLP
 from auxgan.optim import BLOCK, Adam, NesterovMomentum
 from auxgan.tensor import parameters
@@ -324,12 +324,6 @@ def test_a_segment_whose_arrays_do_not_fit_its_parameters_is_refused(optimizer):
             optimizer([segment])
 
 
-def _set_helper_min_params(monkeypatch, helper_min_params):
-    """Set HELPER_MIN_PARAMS, and unload tracemalloc, which keeps the helper off."""
-    monkeypatch.setattr(tensor, "HELPER_MIN_PARAMS", helper_min_params)
-    monkeypatch.delitem(sys.modules, "tracemalloc", raising=False)
-
-
 def _helper_takes_a_block(monkeypatch):
     """Make every shared step hand the helper a block: the first waits until the second started."""
     share = optim.share
@@ -356,8 +350,8 @@ def _state(params, opt):
 
 @pytest.mark.parametrize("optimizer", [Adam, NesterovMomentum])
 @pytest.mark.parametrize("forced", [False, True])
-def test_a_shared_step_equals_the_serial_step_bit_for_bit_over_50_steps(optimizer, forced,
-                                                                        monkeypatch):
+def test_a_shared_step_equals_the_serial_step_bit_for_bit_over_50_steps(
+        optimizer, forced, monkeypatch, set_helper_min_params):
     # segments of several small blocks, each big enough for numpy to let
     # the other thread run; unforced, the helper takes blocks as it can
     monkeypatch.setattr(optim, "BLOCK", 1024)
@@ -388,7 +382,7 @@ def test_a_shared_step_equals_the_serial_step_bit_for_bit_over_50_steps(optimize
         for _ in range(50):
             grads = [rng.normal(size=p.shape) for p in serial[0]]
             for (params, opt), helper_min_params in ((serial, float("inf")), (shared, 0)):
-                _set_helper_min_params(monkeypatch, helper_min_params)
+                set_helper_min_params(helper_min_params)
                 for p, g in zip(params, grads):
                     p.accumulate_grad(g)
                 opt.step()
@@ -399,9 +393,10 @@ def test_a_shared_step_equals_the_serial_step_bit_for_bit_over_50_steps(optimize
     assert sum(on_helper) >= (50 if forced else 1)
 
 
-def test_the_helpers_scratch_never_shares_memory_with_an_optimizers(monkeypatch):
+def test_the_helpers_scratch_never_shares_memory_with_an_optimizers(monkeypatch,
+                                                                   set_helper_min_params):
     # one block, made on the first shared step, for every optimizer
-    _set_helper_min_params(monkeypatch, 0)
+    set_helper_min_params(0)
     _helper_takes_a_block(monkeypatch)
     optim._helper_scratch.cache_clear()
     segments = [_network_segment(), _network_segment()]

@@ -124,7 +124,8 @@ def test_acgan_classifier_shares_discriminator_trunk():
     assert isinstance(trio.classifier, SharedTrunkClassifier)
     assert trio.classifier.discriminator is trio.discriminator
     trunk_params = {id(p) for layer in trio.discriminator.layers[:-1] for p in layer.params()}
-    assert trunk_params <= {id(p) for p in trio.classifier.params()}
+    segment_params = {id(p) for params, _, _ in trio.classifier.segments() for p in params}
+    assert trunk_params <= segment_params
 
 
 def test_vacgan_classifier_is_separate():
@@ -315,12 +316,6 @@ def _poison_classifier(trio):
 SERIAL_THEN_HELPER = (float("inf"), 0)
 
 
-def _set_helper_min_params(monkeypatch, helper_min_params):
-    """Set HELPER_MIN_PARAMS, and unload tracemalloc, which keeps the helper off."""
-    monkeypatch.setattr(tensor, "HELPER_MIN_PARAMS", helper_min_params)
-    monkeypatch.delitem(sys.modules, "tracemalloc", raising=False)
-
-
 def _digit_setup(scheme, seed=40):
     cfg = SchemeConfig(scheme=scheme, n_classes=10, noise_dim=16)
     return cfg, build_trio(cfg, 784, rng=np.random.default_rng(seed), **_IMAGE_ARCH)
@@ -364,9 +359,9 @@ def _assert_no_helper_work_left(trio, right_after):
 
 
 @pytest.mark.parametrize("scheme", ["vacgan", "acgan"])
-def test_a_nan_classifier_weight_diverges_in_the_classifier_step(scheme, monkeypatch):
+def test_a_nan_classifier_weight_diverges_in_the_classifier_step(scheme, set_helper_min_params):
     for helper_min_params in SERIAL_THEN_HELPER:
-        _set_helper_min_params(monkeypatch, helper_min_params)
+        set_helper_min_params(helper_min_params)
         cfg, trio = _mixture_setup(scheme)
         _poison_classifier(trio)
         with pytest.raises(TrainingDiverged, match="classifier output in the classifier step"):
@@ -376,12 +371,13 @@ def test_a_nan_classifier_weight_diverges_in_the_classifier_step(scheme, monkeyp
 
 
 @pytest.mark.parametrize("scheme", ["vacgan", "acgan"])
-def test_a_nan_classifier_weight_diverges_in_the_generator_step(scheme, monkeypatch):
+def test_a_nan_classifier_weight_diverges_in_the_generator_step(scheme, monkeypatch,
+                                                               set_helper_min_params):
     # the weight turns NaN after the classifier step, so only the classifier's
     # half of the generator loss reads it: on the helper for vacgan once it is on
     c_step = schemes.classifier_step
     for helper_min_params in SERIAL_THEN_HELPER:
-        _set_helper_min_params(monkeypatch, helper_min_params)
+        set_helper_min_params(helper_min_params)
         cfg, trio = _mixture_setup(scheme)
         g_before = trio.generator.param_buffer.copy()
 
@@ -411,12 +407,12 @@ def test_train_step_trains_the_classifier_on_real_data_only():
         assert np.array_equal(p.data, q.data)
 
 
-def test_discriminator_step_never_touches_classifier(monkeypatch):
+def test_discriminator_step_never_touches_classifier(monkeypatch, set_helper_min_params):
     # with C's own step patched out, the rest of train_step (D's step, whose
     # Adam may share its blocks with the helper, then G's) leaves C as it was
     monkeypatch.setattr(schemes, "classifier_step", lambda *args: 0.0)
     for helper_min_params in SERIAL_THEN_HELPER:
-        _set_helper_min_params(monkeypatch, helper_min_params)
+        set_helper_min_params(helper_min_params)
         cfg, trio = _mixture_setup("vacgan", n_classes=2)
         c_before = trio.classifier.param_buffer.tobytes(), trio.c_opt.velocity.tobytes()
         d_before = trio.discriminator.param_buffer.tobytes()
@@ -463,10 +459,10 @@ def test_a_nan_discriminator_weight_diverges_in_the_discriminator_step():
     assert trio.discriminator.param_buffer.tobytes() == d_before.tobytes()
 
 
-def test_train_step_nan_abort_names_the_loss(monkeypatch):
+def test_train_step_nan_abort_names_the_loss(set_helper_min_params):
     messages = []
     for helper_min_params in SERIAL_THEN_HELPER:
-        _set_helper_min_params(monkeypatch, helper_min_params)
+        set_helper_min_params(helper_min_params)
         cfg, trio = _mixture_setup("vacgan")
         trio.generator.layers[0].weights.data[0, 0] = np.nan
         spec = GaussianMixtureSpec.ring(n_classes=2)
@@ -512,31 +508,33 @@ def _reference_step(real, labels_for_fake, trio, config, rng):
     return StepLosses(step=trio.step, d_loss=d_loss.item(), g_loss=g_loss.item(), c_loss=c_loss)
 
 
-def _three_digit_steps(monkeypatch, scheme, step, helper_min_params):
+def _three_digit_steps(set_min_params, scheme, step, helper_min_params):
     """(losses, state) of three digit-width steps of `scheme` at `helper_min_params`."""
-    _set_helper_min_params(monkeypatch, helper_min_params)
+    set_min_params(helper_min_params)
     cfg, trio = _digit_setup(scheme)
     return _digit_run(cfg, trio, 3, step), _state_bytes(trio)
 
 
 @pytest.mark.parametrize("scheme", schemes.SCHEMES)
-def test_the_helper_thread_changes_no_bit_of_a_digit_width_step(scheme, monkeypatch):
+def test_the_helper_thread_changes_no_bit_of_a_digit_width_step(scheme, monkeypatch,
+                                                               set_helper_min_params):
     # serial and helper steps both give the reference step's bits
-    reference = _three_digit_steps(monkeypatch, scheme, _reference_step, float("inf"))
+    reference = _three_digit_steps(set_helper_min_params, scheme, _reference_step, float("inf"))
     threads = _record_forward_threads(monkeypatch)
     for helper_min_params in SERIAL_THEN_HELPER:
-        assert _three_digit_steps(monkeypatch, scheme, train_step, helper_min_params) == reference
+        assert _three_digit_steps(set_helper_min_params, scheme, train_step,
+                                  helper_min_params) == reference
     assert len(threads) == 2  # the helper ran G(z_d)
 
 
 @pytest.mark.parametrize("scheme", ["vacgan", "acgan"])
-def test_a_one_argument_step_wrapper_gives_the_serial_bits_with_the_helper_on(scheme,
-                                                                              monkeypatch):
+def test_a_one_argument_step_wrapper_gives_the_serial_bits_with_the_helper_on(
+        scheme, monkeypatch, set_helper_min_params):
     # the benchmark's tracer wraps each optimizer's step as a call of one
     # argument; the optimizers still share their blocks with the helper
     for cls in (Adam, NesterovMomentum):
         monkeypatch.setattr(cls, "step", lambda opt, step=cls.step: step(opt))
-    serial = _three_digit_steps(monkeypatch, scheme, train_step, float("inf"))
+    serial = _three_digit_steps(set_helper_min_params, scheme, train_step, float("inf"))
     blocks, share = [], optim.share
 
     def counting(helper, tasks):
@@ -545,7 +543,7 @@ def test_a_one_argument_step_wrapper_gives_the_serial_bits_with_the_helper_on(sc
 
     monkeypatch.setattr(optim, "share", counting)
     threads = _record_forward_threads(monkeypatch)
-    assert _three_digit_steps(monkeypatch, scheme, train_step, 0) == serial
+    assert _three_digit_steps(set_helper_min_params, scheme, train_step, 0) == serial
     assert len(threads) == 2  # the helper ran G(z_d)
     # D's and G's Adam steps, and acgan's C step after the join, shared their blocks
     assert len(blocks) == 3 * (3 if scheme == "acgan" else 2) and min(blocks) > 1
@@ -603,10 +601,11 @@ def test_vacgan_steps_its_classifier_on_the_helper_only_at_image_width(monkeypat
         assert (thread is threading.main_thread()) is (name == "D"), name
 
 
-def test_a_discriminator_error_before_the_fake_batch_arrives_waits_for_the_helper(monkeypatch):
+def test_a_discriminator_error_before_the_fake_batch_arrives_waits_for_the_helper(
+        monkeypatch, set_helper_min_params):
     # D fails on the real batch while the helper still makes G(z_d), which
     # then fails too: the step joins the helper and raises D's error
-    _set_helper_min_params(monkeypatch, 0)
+    set_helper_min_params(0)
     cfg, trio = _mixture_setup("vacgan")
     generated, forward = [], MLP.forward
 
@@ -664,11 +663,11 @@ def test_run_beside_joins_the_side_and_raises_the_main_error_first():
 
 @pytest.mark.parametrize("failing_thread", ["calling", "helper"])
 def test_a_product_that_fails_in_the_generators_backward_pass_leaves_no_helper_work(
-        failing_thread, monkeypatch):
+        failing_thread, monkeypatch, set_helper_min_params):
     # each thread computes one of the two products of G's last layer, the
     # one layer of a digit step whose weight is wide enough for the helper;
     # one fails, the other is slow, and the step raises only once it has finished
-    _set_helper_min_params(monkeypatch, tensor.HELPER_MIN_PARAMS)
+    set_helper_min_params(tensor.HELPER_MIN_PARAMS)
     cfg, trio = _digit_setup("vacgan")
     g_before = trio.generator.param_buffer.tobytes()
     shared, done = tensor.share, []

@@ -414,15 +414,9 @@ def test_share_joins_the_helpers_task_and_raises_this_threads_error_first():
         assert finished == [1, 1] and never == [2]
 
 
-def _set_helper_min_params(monkeypatch, helper_min_params):
-    """Set HELPER_MIN_PARAMS, and unload tracemalloc, which keeps the helper off."""
-    monkeypatch.setattr(tensor, "HELPER_MIN_PARAMS", helper_min_params)
-    monkeypatch.delitem(sys.modules, "tracemalloc", raising=False)
-
-
 def test_helper_for_gives_no_helper_below_the_threshold_under_tracemalloc_or_on_the_helper(
-        monkeypatch):
-    _set_helper_min_params(monkeypatch, 1000)
+        monkeypatch, set_helper_min_params):
+    set_helper_min_params(1000)
     helper = tensor.helper_for(1000)
     assert helper is tensor._helper() and tensor.helper_for(10**9) is helper
     assert tensor.helper_for(999) is None
@@ -432,7 +426,7 @@ def test_helper_for_gives_no_helper_below_the_threshold_under_tracemalloc_or_on_
 
 
 def test_a_dense_rule_needing_both_products_of_a_wide_weight_shares_them_and_changes_no_bit(
-        monkeypatch):
+        monkeypatch, set_helper_min_params):
     # a digit-width generator: only the last layer needs both products, and
     # its weight is wide enough for the helper, which computes one of them
     threads, calls, shared = [], [], tensor.share
@@ -459,7 +453,7 @@ def test_a_dense_rule_needing_both_products_of_a_wide_weight_shares_them_and_cha
     weights = np.random.default_rng(9).normal(size=(64, 784))
     grads = []
     for helper_min_params in (float("inf"), tensor.HELPER_MIN_PARAMS):
-        _set_helper_min_params(monkeypatch, helper_min_params)
+        set_helper_min_params(helper_min_params)
         with Tape(wrt=net.params()) as tape:
             loss = weighted_sum(net(x), weights)
         tape.backward(loss)

@@ -7,10 +7,10 @@ configurations (`ring` and `digits`, built by perfbench/workloads.py),
 200-step `gan`, `cgan` and `acgan` runs on the ring, and 1-epoch digit-width
 `gan`, `cgan` and `acgan` runs on the smoke test's tiny digit corpus
 (`digits-gan` and so on), then `auxgan eval` on the ring, `acgan` and digit
-checkpoints.  Prints one `name sha256` line per file a run writes
-(metrics.csv, checkpoint.bin, manifest.txt, confusion.csv, the sample grid
-and the probe bundle; not the digit corpus) and per eval's stdout, sorted by
-name.  Run it on two commits and diff the output.  `--tiny` runs the
+checkpoints, which recounts each run's last evaluation.  Prints one
+`name sha256` line per file a run writes (metrics.csv, checkpoint.bin,
+manifest.txt, confusion.csv, the sample grid and the probe bundle; not the
+digit corpus) and per eval's stdout, sorted by name.  Run it on two commits and diff the output.  `--tiny` runs the
 benchmark's smoke-test sizes and 40-step ring runs; the digit-width scheme
 runs are the same at both sizes.  `--serial` keeps every run off the helper
 thread (`tensor.HELPER_MIN_PARAMS` is set to infinity in this process), so
