@@ -50,13 +50,6 @@ class DiscreteDistribution:
             raise ValueError("weights must have positive total mass")
         return cls(weights / total)
 
-    @property
-    def support_size(self):
-        return self.probs.size
-
-    def __len__(self):
-        return self.probs.size
-
 
 def _probs(p):
     if isinstance(p, DiscreteDistribution):
@@ -200,13 +193,12 @@ def cce_of_classifier(family, table):
     if table.support.size and table.support.max() >= family.support_size:
         raise ValueError("table support indices exceed the family support")
     mass = family.members[:, table.support]  # (N, S_kept)
-    outputs = table.outputs  # (S_kept, N)
-    if not outputs.min() > 0.0:  # 1.0 where a member has no mass: its term is 0 * log 1
-        outputs = np.where(mass.T > 0.0, outputs, 1.0)
-        if not outputs.min() > 0.0:
-            warnings.warn("cross-entropy is +inf: the table gives zero where a member has mass",
-                          AbsoluteContinuityWarning, stacklevel=2)
-            return float("inf")
+    # (S_kept, N), 1.0 where a member has no mass: its term is 0 * log 1
+    outputs = np.where(mass.T > 0.0, table.outputs, 1.0)
+    if not outputs.min() > 0.0:
+        warnings.warn("cross-entropy is +inf: the table gives zero where a member has mass",
+                      AbsoluteContinuityWarning, stacklevel=2)
+        return float("inf")
     return float(-(mass * np.log(outputs).T).sum())
 
 

@@ -365,7 +365,9 @@ def run_experiment(config, mnist_dir=None, log=print):
     os.makedirs(config.output_dir, exist_ok=True)
     scheme_cfg = config.scheme
 
-    mixture_spec = probe = train_set = None
+    mixture_spec = None
+    probe = None
+    train_set = None
     if config.dataset == "mixture2d":
         if scheme_cfg.n_classes > 8:
             raise ValueError("the ring layout supports at most 8 well-separated classes")
@@ -402,8 +404,14 @@ def run_experiment(config, mnist_dir=None, log=print):
             nonlocal record, confusion
             match, confusion, jsd = evaluate(trio, probe, config.seed, step)
             record = MetricsRecord(
-                step, *(getattr(losses, name, None) for name in ("d_loss", "g_loss", "c_loss")),
-                class_match_rate=match, jsd_estimate=jsd, wall_time=time.time() - t0)
+                step=step,
+                d_loss=None if losses is None else losses.d_loss,
+                g_loss=None if losses is None else losses.g_loss,
+                c_loss=None if losses is None else losses.c_loss,
+                class_match_rate=match,
+                jsd_estimate=jsd,
+                wall_time=time.time() - t0,
+            )
             metrics_file.write(record.csv_row() + "\n")
             metrics_file.flush()
             log(f"step {record.step}: match={record.class_match_rate:.3f} "

@@ -10,12 +10,12 @@ configurations (`ring` and `digits`, built by perfbench/workloads.py),
 checkpoints, which recounts each run's last evaluation.  Prints one
 `name sha256` line per file a run writes (metrics.csv, checkpoint.bin,
 manifest.txt, confusion.csv, the sample grid and the probe bundle; not the
-digit corpus) and per eval's stdout, sorted by name.  Run it on two commits and diff the output.  `--tiny` runs the
-benchmark's smoke-test sizes and 40-step ring runs; the digit-width scheme
-runs are the same at both sizes.  `--serial` keeps every run off the helper
-thread (`tensor.HELPER_MIN_PARAMS` is set to infinity in this process), so
-the two outputs show whether the helper changes any bit.  BLAS is pinned to
-one thread before numpy loads.
+digit corpus) and per eval's stdout, sorted by name.  Run it on two commits
+and diff the output.  `--tiny` runs the benchmark's smoke-test sizes and
+40-step ring runs; the digit-width scheme runs are the same at both sizes.
+`--serial` keeps every run off the helper thread (`tensor.HELPER_MIN_PARAMS`
+is set to infinity in this process), so the two outputs show whether the
+helper changes any bit.  BLAS is pinned to one thread before numpy loads.
 """
 
 import os
