@@ -41,15 +41,6 @@ class DiscreteDistribution:
             raise ValueError(f"distribution must sum to 1 within {SUM_TOL}, got {probs.sum()!r}")
         self.probs = probs
 
-    @classmethod
-    def from_weights(cls, weights):
-        """Normalize non-negative weights into a distribution."""
-        weights = np.asarray(weights, dtype=np.float64)
-        total = weights.sum()
-        if not total > 0.0:  # a NaN total fails too
-            raise ValueError("weights must have positive total mass")
-        return cls(weights / total)
-
 
 def _probs(p):
     if isinstance(p, DiscreteDistribution):

@@ -6,6 +6,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import auxgan
 import auxgan.harness as harness
@@ -13,9 +16,9 @@ import auxgan.schemes as schemes
 import auxgan.tensor as tensor
 from auxgan.cli import main
 from auxgan.data import GaussianMixtureSpec, write_synthetic_digit_files
-from auxgan.harness import (ConfusionMatrix, ExperimentConfig, MetricsRecord,
-                            Probe, class_match_rate, emit_sample_grid,
-                            jsd_snapshot, probe_label_jsd,
+from auxgan.harness import (JSD_BINS, JSD_BOX, ConfusionMatrix, ExperimentConfig,
+                            MetricsRecord, Probe, class_histograms, class_match_rate,
+                            emit_sample_grid, jsd_snapshot, probe_label_jsd,
                             probe_match_rate, run_experiment)
 from auxgan.divergence import DistributionFamily, generalized_jsd
 from auxgan.nn import MLP
@@ -170,6 +173,39 @@ def test_class_match_rate_tie_breaks_to_lowest_index():
     assert cm.counts[:, 1:].sum() == 0
 
 
+class PointSetGenerator:
+    """Stub generator: a block of requested class c gives the rows of sets[c]."""
+
+    def __init__(self, sets):
+        self.sets = np.asarray(sets, dtype=float)
+
+    def __call__(self, z):
+        labels = z.data[:, :len(self.sets)].argmax(axis=1)
+        return Tensor(self.sets[labels[0]][:len(labels)])
+
+
+def test_class_match_rate_equals_the_summed_squares_reference():
+    # (t, t) is exactly as far from (1, 0) as from (0, 1), (-t, -t) from (-1, 0)
+    # as from (0, -1), and (t, -t) from (1, 0) as from (0, -1): each tie goes to
+    # the lower class index.  A NaN point is at NaN from every mean: class 0.
+    means = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    spec = GaussianMixtureSpec(n_classes=4, means=means)
+    t = np.array([0.3, 0.7, 1.9, 5.0, 1e-3])
+    sets = np.stack([np.c_[t, t], np.c_[-t, -t], np.c_[t, -t],
+                     [[0.0, 0.0], [np.nan, 0.5], [0.25, np.nan], [np.inf, 1.0], [0.1, -2.0]]])
+    partition = LatentPartition(n_classes=4, noise_dim=2)
+    rate, cm, points = class_match_rate(PointSetGenerator(sets), partition, spec, len(t),
+                                        np.random.default_rng(0))
+    assert points.tobytes() == sets.tobytes()
+
+    assigned = ((sets[:, :, None, :] - means) ** 2).sum(axis=-1).argmin(axis=-1)
+    assert np.array_equal(cm.counts, _reference_confusion(np.repeat(np.arange(4), len(t)),
+                                                          assigned.ravel(), 4))
+    assert assigned[:3].tolist() == [[0] * 5, [1] * 5, [0] * 5]
+    assert assigned[3].tolist() == [0, 0, 0, 0, 3]
+    assert rate == (5 + 5 + 0 + 1) / 20
+
+
 def test_untrained_trio_match_is_near_chance():
     spec = GaussianMixtureSpec.ring(n_classes=4)
     cfg = SchemeConfig(scheme="vacgan", n_classes=4, noise_dim=8)
@@ -221,6 +257,62 @@ def test_jsd_snapshot_disjoint_classes_is_log_n():
     gen = LabelMapGenerator(corners, 4)
     value = jsd_snapshot(_ring_points(gen, partition))
     assert value == pytest.approx(np.log(4.0), abs=1e-9)
+
+
+def _histogram2d_snapshot(points, bins=JSD_BINS, box=JSD_BOX):
+    """The reference estimate: one np.histogram2d per class of the clipped points."""
+    lo, hi = box
+    edges = np.linspace(lo, hi, bins + 1)
+    clipped = np.clip(points, lo, hi - 1e-9)
+    members = np.array([np.histogram2d(x[:, 0], x[:, 1], bins=[edges, edges])[0].ravel()
+                        for x in clipped])
+    members /= members.sum(axis=1, keepdims=True)
+    return round(generalized_jsd(DistributionFamily(members)), 9)
+
+
+def _trio_ring_points(seed, nan_rows=()):
+    trio = _random_trio(2, seed)
+    points = _ring_points(trio.generator, trio.partition)
+    for c, row, axis in nan_rows:
+        points[c, row, axis] = np.nan
+    return points
+
+
+@pytest.mark.parametrize("points", [
+    lambda: _ring_points(LabelMapGenerator(np.full((4, 2), 0.5), 4),
+                         LatentPartition(n_classes=4, noise_dim=2)),
+    lambda: _ring_points(LabelMapGenerator([[-3.0, -3.0], [-3.0, 3.0], [3.0, -3.0],
+                                            [3.0, 3.0]], 4),
+                         LatentPartition(n_classes=4, noise_dim=2)),
+    lambda: _trio_ring_points(0),
+    lambda: _trio_ring_points(1),
+    lambda: _trio_ring_points(2),
+    lambda: _trio_ring_points(0, nan_rows=[(0, 3, 1), (1, 7, 0), (3, 499, 1)]),
+], ids=["identical", "disjoint", "trio-0", "trio-1", "trio-2", "trio-0-nan"])
+def test_jsd_snapshot_equals_the_histogram2d_reference(points):
+    points = points()
+    assert jsd_snapshot(points) == _histogram2d_snapshot(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 8), bins=st.sampled_from([1, 5, 7, 32]),
+       box=st.sampled_from([JSD_BOX, (-2.5, 1.5), (0.0, 1.0), (-10.0, -3.0)]))
+def test_class_histograms_count_what_histogram2d_counts(data, n, bins, box):
+    # points inside and outside the box, exactly on bin edges, at +-inf and NaN
+    lo, hi = box
+    edges = np.linspace(lo, hi, bins + 1)
+    special = [*edges, lo - 1.0, hi + 1.0, hi - 1e-9, np.inf, -np.inf, np.nan]
+    coordinate = st.one_of(st.floats(lo - 2.0, hi + 2.0), st.sampled_from(special))
+    k = data.draw(st.integers(1, 30))
+    points = data.draw(hnp.arrays(np.float64, (n, k, 2), elements=coordinate))
+
+    counts = class_histograms(points, bins, box)
+    assert counts.shape == (n, bins * bins)
+    clipped = np.clip(points, lo, hi - 1e-9)
+    for c in range(n):
+        reference = np.histogram2d(clipped[c, :, 0], clipped[c, :, 1], bins=[edges, edges])[0]
+        assert np.array_equal(counts[c], reference.ravel())
+    assert counts.sum(axis=1).tolist() == (~np.isnan(points).any(axis=2)).sum(axis=1).tolist()
 
 
 def test_probe_label_jsd_extremes():
