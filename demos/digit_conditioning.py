@@ -13,7 +13,7 @@ files (`--mnist-dir` on the CLI):
 
 Equivalent CLI runs:
     auxgan train --config digits.json
-    auxgan eval --checkpoint <run dir> --probe <run dir>/probe
+    auxgan eval --checkpoint <run dir>      (reads the probe the run saved in <run dir>/probe)
     auxgan grid --checkpoint <run dir> --cols 8
 """
 

@@ -13,13 +13,14 @@ a finished run they reproduce its confusion.csv, last metrics row and grid.
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
 
 from .divergence import random_family, verify_identity
-from .harness import (SAMPLES_PER_CLASS, ExperimentConfig, Probe, emit_sample_grid, evaluate,
-                      rng_stream, run_experiment)
+from .harness import (GRID_NAME, PROBE_DIR, SAMPLES_PER_CLASS, ExperimentConfig, Probe,
+                      emit_sample_grid, evaluate, rng_stream, run_experiment)
 from .schemes import TrainingDiverged, load_checkpoint, load_probe_checkpoint
 
 
@@ -51,14 +52,15 @@ def _cmd_verify_identities(args):
 
 def _cmd_eval(args):
     trio, info = load_checkpoint(args.checkpoint)
-    probe = None
-    if args.probe is not None:
-        network, accuracy = load_probe_checkpoint(args.probe)
+    probe = None  # the ring's nearest mean reads a 2-D generator, its run's probe any other
+    if trio.data_dim != 2:
+        path = os.path.join(info["directory"], PROBE_DIR)
+        network, accuracy = load_probe_checkpoint(path)
         for end, width, key, want in (("input", network.dims[0], "data_dim", trio.data_dim),
                                       ("output", network.dims[-1], "n_classes",
                                        trio.config.n_classes)):
             if width != want:
-                raise ValueError(f"probe {args.probe} has {end} width {width}, "
+                raise ValueError(f"probe {path} has {end} width {width}, "
                                  f"the checkpoint's {key} is {want}")
         probe = Probe(network=network, test_accuracy=accuracy)
     match, confusion, jsd = evaluate(trio, probe, info["seed"], info["step"],
@@ -77,7 +79,7 @@ def _cmd_eval(args):
 
 def _cmd_grid(args):
     trio, info = load_checkpoint(args.checkpoint)
-    out = args.out or f"samples_step{info['step']:04d}.pgm"
+    out = args.out or GRID_NAME.format(f"{info['step']:04d}")
     rng = rng_stream(info["seed"], "grid", info["step"])
     emit_sample_grid(trio.generator, trio.partition, args.cols, out, rng)
     print(out)
@@ -119,11 +121,9 @@ def build_parser():
     p = sub.add_parser("eval", help="measure conditional fidelity of a checkpoint")
     p.add_argument("--checkpoint", required=True,
                    help="run directory or manifest.txt path")
-    p.add_argument("--probe", default=None,
-                   help="probe checkpoint (required for image generators)")
     p.add_argument("--samples-per-class", type=_at_least(1), default=None,
                    help="default: the run's own count, %(ring)d on the ring and %(probe)d "
-                        "with a probe" % SAMPLES_PER_CLASS)
+                        "with its probe" % SAMPLES_PER_CLASS)
     p.add_argument("--out", default=None, help="also write the confusion CSV here")
     p.set_defaults(func=_cmd_eval)
 

@@ -10,6 +10,7 @@ drawn and added in fixed row blocks, and clipping, scaling and rounding
 reuse the one float64 image array.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -209,24 +210,24 @@ def synthetic_digits(n, rng):
     return np.round(images, out=images).astype(np.uint8), labels
 
 
+def _mnist_paths(directory):
+    """The paths of the four IDX files of an MNIST-layout directory, by split and kind."""
+    names = {"train_images": "train-images-idx3-ubyte", "train_labels": "train-labels-idx1-ubyte",
+             "test_images": "t10k-images-idx3-ubyte", "test_labels": "t10k-labels-idx1-ubyte"}
+    return {key: os.path.join(directory, name) for key, name in names.items()}
+
+
 def write_synthetic_digit_files(directory, n_train=12000, n_test=2000, seed=20240501):
     """Write an MNIST-layout directory of synthetic glyph digits.
 
     Produces the four usual IDX files and returns their paths as a dict with
     keys train_images / train_labels / test_images / test_labels.
     """
-    import os
-
     rng = np.random.default_rng(seed)
     os.makedirs(directory, exist_ok=True)
-    paths = {}
-    for split, count in (("train", n_train), ("t10k", n_test)):
+    paths = _mnist_paths(directory)
+    for split, count in (("train", n_train), ("test", n_test)):
         images, labels = synthetic_digits(count, rng)
-        image_path = os.path.join(directory, f"{split}-images-idx3-ubyte")
-        label_path = os.path.join(directory, f"{split}-labels-idx1-ubyte")
-        write_idx(image_path, IdxFile(IMAGE_MAGIC, (count, 28, 28), images))
-        write_idx(label_path, IdxFile(LABEL_MAGIC, (count,), labels))
-        key = "train" if split == "train" else "test"
-        paths[f"{key}_images"] = image_path
-        paths[f"{key}_labels"] = label_path
+        write_idx(paths[f"{split}_images"], IdxFile(IMAGE_MAGIC, (count, 28, 28), images))
+        write_idx(paths[f"{split}_labels"], IdxFile(LABEL_MAGIC, (count,), labels))
     return paths

@@ -16,7 +16,9 @@ stdout instead).
 """
 
 import functools
+import glob
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -24,14 +26,14 @@ from typing import Optional
 
 import numpy as np
 
-from .data import (GaussianMixtureSpec, load_mnist, minibatches,
+from .data import (GaussianMixtureSpec, _mnist_paths, load_mnist, minibatches,
                    sample_mixture, write_synthetic_digit_files)
 from .divergence import DistributionFamily, generalized_jsd
 from .nn import MLP
 from .optim import Adam
-from .schemes import (SchemeConfig, _helper_for, _run_beside, build_trio, check_field,
-                      classifier_step, sample_latent, save_checkpoint, save_probe_checkpoint,
-                      train_step)
+from .schemes import (MANIFEST_NAME, PAYLOAD_NAME, SchemeConfig, _helper_for, _run_beside,
+                      build_trio, check_field, classifier_step, sample_latent, save_checkpoint,
+                      save_probe_checkpoint, train_step)
 from .tensor import Tensor
 
 DATASETS = ("mixture2d", "mnist")
@@ -49,15 +51,24 @@ def rng_stream(seed, name, step=None):
         return np.random.default_rng([seed, _RUN_STREAMS[name]])
     return np.random.default_rng([seed, 2, step, *_EVAL_STREAMS[name]])
 
-# The JSD histogram box is fixed: it covers the default mixture layout at
-# more than ten standard deviations, and a fixed box keeps runs comparable.
+# The JSD histogram grid is fixed: its box covers the default mixture layout
+# at more than ten standard deviations, and a fixed grid keeps runs comparable.
 JSD_BOX = (-4.0, 4.0)
 JSD_BINS = 32
+JSD_EDGES = np.linspace(*JSD_BOX, JSD_BINS + 1)  # both axes' bin edges, shared read-only
+JSD_EDGES.flags.writeable = False
 
 PROBE_ACCURACY_FLOOR = 0.95
 PROBE_BATCH_SIZE = 128
 PROBE_LEARNING_RATE = 1e-3
 SAMPLES_PER_CLASS = {"ring": 500, "probe": 200}  # of one evaluation, by its reader
+
+# The grid's braces take its step, zero-padded to 4 digits; `auxgan eval` reads
+# the probe bundle of an image run.
+GRID_NAME = "samples_step{}.pgm"
+PROBE_DIR = "probe"
+# The files of a finished run, which a new run in its directory removes first.
+_FINISHED = (MANIFEST_NAME, PAYLOAD_NAME, "confusion.csv", GRID_NAME.format("*"))
 
 
 @dataclass
@@ -258,49 +269,41 @@ def probe_match_rate(generator, partition, probe, samples_per_class, rng):
     return confusion.match_rate(), confusion
 
 
-@functools.lru_cache(maxsize=8)
-def _bin_edges(bins, lo, hi):
-    """The box's `bins + 1` even edges, made once per box and shared read-only."""
-    edges = np.linspace(lo, hi, bins + 1)
-    edges.flags.writeable = False
-    return edges
+def class_histograms(points):
+    """counts[c] = the JSD_BINS x JSD_BINS histogram of the 2-D points[c], flattened row-major.
 
-
-def class_histograms(points, bins=JSD_BINS, box=JSD_BOX):
-    """counts[c] = the bins x bins histogram of the 2-D points[c], flattened row-major.
-
-    A point gets the bin np.histogram2d gives it on the box's `bins + 1` even
-    edges.  Points outside the box are clipped into the edge bins, so +-inf
-    counts there too; a point with a NaN coordinate is dropped.  Every class
-    is binned in one bincount.
+    A point gets the bin np.histogram2d gives it on JSD_EDGES.  Points outside
+    the box are clipped into the edge bins, so +-inf counts there too; a point
+    with a NaN coordinate is dropped.  Every class is binned in one bincount.
     """
-    lo, hi = box
-    edges = _bin_edges(bins, lo, hi)
-    ix, iy = np.moveaxis(np.searchsorted(edges, np.clip(points, lo, hi - 1e-9),
+    lo, hi = JSD_BOX
+    ix, iy = np.moveaxis(np.searchsorted(JSD_EDGES, np.clip(points, lo, hi - 1e-9),
                                          side="right") - 1, -1, 0)
     # Clipping keeps every number inside the box, so only a NaN coordinate gets
-    # index `bins`.  Each class and row is padded to `bins + 1` so that index
-    # stays its own, and the slice drops it: a NaN point never lands in a
-    # neighbour's bin.
-    n, wide = len(points), bins + 1
+    # index JSD_BINS.  Each class and row is padded to JSD_BINS + 1 so that
+    # index stays its own, and the slice drops it: a NaN point never lands in
+    # a neighbour's bin.
+    n, bins, wide = len(points), JSD_BINS, JSD_BINS + 1
     flat = (np.arange(n)[:, None] * wide + ix) * wide + iy
     counts = np.bincount(flat.ravel(), minlength=n * wide * wide)
     return counts.reshape(n, wide, wide)[:, :bins, :bins].reshape(n, bins * bins)
 
 
-def jsd_snapshot(points, bins=JSD_BINS, box=JSD_BOX):
-    """Histogram JSD estimate of the per-class point sets `points[c]`.
+def _class_jsd(counts):
+    """JSD of the rows of `counts`, each normalised to a distribution, rounded to 1e-9.
 
-    Each class is binned by class_histograms: np.histogram2d's bins on the
-    box, out-of-box mass in the edge bins, NaN points dropped.  Rounded to
-    1e-9: the estimator's statistical error at 500 samples per class is
-    orders of magnitude above that, and the rounding keeps saturated values
-    (disjoint supports give exactly log N) comparable as exact ties instead
-    of float-summation jitter.
+    The estimators' statistical error at an evaluation's sample size is orders
+    of magnitude above 1e-9, and the rounding keeps saturated values (disjoint
+    rows give exactly log N) comparable as exact ties instead of
+    float-summation jitter.
     """
-    counts = class_histograms(points, bins, box)
     members = counts / counts.sum(axis=1, keepdims=True)
     return round(generalized_jsd(DistributionFamily(members)), 9)
+
+
+def jsd_snapshot(points):
+    """Histogram JSD estimate of the per-class 2-D point sets `points[c]` (class_histograms)."""
+    return _class_jsd(class_histograms(points))
 
 
 def probe_label_jsd(confusion):
@@ -310,26 +313,25 @@ def probe_label_jsd(confusion):
     per-class distribution over the probe's assigned labels, a row of the
     confusion matrix, plays that role.
     """
-    rows = confusion.counts
-    return round(generalized_jsd(DistributionFamily(rows / rows.sum(axis=1, keepdims=True))), 9)
+    return _class_jsd(confusion.counts)
 
 
-def emit_sample_grid(generator, partition, rows_per_class, path, rng,
-                     image_shape=(28, 28)):
+def emit_sample_grid(generator, partition, rows_per_class, path, rng):
     """Write a P5 PGM: one row of generated images per class.
 
-    Generator outputs in [0, 1] map to 0-255; N classes and K columns give
-    an (N*h) x (K*w) pixel image.
+    Each image is square, its side the square root of the generator's width.
+    Outputs in [0, 1] map to 0-255; N classes and K columns of side s give an
+    (N*s) x (K*s) pixel image.
     """
     n = partition.n_classes
-    h, w = image_shape
     check_field("rows_per_class", rows_per_class, int, 1)
     x = np.array(list(_class_blocks(generator, partition, rows_per_class, rng)))
-    if x.shape[2] != h * w:
-        raise ValueError(f"generator emits {x.shape[2]} features, grid needs {h}x{w}")
+    side = math.isqrt(x.shape[2])
+    if side * side != x.shape[2]:
+        raise ValueError(f"generator emits {x.shape[2]} features, not a square image")
     pixels = np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8)
-    tiles = pixels.reshape(n, rows_per_class, h, w)
-    canvas = tiles.transpose(0, 2, 1, 3).reshape(n * h, rows_per_class * w)
+    tiles = pixels.reshape(n, rows_per_class, side, side)
+    canvas = tiles.transpose(0, 2, 1, 3).reshape(n * side, rows_per_class * side)
     header = f"P5\n{canvas.shape[1]} {canvas.shape[0]}\n255\n".encode("ascii")
     try:
         with open(path, "wb") as f:
@@ -354,13 +356,7 @@ def _resolve_mnist_files(config, mnist_dir):
     under the run's output directory so image runs work offline.
     """
     if mnist_dir:
-        names = {
-            "train_images": "train-images-idx3-ubyte",
-            "train_labels": "train-labels-idx1-ubyte",
-            "test_images": "t10k-images-idx3-ubyte",
-            "test_labels": "t10k-labels-idx1-ubyte",
-        }
-        paths = {k: os.path.join(mnist_dir, v) for k, v in names.items()}
+        paths = _mnist_paths(mnist_dir)
         missing = [p for p in paths.values() if not os.path.exists(p)]
         if missing:
             raise FileNotFoundError(f"missing IDX files: {missing}")
@@ -371,6 +367,8 @@ def _resolve_mnist_files(config, mnist_dir):
 @functools.lru_cache(maxsize=8)
 def _ring_spec(n_classes):
     """The ring layout of `n_classes`, made once per class count and shared read-only."""
+    if n_classes > 8:
+        raise ValueError("the ring layout supports at most 8 well-separated classes")
     spec = GaussianMixtureSpec.ring(n_classes=n_classes)
     spec.means.flags.writeable = False
     return spec
@@ -400,20 +398,18 @@ def run_experiment(config, mnist_dir=None, log=print):
 
     An mnist run reads the four IDX files in `mnist_dir`, or without one
     trains on a synthetic digit corpus it writes under the output directory.
+    Once its input is read, it removes an earlier run's finished files there.
     Returns the final MetricsRecord.  If a loss turns non-finite the partial
     metrics.csv is kept and the TrainingDiverged propagates to the caller.
     """
     t0 = time.time()
-    os.makedirs(config.output_dir, exist_ok=True)
     scheme_cfg = config.scheme
 
     mixture_spec = None
     probe = None
     train_set = None
     if config.dataset == "mixture2d":
-        if scheme_cfg.n_classes > 8:
-            raise ValueError("the ring layout supports at most 8 well-separated classes")
-        mixture_spec = GaussianMixtureSpec.ring(n_classes=scheme_cfg.n_classes)
+        mixture_spec = _ring_spec(scheme_cfg.n_classes)
         steps_per_epoch = scheme_cfg.steps_per_epoch
         data_dim, arch = mixture_spec.means.shape[1], {}
     else:
@@ -427,11 +423,16 @@ def run_experiment(config, mnist_dir=None, log=print):
         probe = train_probe(train_set, test_set, config.probe_hidden,
                             config.probe_epochs, rng_stream(config.seed, "probe"))
         log(f"probe test accuracy: {probe.test_accuracy:.4f}")
-        save_probe_checkpoint(os.path.join(config.output_dir, "probe"),
+        save_probe_checkpoint(os.path.join(config.output_dir, PROBE_DIR),
                               probe.network, probe.test_accuracy, config.seed)
         # one epoch = one full shuffled pass over the real training set
         steps_per_epoch = train_set.labels.size // scheme_cfg.batch_size
         data_dim, arch = train_set.features.shape[1], _IMAGE_ARCH
+
+    os.makedirs(config.output_dir, exist_ok=True)
+    for name in _FINISHED:
+        for path in glob.glob(os.path.join(glob.escape(config.output_dir), name)):
+            os.remove(path)
 
     trio = build_trio(scheme_cfg, data_dim, rng=rng_stream(config.seed, "build"), **arch)
     train_rng = rng_stream(config.seed, "train")
@@ -481,8 +482,7 @@ def run_experiment(config, mnist_dir=None, log=print):
     save_checkpoint(config.output_dir, trio, config.seed)
     if config.dataset == "mnist":
         emit_sample_grid(trio.generator, trio.partition, 8,
-                         os.path.join(config.output_dir,
-                                      f"samples_step{total_steps:04d}.pgm"),
+                         os.path.join(config.output_dir, GRID_NAME.format(f"{total_steps:04d}")),
                          rng_stream(config.seed, "grid", total_steps))
     log(f"run finished in {time.time() - t0:.1f}s; artifacts in {config.output_dir}")
     return record

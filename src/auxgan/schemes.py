@@ -519,7 +519,7 @@ def load_checkpoint(path):
     """Rebuild a TrioState (fresh optimizer state) from a saved checkpoint.
 
     `path` may be the manifest file or its directory.  Returns (trio, info)
-    where info carries the manifest's step and seed.
+    where info carries the manifest's step, seed and directory.
     """
     keys, nets = _read_bundle(path, "trio")
     config = SchemeConfig(scheme=keys["scheme"], **{
@@ -541,7 +541,8 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint manifest {keys.path}: {named} gives width {want}, "
                              f"the saved {end} has width {got}")
     trio = _assemble(config, data_dim, g, d, c, step=keys.number("step", int, 0))
-    return trio, {"step": trio.step, "seed": keys.number("seed", int, 0)}
+    return trio, {"step": trio.step, "seed": keys.number("seed", int, 0),
+                  "directory": os.path.dirname(keys.path)}
 
 
 def save_probe_checkpoint(directory, network, test_accuracy, seed):

@@ -228,9 +228,6 @@ class Tape:
     def _record(self, backward_fn):
         self._records.append(backward_fn)
 
-    def __len__(self):
-        return len(self._records)
-
     def backward(self, loss):
         """Populate .grad on the leaves this tape differentiates (see `wrt`)."""
         if not isinstance(loss, Tensor) or loss.data.ndim != 0:

@@ -135,6 +135,13 @@ def _config_file(directory, text):
     return path
 
 
+def _digits_lacking_one(directory):
+    """An MNIST-layout directory without its test labels file."""
+    os.remove(write_synthetic_digit_files(directory / "digits", n_train=64,
+                                          n_test=16)["test_labels"])
+    return directory / "digits"
+
+
 def _ring_checkpoint(directory):
     trio = build_trio(SchemeConfig(scheme="gan", n_classes=4), data_dim=2,
                       rng=np.random.default_rng(0))
@@ -147,7 +154,11 @@ def _ring_checkpoint(directory):
     (lambda tmp: ["grid", "--checkpoint", str(tmp / "missing")], "missing"),
     (lambda tmp: ["train", "--config", str(tmp / "bad.json"), "--out", str(tmp / "out")],
      "epochs"),
-    (lambda tmp: ["grid", "--checkpoint", str(_ring_checkpoint(tmp / "ring"))], "28x28"),
+    (lambda tmp: ["grid", "--checkpoint", str(_ring_checkpoint(tmp / "ring"))], "2 features"),
+    (lambda tmp: ["train", "--config", str(_config_file(tmp, '{"dataset": "mnist", "scheme": '
+                                                            '{"scheme": "gan", "n_classes": 10}}')),
+                  "--out", str(tmp / "out"), "--mnist-dir", str(_digits_lacking_one(tmp))],
+     "t10k-labels-idx1-ubyte"),
     (lambda tmp: ["train", "--config", str(_config_file(tmp, '{"output_dir": 5, "dataset": '
                                                             '"mixture2d", "scheme": {"scheme": '
                                                             '"gan", "n_classes": 2}}'))],
@@ -168,7 +179,7 @@ def test_eval_image_checkpoint_needs_probe(image_checkpoint, capsys):
     rc = main(["eval", "--checkpoint", str(image_checkpoint)])
     assert rc == 2
     _, err = capsys.readouterr()
-    assert "probe" in err
+    assert str(image_checkpoint / "probe") in err  # the bundle its run would have saved
 
 
 @pytest.mark.parametrize("probe_dims, named", [
@@ -183,9 +194,8 @@ def test_eval_refuses_a_probe_whose_widths_do_not_fit_the_checkpoint(probe_dims,
                       generator_output="sigmoid")
     save_checkpoint(tmp_path / "run", trio, seed=0)
     probe = MLP(probe_dims, ("relu", "linear"), rng=np.random.default_rng(1))
-    save_probe_checkpoint(tmp_path / "probe", probe, 1.0, seed=0)
-    rc = main(["eval", "--checkpoint", str(tmp_path / "run"),
-               "--probe", str(tmp_path / "probe")])
+    save_probe_checkpoint(tmp_path / "run" / "probe", probe, 1.0, seed=0)
+    rc = main(["eval", "--checkpoint", str(tmp_path / "run" / "manifest.txt")])
     assert rc == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("auxgan: error: ") and err.count("\n") == 1

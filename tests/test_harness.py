@@ -16,7 +16,7 @@ import auxgan.schemes as schemes
 import auxgan.tensor as tensor
 from auxgan.cli import main
 from auxgan.data import GaussianMixtureSpec, write_synthetic_digit_files
-from auxgan.harness import (JSD_BINS, JSD_BOX, ConfusionMatrix, ExperimentConfig,
+from auxgan.harness import (JSD_BINS, JSD_BOX, JSD_EDGES, ConfusionMatrix, ExperimentConfig,
                             MetricsRecord, Probe, class_histograms, class_match_rate,
                             emit_sample_grid, jsd_snapshot, probe_label_jsd,
                             probe_match_rate, run_experiment)
@@ -259,10 +259,10 @@ def test_jsd_snapshot_disjoint_classes_is_log_n():
     assert value == pytest.approx(np.log(4.0), abs=1e-9)
 
 
-def _histogram2d_snapshot(points, bins=JSD_BINS, box=JSD_BOX):
+def _histogram2d_snapshot(points):
     """The reference estimate: one np.histogram2d per class of the clipped points."""
-    lo, hi = box
-    edges = np.linspace(lo, hi, bins + 1)
+    lo, hi = JSD_BOX
+    edges = np.linspace(lo, hi, JSD_BINS + 1)
     clipped = np.clip(points, lo, hi - 1e-9)
     members = np.array([np.histogram2d(x[:, 0], x[:, 1], bins=[edges, edges])[0].ravel()
                         for x in clipped])
@@ -294,20 +294,25 @@ def test_jsd_snapshot_equals_the_histogram2d_reference(points):
     assert jsd_snapshot(points) == _histogram2d_snapshot(points)
 
 
+def test_the_jsd_bin_edges_are_the_read_only_even_edges_of_the_box():
+    assert np.array_equal(JSD_EDGES, np.linspace(*JSD_BOX, JSD_BINS + 1))
+    with pytest.raises(ValueError, match="read-only"):
+        JSD_EDGES[0] = 0.0
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=st.integers(2, 8), bins=st.sampled_from([1, 5, 7, 32]),
-       box=st.sampled_from([JSD_BOX, (-2.5, 1.5), (0.0, 1.0), (-10.0, -3.0)]))
-def test_class_histograms_count_what_histogram2d_counts(data, n, bins, box):
+@given(data=st.data(), n=st.integers(2, 8))
+def test_class_histograms_count_what_histogram2d_counts(data, n):
     # points inside and outside the box, exactly on bin edges, at +-inf and NaN
-    lo, hi = box
-    edges = np.linspace(lo, hi, bins + 1)
+    lo, hi = JSD_BOX
+    edges = np.linspace(lo, hi, JSD_BINS + 1)
     special = [*edges, lo - 1.0, hi + 1.0, hi - 1e-9, np.inf, -np.inf, np.nan]
     coordinate = st.one_of(st.floats(lo - 2.0, hi + 2.0), st.sampled_from(special))
     k = data.draw(st.integers(1, 30))
     points = data.draw(hnp.arrays(np.float64, (n, k, 2), elements=coordinate))
 
-    counts = class_histograms(points, bins, box)
-    assert counts.shape == (n, bins * bins)
+    counts = class_histograms(points)
+    assert counts.shape == (n, JSD_BINS * JSD_BINS)
     clipped = np.clip(points, lo, hi - 1e-9)
     for c in range(n):
         reference = np.histogram2d(clipped[c, :, 0], clipped[c, :, 1], bins=[edges, edges])[0]
@@ -554,12 +559,26 @@ def test_sample_grid_rejects_fewer_than_one_row_per_class(tmp_path, rows):
     assert not (tmp_path / "none.pgm").exists()
 
 
+def test_sample_grid_takes_its_image_side_from_the_generator_width(tmp_path):
+    rows = np.stack([np.full(256, c / 9.0) for c in range(10)])
+    path = tmp_path / "grid.pgm"
+    emit_sample_grid(LabelMapGenerator(rows, 10), LatentPartition(n_classes=10, noise_dim=4), 8,
+                     path, np.random.default_rng(0))
+    header = b"P5\n128 160\n255\n"  # 8 columns and 10 rows of 16x16 images
+    raw = path.read_bytes()
+    assert raw.startswith(header)
+    canvas = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(160, 128)
+    for c in range(10):
+        assert (canvas[c * 16:(c + 1) * 16] == np.rint(255.0 * c / 9.0)).all()
+
+
 def test_sample_grid_rejects_wrong_feature_count(tmp_path):
     partition = LatentPartition(n_classes=2, noise_dim=2)
     gen = LabelMapGenerator(np.zeros((2, 2)), 2)
-    with pytest.raises(ValueError, match="features"):
+    with pytest.raises(ValueError, match="generator emits 2 features, not a square image"):
         emit_sample_grid(gen, partition, 4, tmp_path / "bad.pgm",
                          np.random.default_rng(0))
+    assert not (tmp_path / "bad.pgm").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +623,49 @@ def test_acceptance_ring_run_keeps_every_mode_on_seeds_that_once_dropped_one(tmp
     assert record.class_match_rate >= 0.80
 
 
+def test_evaluate_refuses_a_2d_trio_with_more_classes_than_the_ring_holds():
+    trio = build_trio(SchemeConfig(scheme="gan", n_classes=9), 2, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="the ring layout supports at most 8"):
+        harness.evaluate(trio, None, seed=0, step=0)
+
+
+def test_a_run_that_diverges_leaves_no_artifact_of_the_run_before_it(tmp_path, monkeypatch):
+    out = tmp_path / "rerun"
+    cfg = _config(scheme_kw={"n_classes": 2, "noise_dim": 4, "steps_per_epoch": 10,
+                             "epochs": 1}, seed=3, output_dir=str(out), eval_every=5)
+    run_experiment(cfg, log=lambda *_: None)
+    assert main(["eval", "--checkpoint", str(out)]) == 0
+    real_step, calls = harness.train_step, []
+
+    def diverging(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise TrainingDiverged("generator loss is not finite")
+        return real_step(*args)
+
+    monkeypatch.setattr(harness, "train_step", diverging)
+    with pytest.raises(TrainingDiverged):
+        run_experiment(cfg, log=lambda *_: None)
+    assert sorted(p.name for p in out.iterdir()) == ["metrics.csv"]
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in lines] == ["step", "0"]
+    assert main(["eval", "--checkpoint", str(out)]) == 2
+
+
+def test_a_run_removes_finished_files_of_an_earlier_run_but_not_its_input_or_probe(tmp_path):
+    out = tmp_path / "run"
+    planted = ["samples_step9999.pgm", "confusion.csv", "data/keep", "probe/keep"]
+    for name in planted:
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text("earlier run")
+    cfg = _config(scheme_kw={"steps_per_epoch": 5, "epochs": 1}, output_dir=str(out),
+                  eval_every=5)
+    run_experiment(cfg, log=lambda *_: None)
+    assert not (out / "samples_step9999.pgm").exists()
+    assert (out / "confusion.csv").read_text() != "earlier run"
+    assert (out / "data" / "keep").exists() and (out / "probe" / "keep").exists()
+
+
 @pytest.fixture(scope="module")
 def digits_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("digits")
@@ -629,8 +691,7 @@ def test_run_mnist_writes_probe_grid_and_metrics(tmp_path, digits_dir, capsys):
     assert main(["grid", "--checkpoint", str(out), "--out", str(tmp_path / "again.pgm")]) == 0
     assert (tmp_path / "again.pgm").read_bytes() == grid
     # and eval the same sample set as the run's last evaluation
-    assert main(["eval", "--checkpoint", str(out), "--probe", str(out / "probe"),
-                 "--out", str(tmp_path / "recount.csv")]) == 0
+    assert main(["eval", "--checkpoint", str(out), "--out", str(tmp_path / "recount.csv")]) == 0
     assert (tmp_path / "recount.csv").read_bytes() == (out / "confusion.csv").read_bytes()
     lines = (out / "metrics.csv").read_text().splitlines()
     last = lines[-1].split(",")

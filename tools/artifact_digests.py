@@ -7,7 +7,8 @@ configurations (`ring` and `digits`, built by perfbench/workloads.py),
 200-step `gan`, `cgan` and `acgan` runs on the ring, and 1-epoch digit-width
 `gan`, `cgan` and `acgan` runs on the smoke test's tiny digit corpus
 (`digits-gan` and so on), then `auxgan eval` on the ring, `acgan` and digit
-checkpoints, which recounts each run's last evaluation.  Prints one
+checkpoints, which recounts each run's last evaluation (on digits with the
+probe bundle that the run saved beside its checkpoint).  Prints one
 `name sha256` line per file a run writes (metrics.csv, checkpoint.bin,
 manifest.txt, confusion.csv, the sample grid and the probe bundle; not the
 digit corpus) and per eval's stdout, sorted by name.  Run it on two commits
@@ -70,12 +71,9 @@ def _runs(seed, root, tiny):
 
 
 def _eval_stdout(name, directory):
-    argv = ["eval", "--checkpoint", directory]
-    if name == "digits":
-        argv += ["--probe", os.path.join(directory, "probe")]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        status = cli.main(argv)
+        status = cli.main(["eval", "--checkpoint", directory])
     if status != 0:
         raise RuntimeError(f"auxgan eval on the {name} run exited {status}")
     return out.getvalue().encode()
