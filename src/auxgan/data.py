@@ -5,9 +5,11 @@ distributions are known in closed form, so conditional fidelity and
 divergence estimates have exact ground truth.  The IDX reader/writer
 handles the big-endian MNIST distribution format; `synthetic_digits`
 fabricates an MNIST-shaped glyph dataset for environments where the real
-files are not available.  The corpus is built in place: its pixel noise is
-drawn and added in fixed row blocks, and clipping, scaling and rounding
-reuse the one float64 image array.
+files are not available.  A digit corpus is held as the bytes of its IDX
+files from synthesis to minibatch: `synthetic_digits` finishes each fixed
+row block of noise in float64 and writes it into the uint8 images,
+`load_mnist` keeps a view of the file's bytes, and float64 pixels are made
+one batch at a time by `ImageSet.rows`.
 """
 
 import os
@@ -60,7 +62,7 @@ def read_idx(path):
         raise IdxParseError(
             f"payload length mismatch: dims {dims} need {expected - header_end} bytes, "
             f"found {len(raw) - header_end}", offset=min(len(raw), expected))
-    payload = np.frombuffer(raw[header_end:], dtype=np.uint8)
+    payload = np.frombuffer(raw, dtype=np.uint8, offset=header_end)
     return IdxFile(magic=magic, dims=dims, payload=payload)
 
 
@@ -72,7 +74,7 @@ def write_idx(path, idx):
     with open(path, "wb") as f:
         f.write(struct.pack(">I", idx.magic))
         f.write(struct.pack(f">{rank}I", *idx.dims))
-        f.write(idx.payload.tobytes())
+        f.write(idx.payload)
 
 
 @dataclass
@@ -93,9 +95,30 @@ class LabeledBatch:
     def __len__(self):
         return self.features.shape[0]
 
+    def rows(self, index):
+        """The LabeledBatch of the rows at `index`."""
+        return LabeledBatch(features=self.features[index], labels=self.labels[index])
+
+
+@dataclass(frozen=True)
+class ImageSet:
+    """One image split held as its bytes; `rows` makes float64 pixels in [0, 1]."""
+
+    pixels: np.ndarray  # (n, rows*cols) uint8
+    labels: np.ndarray  # (n,) int64
+    image_shape: tuple  # (rows, cols)
+
+    def __len__(self):
+        return self.pixels.shape[0]
+
+    def rows(self, index):
+        """The LabeledBatch of the images at `index`, each byte divided by 255."""
+        return LabeledBatch(features=np.divide(self.pixels[index], 255.0),
+                            labels=self.labels[index])
+
 
 def load_mnist(images_path, labels_path):
-    """Load one MNIST-format split: images scaled to [0,1] and flattened to 784."""
+    """Load one MNIST-format split as an ImageSet of flattened images."""
     images = read_idx(images_path)
     labels = read_idx(labels_path)
     if images.magic != IMAGE_MAGIC:
@@ -105,9 +128,10 @@ def load_mnist(images_path, labels_path):
     n, rows, cols = images.dims
     if labels.dims[0] != n:
         raise IdxParseError(f"{n} images but {labels.dims[0]} labels", offset=4)
-    features = images.payload.astype(np.float64).reshape(n, rows * cols)
-    features /= 255.0
-    return LabeledBatch(features=features, labels=labels.payload.astype(np.int64))
+    if n == 0:
+        raise IdxParseError("the image file holds no images", offset=4)
+    return ImageSet(pixels=images.payload.reshape(n, rows * cols),
+                    labels=labels.payload.astype(np.int64), image_shape=(rows, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +169,7 @@ def sample_mixture(spec, rng, batch):
 
 
 def minibatches(batch, batch_size, rng):
-    """One shuffled pass over a LabeledBatch; the final partial batch is dropped."""
+    """One shuffled pass over a LabeledBatch or ImageSet; the final partial batch is dropped."""
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     n = len(batch)
@@ -154,7 +178,7 @@ def minibatches(batch, batch_size, rng):
     order = rng.permutation(n)
     for start in range(0, n - batch_size + 1, batch_size):
         chunk = order[start:start + batch_size]
-        yield LabeledBatch(features=batch.features[chunk], labels=batch.labels[chunk])
+        yield batch.rows(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -191,23 +215,26 @@ def synthetic_digits(n, rng):
     accuracy gate used for generator evaluation.
     """
     labels = rng.integers(0, 10, size=n).astype(np.uint8)
-    images = np.zeros((n, 28, 28), dtype=np.float64)
     stamps = [_glyph_stamp(d) for d in range(10)]
     h, w = stamps[0].shape
+    # every placement is drawn before any noise: the corpus's rng stream fixes that order
+    tops, lefts, intensities = np.empty(n, np.intp), np.empty(n, np.intp), np.empty(n)
     for i in range(n):
-        top = rng.integers(0, 28 - h + 1)
-        left = rng.integers(0, 28 - w + 1)
-        intensity = rng.uniform(0.6, 1.0)
-        images[i, top:top + h, left:left + w] = intensity * stamps[labels[i]]
+        tops[i] = rng.integers(0, 28 - h + 1)
+        lefts[i] = rng.integers(0, 28 - w + 1)
+        intensities[i] = rng.uniform(0.6, 1.0)
+    images = np.empty((n, 28, 28), dtype=np.uint8)
     noise = np.empty((min(n, _NOISE_ROWS), 28, 28))
     for start in range(0, n, _NOISE_ROWS):
-        block = images[start:start + _NOISE_ROWS]
-        rows = rng.standard_normal(out=noise[:len(block)])
-        rows *= 0.08
-        block += rows
-    np.clip(images, 0.0, 1.0, out=images)
-    images *= 255.0
-    return np.round(images, out=images).astype(np.uint8), labels
+        block = rng.standard_normal(out=noise[:min(_NOISE_ROWS, n - start)])
+        block *= 0.08
+        for i in range(start, start + len(block)):
+            top, left = tops[i], lefts[i]
+            block[i - start, top:top + h, left:left + w] += intensities[i] * stamps[labels[i]]
+        np.clip(block, 0.0, 1.0, out=block)
+        block *= 255.0
+        images[start:start + len(block)] = np.round(block, out=block)
+    return images, labels
 
 
 def _mnist_paths(directory):

@@ -241,14 +241,15 @@ class Probe:
 
 
 def train_probe(train, test, hidden, epochs, rng):
-    """Fit a classifier on the real training split; returns a Probe."""
+    """Fit a classifier on the real training split (an ImageSet); returns a Probe."""
     n_classes = int(train.labels.max()) + 1
-    dims = (train.features.shape[1], *hidden, n_classes)
+    dims = (train.pixels.shape[1], *hidden, n_classes)
     network = MLP(dims, ("relu",) * len(hidden) + ("linear",), rng=rng)
     opt = Adam([network.segment()], learning_rate=PROBE_LEARNING_RATE, beta1=0.9)
     for _ in range(epochs):
         for batch in minibatches(train, PROBE_BATCH_SIZE, rng):
             classifier_step(network, opt, batch)
+    test = test.rows(slice(None))  # the test split's one float64 copy
     predicted = network(Tensor(test.features)).data.argmax(axis=1)
     return Probe(network=network, test_accuracy=float((predicted == test.labels).mean()))
 
@@ -416,6 +417,11 @@ def run_experiment(config, mnist_dir=None, log=print):
         paths = _resolve_mnist_files(config, mnist_dir)
         train_set = load_mnist(paths["train_images"], paths["train_labels"])
         test_set = load_mnist(paths["test_images"], paths["test_labels"])
+        side = train_set.image_shape[0]
+        if {train_set.image_shape, test_set.image_shape} != {(side, side)}:
+            raise ValueError("digit images must be square and of one size, got train {}x{} "
+                             "and test {}x{}".format(*train_set.image_shape,
+                                                     *test_set.image_shape))
         n_classes = int(train_set.labels.max()) + 1
         if n_classes != scheme_cfg.n_classes:
             raise ValueError(f"dataset has {n_classes} classes, "
@@ -427,7 +433,7 @@ def run_experiment(config, mnist_dir=None, log=print):
                               probe.network, probe.test_accuracy, config.seed)
         # one epoch = one full shuffled pass over the real training set
         steps_per_epoch = train_set.labels.size // scheme_cfg.batch_size
-        data_dim, arch = train_set.features.shape[1], _IMAGE_ARCH
+        data_dim, arch = side * side, _IMAGE_ARCH
 
     os.makedirs(config.output_dir, exist_ok=True)
     for name in _FINISHED:

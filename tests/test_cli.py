@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import auxgan.harness as harness
+from auxgan import data
 from auxgan.cli import build_parser, main
-from auxgan.data import write_synthetic_digit_files
+from auxgan.data import IMAGE_MAGIC, LABEL_MAGIC, IdxFile, write_idx, write_synthetic_digit_files
 from auxgan.nn import MLP
 from auxgan.schemes import SchemeConfig, build_trio, save_checkpoint, save_probe_checkpoint
 
@@ -173,6 +174,31 @@ def test_bad_input_files_are_one_error_line_with_exit_2(argv, named, tmp_path, c
     assert out == "" and err.startswith("auxgan: error: ") and err.count("\n") == 1
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_train_refuses_non_square_digit_images_before_touching_the_run(tmp_path, capsys):
+    paths = data._mnist_paths(tmp_path / "digits")
+    os.makedirs(tmp_path / "digits")
+    for split, n in (("train", 256), ("test", 32)):
+        write_idx(paths[f"{split}_images"],
+                  IdxFile(IMAGE_MAGIC, (n, 20, 30), np.zeros(n * 600, dtype=np.uint8)))
+        write_idx(paths[f"{split}_labels"],
+                  IdxFile(LABEL_MAGIC, (n,), np.arange(n, dtype=np.uint8) % 10))
+    out = tmp_path / "out"
+    earlier = {"metrics.csv": "earlier run", "confusion.csv": "earlier run",
+               "checkpoint.bin": "earlier run", "probe/manifest.txt": "earlier run"}
+    for name, text in earlier.items():
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text)
+    config = _config_file(tmp_path, '{"dataset": "mnist", "scheme": {"scheme": "gan", '
+                                    '"n_classes": 10, "epochs": 1}}')
+    rc = main(["train", "--config", str(config), "--out", str(out),
+               "--mnist-dir", str(tmp_path / "digits")])
+    assert rc == 2
+    err = capsys.readouterr()[1]
+    assert err.startswith("auxgan: error: ") and err.count("\n") == 1 and "20x30" in err
+    left = {str(p.relative_to(out)): p.read_text() for p in out.rglob("*") if p.is_file()}
+    assert left == earlier
 
 
 def test_eval_image_checkpoint_needs_probe(image_checkpoint, capsys):

@@ -1,12 +1,17 @@
+import hashlib
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from auxgan import data
 from auxgan.data import (IMAGE_MAGIC, LABEL_MAGIC, GaussianMixtureSpec, IdxFile,
-                         IdxParseError, LabeledBatch, load_mnist, minibatches,
+                         IdxParseError, ImageSet, LabeledBatch, load_mnist, minibatches,
                          read_idx, sample_mixture, synthetic_digits, write_idx,
                          write_synthetic_digit_files)
 
@@ -71,7 +76,7 @@ def test_idx_dims_payload_consistency():
 
 def test_load_mnist_single_zero_image(tmp_path):
     img, lab = _one_image_files(tmp_path, pixel=0, label=7)
-    batch = load_mnist(img, lab)
+    batch = load_mnist(img, lab).rows(slice(None))
     assert batch.features.shape == (1, 784)
     assert (batch.features == 0.0).all()
     assert batch.labels.tolist() == [7]
@@ -79,7 +84,7 @@ def test_load_mnist_single_zero_image(tmp_path):
 
 def test_load_mnist_pixel_scaling(tmp_path):
     img, lab = _one_image_files(tmp_path, pixel=255)
-    batch = load_mnist(img, lab)
+    batch = load_mnist(img, lab).rows(slice(None))
     assert (batch.features == 1.0).all()
 
 
@@ -87,7 +92,7 @@ def test_load_mnist_scaling_equals_division_for_every_byte_value(tmp_path):
     payload = (np.arange(2 * 784) % 256).astype(np.uint8)
     write_idx(tmp_path / "images", IdxFile(IMAGE_MAGIC, (2, 28, 28), payload))
     write_idx(tmp_path / "labels", IdxFile(LABEL_MAGIC, (2,), np.zeros(2, dtype=np.uint8)))
-    batch = load_mnist(tmp_path / "images", tmp_path / "labels")
+    batch = load_mnist(tmp_path / "images", tmp_path / "labels").rows(slice(None))
     reference = payload.astype(np.float64).reshape(2, 784) / 255.0
     assert batch.features.tobytes() == reference.tobytes()
 
@@ -98,6 +103,16 @@ def test_load_mnist_count_mismatch(tmp_path):
     write_idx(img, IdxFile(IMAGE_MAGIC, (2, 28, 28), np.zeros(2 * 784, dtype=np.uint8)))
     write_idx(lab, IdxFile(LABEL_MAGIC, (3,), np.zeros(3, dtype=np.uint8)))
     with pytest.raises(IdxParseError) as e:
+        load_mnist(img, lab)
+    assert e.value.offset == 4
+
+
+def test_load_mnist_refuses_an_image_file_with_no_images(tmp_path):
+    img = tmp_path / "images"
+    lab = tmp_path / "labels"
+    write_idx(img, IdxFile(IMAGE_MAGIC, (0, 28, 28), np.zeros(0, dtype=np.uint8)))
+    write_idx(lab, IdxFile(LABEL_MAGIC, (0,), np.zeros(0, dtype=np.uint8)))
+    with pytest.raises(IdxParseError, match="no images") as e:
         load_mnist(img, lab)
     assert e.value.offset == 4
 
@@ -182,6 +197,43 @@ def test_minibatches_partition_the_dataset():
     assert np.array_equal(seen[order], data.features[expected_order])
 
 
+def _traced_peak(fn, *args):
+    """(result, tracemalloc peak in bytes) of fn(*args)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), width=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_minibatches_over_bytes_equal_those_over_their_float64_division(data, n, width, seed):
+    pixels = data.draw(hnp.arrays(np.uint8, (n, width)))
+    labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 9)))
+    batch_size = data.draw(st.integers(1, n))
+    byte_set = ImageSet(pixels=pixels, labels=labels, image_shape=(1, width))
+    scaled = LabeledBatch(features=pixels / 255.0, labels=labels)
+    got = list(minibatches(byte_set, batch_size, np.random.default_rng(seed)))
+    want = list(minibatches(scaled, batch_size, np.random.default_rng(seed)))
+    assert len(got) == len(want) == n // batch_size
+    for a, b in zip(got, want):
+        assert a.features.dtype == np.float64 and a.features.tobytes() == b.features.tobytes()
+        assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("n", [1000, 8000])
+def test_an_epoch_over_bytes_peaks_at_a_few_batches(n):
+    rng = np.random.default_rng(0)
+    byte_set = ImageSet(pixels=rng.integers(0, 256, (n, 784), dtype=np.uint8),
+                        labels=rng.integers(0, 10, n), image_shape=(28, 28))
+    batches, peak = _traced_peak(lambda: sum(1 for _ in minibatches(byte_set, 64, rng)))
+    assert batches == n // 64
+    assert peak < 3 * 64 * 784 * 8
+
+
 def test_minibatches_validation():
     data = _dataset(10, np.random.default_rng(11))
     with pytest.raises(ValueError):
@@ -196,6 +248,22 @@ def test_synthetic_digits_shapes_and_labels():
     assert labels.min() >= 0 and labels.max() <= 9
 
 
+def test_synthetic_corpus_files_keep_their_bytes(tmp_path):
+    paths = write_synthetic_digit_files(tmp_path, n_train=600, n_test=100)
+    digests = {key: hashlib.sha256(open(path, "rb").read()).hexdigest()[:16]
+               for key, path in paths.items()}
+    assert digests == {"train_images": "36b5ec9313e06b09", "train_labels": "0793737eb835bfaa",
+                       "test_images": "1e45fc0bc4301b9f", "test_labels": "5c213ae523a2a27b"}
+
+
+def test_load_mnist_holds_the_file_bytes_without_a_float64_copy(tmp_path):
+    paths = write_synthetic_digit_files(tmp_path, n_train=3000, n_test=10)
+    images, peak = _traced_peak(load_mnist, paths["train_images"], paths["train_labels"])
+    assert images.pixels.dtype == np.uint8 and images.pixels.shape == (3000, 784)
+    assert images.image_shape == (28, 28)
+    assert peak < 2.5 * os.path.getsize(paths["train_images"])
+
+
 def test_synthetic_corpus_round_trip_and_determinism(tmp_path):
     paths_a = write_synthetic_digit_files(tmp_path / "a", n_train=50, n_test=20)
     paths_b = write_synthetic_digit_files(tmp_path / "b", n_train=50, n_test=20)
@@ -203,7 +271,7 @@ def test_synthetic_corpus_round_trip_and_determinism(tmp_path):
         bytes_a = open(paths_a[key], "rb").read()
         bytes_b = open(paths_b[key], "rb").read()
         assert bytes_a == bytes_b
-    train = load_mnist(paths_a["train_images"], paths_a["train_labels"])
+    train = load_mnist(paths_a["train_images"], paths_a["train_labels"]).rows(slice(None))
     assert train.features.shape == (50, 784)
     assert train.features.min() >= 0.0 and train.features.max() <= 1.0
     assert train.labels.max() <= 9
@@ -233,6 +301,14 @@ def test_synthetic_digits_built_in_place_equal_the_whole_array_expression(n):
     assert images.tobytes() == reference_images.tobytes()
     assert np.array_equal(labels, reference_labels)
     assert rng.random() == reference_rng.random()  # the stream continues where it did
+
+
+def test_synthetic_digits_memory_beyond_its_output_does_not_grow_with_n():
+    def excess(n):
+        _, peak = _traced_peak(synthetic_digits, n, np.random.default_rng(0))
+        return peak - n * (28 * 28 + 1)  # the uint8 images and labels it returns
+
+    assert abs(excess(6000) - excess(1500)) < data._NOISE_ROWS * 28 * 28 * 8
 
 
 def test_synthetic_digits_peak_memory_stays_near_the_image_array():
