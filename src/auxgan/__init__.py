@@ -11,6 +11,9 @@ The package has three layers:
 * a deterministic experiment harness (`harness`, `data`, `cli`) that trains
   the schemes on a 2-D Gaussian mixture or on MNIST-format IDX files and
   measures conditional fidelity.
+
+Import names from the submodule that defines them.  The package root
+imports none, so `import auxgan.divergence` loads no training code.
 """
 
 import os
@@ -18,36 +21,5 @@ import os
 # Artifact bytes depend on the BLAS thread count: 1 unless set, before numpy loads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-
-from .tensor import Tape, Tensor
-from .divergence import (
-    DiscreteDistribution,
-    DistributionFamily,
-    generalized_jsd,
-    kl_divergence,
-    optimal_classifier,
-    shannon_entropy,
-    verify_identity,
-)
-from .schemes import LatentPartition, SchemeConfig, build_trio, train_step
-from .harness import ExperimentConfig, run_experiment
-
-__all__ = [
-    "Tape",
-    "Tensor",
-    "DiscreteDistribution",
-    "DistributionFamily",
-    "generalized_jsd",
-    "kl_divergence",
-    "optimal_classifier",
-    "shannon_entropy",
-    "verify_identity",
-    "LatentPartition",
-    "SchemeConfig",
-    "build_trio",
-    "train_step",
-    "ExperimentConfig",
-    "run_experiment",
-]
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ row block of noise in float64 and writes it into the uint8 images,
 one batch at a time by `ImageSet.rows`.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ class IdxFile:
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
         self.payload = np.asarray(self.payload, dtype=np.uint8).ravel()
-        if int(np.prod(self.dims)) != self.payload.size:
+        if math.prod(self.dims) != self.payload.size:
             raise ValueError(f"dims {self.dims} do not match payload length {self.payload.size}")
 
 
@@ -57,7 +58,7 @@ def read_idx(path):
     if len(raw) < header_end:
         raise IdxParseError(f"truncated header, expected {rank} dimension fields", offset=len(raw))
     dims = struct.unpack(f">{rank}I", raw[4:header_end])
-    expected = header_end + int(np.prod(dims))
+    expected = header_end + math.prod(dims)
     if len(raw) != expected:
         raise IdxParseError(
             f"payload length mismatch: dims {dims} need {expected - header_end} bytes, "

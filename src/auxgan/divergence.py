@@ -118,8 +118,8 @@ class IdentityReport(NamedTuple):
 # elementary quantities
 
 def _entropy(probs):
-    mask = probs > 0.0
-    return float(-(probs[mask] * np.log(probs[mask])).sum())
+    positive = probs[probs > 0.0]
+    return float(-(positive * np.log(positive)).sum())
 
 
 def shannon_entropy(p):

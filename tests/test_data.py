@@ -62,6 +62,17 @@ def test_idx_payload_length_mismatch(tmp_path):
     assert "784" in str(e.value)
 
 
+def test_idx_dims_whose_product_wraps_int64_are_refused(tmp_path):
+    # 2**31 * 2**31 * 4 is 0 in int64: the header alone would pass as an empty payload
+    path = tmp_path / "huge"
+    path.write_bytes(struct.pack(">IIII", IMAGE_MAGIC, 2**31, 2**31, 4))
+    with pytest.raises(IdxParseError) as e:
+        read_idx(path)
+    assert e.value.offset == 16
+    with pytest.raises(ValueError):
+        IdxFile(IMAGE_MAGIC, (2**31, 2**31, 4), np.zeros(0, dtype=np.uint8))
+
+
 def test_idx_empty_file(tmp_path):
     path = tmp_path / "empty"
     path.write_bytes(b"")

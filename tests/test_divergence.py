@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import auxgan
 from auxgan.divergence import (AbsoluteContinuityWarning, ClassifierTable,
                                DiscreteDistribution, DistributionFamily,
                                cce_of_classifier, generalized_jsd,
@@ -288,3 +293,29 @@ def test_random_family_respects_probability_floor():
         fam = random_family(int(rng.integers(2, 11)), int(rng.integers(2, 65)), rng)
         assert fam.members.min() >= 1e-6
         assert fam.has_uniform_weights()
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _import_divergence_afresh(**preset):
+    """(auxgan modules loaded, BLAS thread variables) after `import auxgan.divergence`."""
+    src = os.path.dirname(os.path.dirname(auxgan.__file__))
+    code = "\n".join([
+        "import os, sys",
+        f"sys.path.insert(0, {src!r})",
+        "import auxgan.divergence",
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'auxgan'))",
+        f"print(*(os.environ[v] for v in {BLAS_THREAD_VARS!r}))",
+    ])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**env, **preset}, timeout=60, check=True)
+    modules, threads = done.stdout.splitlines()
+    return modules.split(), threads.split()
+
+
+def test_the_exact_library_loads_no_training_code_and_still_pins_blas():
+    assert _import_divergence_afresh() == (["auxgan", "auxgan.divergence"], ["1", "1", "1"])
+    # a variable the environment sets is left as it is
+    assert _import_divergence_afresh(OPENBLAS_NUM_THREADS="3")[1] == ["3", "1", "1"]

@@ -8,12 +8,14 @@ configurations (`ring` and `digits`, built by perfbench/workloads.py),
 `gan`, `cgan` and `acgan` runs on the smoke test's tiny digit corpus
 (`digits-gan` and so on), then `auxgan eval` on the ring, `acgan` and digit
 checkpoints, which recounts each run's last evaluation (on digits with the
-probe bundle that the run saved beside its checkpoint).  Prints one
-`name sha256` line per file a run writes (metrics.csv, checkpoint.bin,
-manifest.txt, confusion.csv, the sample grid and the probe bundle; not the
-digit corpus) and per eval's stdout, sorted by name.  Run it on two commits
-and diff the output.  `--tiny` runs the benchmark's smoke-test sizes and
-40-step ring runs; the digit-width scheme runs are the same at both sizes.
+probe bundle that the run saved beside its checkpoint), and README's
+`auxgan verify-identities --n 5 --support 32 --trials 100 --seed SEED`.
+Prints one `name sha256` line per file a run writes (metrics.csv,
+checkpoint.bin, manifest.txt, confusion.csv, the sample grid and the probe
+bundle; not the digit corpus) and per command's stdout, sorted by name.
+Run it on two commits and diff the output.  `--tiny` runs the benchmark's
+smoke-test sizes and 40-step ring runs; the digit-width scheme runs are the
+same at both sizes.
 `--serial` keeps every run off the helper thread (`tensor.HELPER_MIN_PARAMS`
 is set to infinity in this process), so the two outputs show whether the
 helper changes any bit.  BLAS is pinned to one thread before numpy loads.
@@ -70,12 +72,12 @@ def _runs(seed, root, tiny):
     return runs
 
 
-def _eval_stdout(name, directory):
+def _cli_stdout(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        status = cli.main(["eval", "--checkpoint", directory])
+        status = cli.main(argv)
     if status != 0:
-        raise RuntimeError(f"auxgan eval on the {name} run exited {status}")
+        raise RuntimeError(f"auxgan {' '.join(argv)} exited {status}")
     return out.getvalue().encode()
 
 
@@ -92,8 +94,11 @@ def digests(seed, tiny=False):
                     with open(path, "rb") as f:
                         lines.append((os.path.relpath(path, root), _sha256(f.read())))
             if name in ("ring", "acgan", "digits"):
-                lines.append((f"{name}/eval.stdout", _sha256(_eval_stdout(name,
-                                                                          config.output_dir))))
+                eval_argv = ["eval", "--checkpoint", config.output_dir]
+                lines.append((f"{name}/eval.stdout", _sha256(_cli_stdout(eval_argv))))
+    verify_argv = ["verify-identities", "--n", "5", "--support", "32", "--trials", "100",
+                   "--seed", str(seed)]
+    lines.append(("identity/verify.stdout", _sha256(_cli_stdout(verify_argv))))
     return sorted(lines)
 
 
