@@ -9,6 +9,8 @@ Subcommands:
 
 ``eval`` and ``grid`` redraw the run's rng streams at the checkpoint's step: on
 a finished run they reproduce its confusion.csv, last metrics row and grid.
+The training stack is imported by the commands that run it, so
+``verify-identities`` loads only the exact library.
 """
 
 import argparse
@@ -19,12 +21,11 @@ import sys
 import numpy as np
 
 from .divergence import random_family, verify_identity
-from .harness import (GRID_NAME, PROBE_DIR, SAMPLES_PER_CLASS, ExperimentConfig, Probe,
-                      emit_sample_grid, evaluate, rng_stream, run_experiment)
-from .schemes import TrainingDiverged, load_checkpoint, load_probe_checkpoint
 
 
 def _cmd_train(args):
+    from .harness import ExperimentConfig, run_experiment
+    from .schemes import TrainingDiverged
     overrides = {"seed": args.seed, "output_dir": args.out}
     config = dataclasses.replace(ExperimentConfig.from_file(args.config),
                                  **{k: v for k, v in overrides.items() if v is not None})
@@ -51,6 +52,8 @@ def _cmd_verify_identities(args):
 
 
 def _cmd_eval(args):
+    from .harness import PROBE_DIR, Probe, evaluate
+    from .schemes import load_checkpoint, load_probe_checkpoint
     trio, info = load_checkpoint(args.checkpoint)
     probe = None  # the ring's nearest mean reads a 2-D generator, its run's probe any other
     if trio.data_dim != 2:
@@ -78,6 +81,8 @@ def _cmd_eval(args):
 
 
 def _cmd_grid(args):
+    from .harness import GRID_NAME, emit_sample_grid, rng_stream
+    from .schemes import load_checkpoint
     trio, info = load_checkpoint(args.checkpoint)
     out = args.out or GRID_NAME.format(f"{info['step']:04d}")
     rng = rng_stream(info["seed"], "grid", info["step"])
@@ -122,8 +127,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True,
                    help="run directory or manifest.txt path")
     p.add_argument("--samples-per-class", type=_at_least(1), default=None,
-                   help="default: the run's own count, %(ring)d on the ring and %(probe)d "
-                        "with its probe" % SAMPLES_PER_CLASS)
+                   help="default: the run's own count")
     p.add_argument("--out", default=None, help="also write the confusion CSV here")
     p.set_defaults(func=_cmd_eval)
 

@@ -209,13 +209,13 @@ def verify_identity(family):
     return IdentityReport(cce=cce, jsd=jsd, residual=float(residual))
 
 
-def random_family(n_members, support_size, rng, min_offset=1e-3):
+def random_family(n_members, support_size, rng):
     """Random family with every probability bounded away from zero.
 
-    The offset keeps normalized entries >= min_offset / (S * (1 + min_offset)),
-    which for support <= 64 keeps them above 1e-6, so identity residuals stay
-    at float64 rounding level.
+    Each raw entry is offset by 1e-3, which keeps normalized entries
+    >= 1e-3 / (S * 1.001): for support <= 64 above 1e-6, so identity
+    residuals stay at float64 rounding level.
     """
-    raw = rng.random((n_members, support_size)) + min_offset
+    raw = rng.random((n_members, support_size)) + 1e-3
     members = raw / raw.sum(axis=1, keepdims=True)
     return DistributionFamily(members)

@@ -31,10 +31,10 @@ from .data import (GaussianMixtureSpec, _mnist_paths, load_mnist, minibatches,
 from .divergence import DistributionFamily, generalized_jsd
 from .nn import MLP
 from .optim import Adam
-from .schemes import (MANIFEST_NAME, PAYLOAD_NAME, SchemeConfig, _helper_for, _run_beside,
-                      build_trio, check_field, classifier_step, sample_latent, save_checkpoint,
+from .schemes import (MANIFEST_NAME, PAYLOAD_NAME, SchemeConfig, _helper_for, build_trio,
+                      check_field, classifier_step, sample_latent, save_checkpoint,
                       save_probe_checkpoint, train_step)
-from .tensor import Tensor
+from .tensor import Tensor, _share
 
 DATASETS = ("mixture2d", "mnist")
 
@@ -190,8 +190,8 @@ def _class_blocks(generator, partition, samples_per_class, rng, read=lambda x: x
 
     Each block's latent rows are drawn in class order as it is reached, which
     gives the draws of one whole-set latent.  One block of outputs is alive
-    at a time; with a generator wide enough for the helper thread, two: the
-    helper generates and reads every second block beside the one before it.
+    at a time; with a generator wide enough for the helper thread, two, which
+    `tensor._share` generates and reads side by side.
     """
     check_field("samples_per_class", samples_per_class, int, 1)
 
@@ -203,10 +203,7 @@ def _class_blocks(generator, partition, samples_per_class, rng, read=lambda x: x
     for first in range(0, partition.n_classes, per_turn):
         classes = range(first, min(first + per_turn, partition.n_classes))
         z = [sample_latent(partition, np.full(samples_per_class, c), rng) for c in classes]
-        if len(z) == 1:
-            yield block(z[0])
-        else:
-            yield from _run_beside(helper, lambda _: block(z[0]), lambda: block(z[1]))
+        yield from _share(helper, [functools.partial(block, z_c) for z_c in z])
 
 
 def class_match_rate(generator, partition, spec, samples_per_class, rng):
@@ -254,16 +251,20 @@ def train_probe(train, test, hidden, epochs, rng):
     return Probe(network=network, test_accuracy=float((predicted == test.labels).mean()))
 
 
+def _check_probe(probe):
+    """Raise ValueError unless the probe's test accuracy reaches PROBE_ACCURACY_FLOOR."""
+    if probe.test_accuracy < PROBE_ACCURACY_FLOOR:
+        raise ValueError(f"probe test accuracy {probe.test_accuracy:.4f} is below the "
+                         f"{PROBE_ACCURACY_FLOOR} floor; refusing to evaluate with it")
+
+
 def probe_match_rate(generator, partition, probe, samples_per_class, rng):
     """Fraction of conditional samples the probe assigns to the requested class.
 
     Refuses to measure with a probe below the accuracy floor: a classifier
     that cannot read real data says nothing about generated data.
     """
-    if probe.test_accuracy < PROBE_ACCURACY_FLOOR:
-        raise ValueError(
-            f"probe test accuracy {probe.test_accuracy:.4f} is below the "
-            f"{PROBE_ACCURACY_FLOOR} floor; refusing to evaluate with it")
+    _check_probe(probe)
     assigned = _class_blocks(generator, partition, samples_per_class, rng,
                              lambda x: probe.network(Tensor(x)).data.argmax(axis=1))
     confusion = _confusion(assigned, partition.n_classes)
@@ -399,7 +400,8 @@ def run_experiment(config, mnist_dir=None, log=print):
 
     An mnist run reads the four IDX files in `mnist_dir`, or without one
     trains on a synthetic digit corpus it writes under the output directory.
-    Once its input is read, it removes an earlier run's finished files there.
+    Once its input is read and, on mnist, its probe trained and checked, it
+    removes an earlier run's finished files there.
     Returns the final MetricsRecord.  If a loss turns non-finite the partial
     metrics.csv is kept and the TrainingDiverged propagates to the caller.
     """
@@ -426,9 +428,11 @@ def run_experiment(config, mnist_dir=None, log=print):
         if n_classes != scheme_cfg.n_classes:
             raise ValueError(f"dataset has {n_classes} classes, "
                              f"config says {scheme_cfg.n_classes}")
+        check_field("batch_size", scheme_cfg.batch_size, int, 1, train_set.labels.size)
         probe = train_probe(train_set, test_set, config.probe_hidden,
                             config.probe_epochs, rng_stream(config.seed, "probe"))
         log(f"probe test accuracy: {probe.test_accuracy:.4f}")
+        _check_probe(probe)
         save_probe_checkpoint(os.path.join(config.output_dir, PROBE_DIR),
                               probe.network, probe.test_accuracy, config.seed)
         # one epoch = one full shuffled pass over the real training set

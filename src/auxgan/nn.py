@@ -101,10 +101,6 @@ class MLP:
         end = sum(p.data.size for p in params)
         return params, self.param_buffer[:end], self.grad_buffer[:end]
 
-    def zero_grad(self):
-        for p in self.params():
-            p.zero_grad()
-
     def spec(self):
         """Architecture line used in checkpoint manifests."""
         dims = ",".join(str(d) for d in self.dims)

@@ -22,7 +22,7 @@ parameter, and a block's update uses its gradient as scratch once it has
 read it.  The update's other scratch is one block: on the thread that
 calls the step, the optimizer's own, made by the constructor, so the step
 allocates no arrays.  A step asks `tensor.helper_for` with its total size;
-given the helper thread, it hands each block to `tensor.share` as one
+given the helper thread, it hands each block to `tensor._share` as one
 task, so the helper updates blocks too while it is free.  The blocks are
 disjoint, so the results are the same bits.  Blocks the helper takes use
 a scratch block shared by every optimizer.
@@ -33,7 +33,7 @@ import threading
 
 import numpy as np
 
-from .tensor import helper_for, share
+from .tensor import _share, helper_for
 
 # Elements per block.  A block's parameters, gradient, two state arrays and
 # scratch (5 x 256 KB) fit in a 2 MB L2 cache, so each block is read from
@@ -108,7 +108,7 @@ class _FlatState:
             return lambda: update(*block, own if threading.get_ident() == here
                                   else there[:own.size])
 
-        share(helper, [task(block, own) for block, own in self._blocks])
+        _share(helper, [task(block, own) for block, own in self._blocks])
 
     def _clear(self):
         for p in self.params:

@@ -21,21 +21,21 @@ Per batch the update order is discriminator, classifier, generator.  The
 generator and discriminator take ADAM steps; the classifier takes Nesterov
 momentum steps.  Runs are bit-for-bit reproducible for a fixed seed.
 
-At image width, where `tensor.helper_for` gives the generator's size the
-helper thread, the helper takes the work of a step that never reads the
-discriminator: D's fake batch, while the calling thread records D on the
-real batch, then the `vacgan` classifier step, the generator's forward pass
-(recorded on its tape) and the classifier's half of the generator loss,
-differentiated into the generated batch, while the calling thread finishes
-D's step.  After the join the calling thread adds D's half and steps G.
-Once free, the helper also takes the pieces of the calling thread's own
-work that `helper_for` gives it by their size: blocks of D's and G's Adam
-steps and of `acgan`'s Nesterov step, and one of the two products of G's
-last layer.  The results are the same bits as in the serial order D, C, G:
-both threads read the weights the serial order gives them and write
-disjoint buffers, and every rng draw stays on the calling thread.
-`acgan`'s classifier reads D's trunk, so its step and its half of the loss
-always follow D's step.
+A step runs its work as two shares of `tensor._share`, each a pair of
+tasks: D on the real batch (recorded on D's tape) and D's fake batch
+G(z_d); then the rest of D's step, and the work that never reads D: the
+`vacgan` classifier step, the generator's forward pass (recorded on its
+tape) and the classifier's half of the generator loss, differentiated into
+the generated batch.  After the second share the calling thread adds D's
+half and steps G.  Without the helper thread the tasks run in that order,
+the serial step; at image width, where `tensor.helper_for` gives the
+generator's size the helper, the helper takes tasks while it is free, also
+the pieces of other work `helper_for` gives it by their size: blocks of the
+optimizer steps and one of the two products of G's last layer.  The bits
+are the same either way: both threads read the weights the serial order
+gives them and write disjoint buffers, and every rng draw stays on the
+calling thread.  `acgan`'s classifier reads D's trunk, so its step and its
+half of the loss always follow D's step.
 """
 
 import math
@@ -48,7 +48,7 @@ import numpy as np
 
 from .nn import MLP
 from .optim import Adam, NesterovMomentum
-from .tensor import Tape, Tensor, bce_loss, cce_loss, concat_cols, helper_for
+from .tensor import Tape, Tensor, _share, bce_loss, cce_loss, concat_cols, helper_for
 
 SCHEMES = ("gan", "cgan", "acgan", "vacgan")
 
@@ -61,27 +61,6 @@ def _helper_for(network):
     """`helper_for` the network's parameter count; None for a stub without a `param_buffer`."""
     buffer = getattr(network, "param_buffer", None)
     return None if buffer is None else helper_for(buffer.size)
-
-
-def _run_beside(helper, main, side, lead=None):
-    """(main(fetch), side()): `lead`, if given, then `side` run on `helper` while `main` runs here.
-
-    `fetch()` returns lead()'s result, waiting for it (None without a lead).
-    Without a helper they run here in their serial order: lead, main, side.
-    All of them have finished when this returns or raises; an exception of
-    `main` is raised first, then one of `lead`, then one of `side`.
-    """
-    if helper is None:
-        led = None if lead is None else lead()
-        return main(lambda: led), side()
-    calls = [helper.submit(call) for call in (lead, side) if call is not None]
-    try:
-        first = main(calls[0].result if lead is not None else lambda: None)
-    finally:
-        for call in calls:
-            call.exception()  # waits; no helper work outlives the call
-    results = [call.result() for call in calls]  # lead's error before side's
-    return first, results[-1]
 
 
 class TrainingDiverged(RuntimeError):
@@ -349,14 +328,19 @@ def train_step(real, labels_for_fake, trio, config, rng):
     def d_input(x, labels):
         return cgan_condition(x, labels, config.n_classes) if config.scheme == "cgan" else x
 
+    d_tape, g_tape = Tape(wrt=trio.d_opt.params), Tape(wrt=trio.g_opt.params)
+
+    def discriminator_on_real():
+        with d_tape:
+            return trio.discriminator(d_input(Tensor(real.features), real.labels))
+
     def fake_batch():  # a constant on D's tape
         return d_input(Tensor(trio.generator(z_d).data), labels_for_fake)
 
-    def discriminator_step(fetch_fake):
-        with Tape(wrt=trio.d_opt.params) as tape:
-            d_real = trio.discriminator(d_input(Tensor(real.features), real.labels))
-            d_loss = discriminator_loss(d_real, trio.discriminator(fetch_fake()))
-        return _descend(tape, d_loss, trio.d_opt, "discriminator loss", trio.step)
+    def discriminator_step():
+        with d_tape:
+            d_loss = discriminator_loss(d_real, trio.discriminator(fake_d))
+        return _descend(d_tape, d_loss, trio.d_opt, "discriminator loss", trio.step)
 
     def classifier_half(fake_g):
         # zeta * CCE of C on the generated batch, differentiated into fake_g only
@@ -367,8 +351,6 @@ def train_step(real, labels_for_fake, trio, config, rng):
         tape.backward(c_half)
         return c_half
 
-    g_tape = Tape(wrt=trio.g_opt.params)
-
     def beside_discriminator():
         # C's step on the real batch, then G's forward pass, the start of its
         # step, then C's half of G's loss
@@ -377,8 +359,8 @@ def train_step(real, labels_for_fake, trio, config, rng):
             fake_g = trio.generator(z_g)
         return c_value, fake_g, classifier_half(fake_g) if c_beside else None
 
-    d_value, (c_loss, fake_g, c_half) = _run_beside(
-        helper, discriminator_step, beside_discriminator, lead=fake_batch)
+    d_real, fake_d = _share(helper, (discriminator_on_real, fake_batch))
+    d_value, (c_loss, fake_g, c_half) = _share(helper, (discriminator_step, beside_discriminator))
     if config.scheme == "acgan":  # its C reads the trunk D just stepped
         c_loss = classifier_step(trio.classifier, trio.c_opt, real)
         c_half = classifier_half(fake_g)

@@ -18,12 +18,13 @@ an op records onto the innermost tape of the thread that runs it.  A tape
 is used by one thread at a time; it may be entered on one thread, left, and
 entered again on another, and its records stay in execution order.
 
-`helper_for(size)` alone decides what work goes to the helper thread.  A
-`dense` rule that needs both the input and the weight gradient asks with
+`helper_for(size)` alone decides what work goes to the helper thread, and
+`_share(helper, tasks)` is the one way work runs beside the calling thread.
+A `dense` rule that needs both the input and the weight gradient asks with
 its weight's size; given the helper, it computes the two products as two
-tasks of `share`, so the helper takes one while it is free.  Each product
-is written to its own array and the gradients are accumulated after the
-share, in the serial order, so the results are the same bits.
+tasks of `_share`.  Each product is written to its own array and the
+gradients are accumulated after the share, in the serial order, so the
+results are the same bits.
 
 Ownership: `Tensor(a)` wraps a float64 array `a` without copying, so the
 tensor and the caller share memory; ops never write into their inputs.  A
@@ -95,29 +96,44 @@ def helper_for(size):
     return _helper()
 
 
-def share(helper, tasks):
-    """[task() for task in tasks], with this thread and `helper` taking them from one queue.
+# Private: the benchmark's tracer wraps public functions, and its step timings need
+# no span between a train step and the optimizer and classifier steps run in it.
+def _share(helper, tasks):
+    """[task() for task in tasks]: here, in order, or here and on `helper` from one queue.
 
     Each task is a call with no arguments that writes only outputs of its
-    own, so the thread that runs it changes no bit.  `helper` is a
-    single-worker executor: it takes the queued tasks, in order, once it is
-    free.  This thread runs them in order and never waits for one the
-    helper has not started: it cancels it (`Future.cancel`) and runs it
-    itself.  Every task the helper started has finished when this returns
-    or raises; an exception of this thread is raised before one of the
-    helper's, and after it no further task starts.
+    own, so the thread that runs it changes no bit.  `helper`, a
+    single-worker executor, takes the queued tasks in order while it is
+    free; this thread cancels and runs each one the helper has not started,
+    unless one has failed.  Every started task has finished when this
+    returns or raises, and the error raised is the first failing task's in
+    task order, whichever thread ran it.
     """
+    if helper is None:
+        return [task() for task in tasks]
     futures = [helper.submit(task) for task in tasks]
-    here = {}
+    here, started, failed = {}, [], None
     try:
         for i, (task, future) in enumerate(zip(tasks, futures)):
-            if future.cancel():  # not started: run it here
-                here[i] = task()
+            if not future.cancel():
+                started.append(future)  # the helper took it
+            elif any(f.done() and f.exception() for f in started):
+                break  # one has failed: start no more here
+            else:
+                try:
+                    here[i] = task()
+                except Exception as e:
+                    here[i], failed = e, i
+                    break
     finally:
-        started = [future for future in futures if not future.cancel()]  # cancels the rest
-        for future in started:
-            future.exception()  # waits; no helper work outlives the share
-    return [here[i] if i in here else future.result() for i, future in enumerate(futures)]
+        for future in futures:
+            if not future.cancel():  # cancels the rest
+                future.exception()  # waits; no helper work outlives the share
+    # the results up to the failed task (all without one): an earlier error comes first
+    results = [here[i] if i in here else f.result() for i, f in enumerate(futures[:failed])]
+    if failed is not None:
+        raise here[failed]
+    return results
 
 
 class Tensor:
@@ -138,9 +154,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def zero_grad(self):
-        self.grad = None
 
     def grad_slot(self):
         """Where a new gradient term may be built: the view while .grad is None, else None."""
@@ -398,8 +411,8 @@ def dense(x, w, b, kind="linear", alpha=None):
             gx = _input_grad(g, w) if need_x else None
             gw = _weight_grad(x, g, w) if need_w else None
         else:  # both are needed, and the helper may take one
-            gx, gw = share(helper, (functools.partial(_input_grad, g, w),
-                                    functools.partial(_weight_grad, x, g, w)))
+            gx, gw = _share(helper, (functools.partial(_input_grad, g, w),
+                                     functools.partial(_weight_grad, x, g, w)))
         if need_x:
             x.accumulate_grad(gx)
         if need_w:

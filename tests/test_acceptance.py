@@ -218,8 +218,8 @@ def test_gradients_match_finite_differences():
         return cce_loss(classifier(generator(z)), labels)
 
     for param in generator.params():
-        generator.zero_grad()
-        classifier.zero_grad()
+        for p in generator.params() + classifier.params():
+            p.grad = None
         try:
             check_param_gradient(make_loss, param)
         except AssertionError as e:

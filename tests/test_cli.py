@@ -176,6 +176,27 @@ def test_bad_input_files_are_one_error_line_with_exit_2(argv, named, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+def _train_is_refused_before_touching_the_run(tmp_path, capsys, scheme, named, earlier):
+    """`auxgan train` on tmp_path/digits exits 2 with one line naming `named`, leaving `earlier`.
+
+    `earlier` maps file names under the output directory to the text
+    planted there first; afterwards they must be its only files.
+    """
+    out = tmp_path / "out"
+    for name, text in earlier.items():
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text)
+    config = _config_file(tmp_path, '{"dataset": "mnist", "scheme": {"scheme": "gan", '
+                                    f'"n_classes": 10, "epochs": 1{scheme}}}}}')
+    rc = main(["train", "--config", str(config), "--out", str(out),
+               "--mnist-dir", str(tmp_path / "digits")])
+    assert rc == 2
+    err = capsys.readouterr()[1]
+    assert err.startswith("auxgan: error: ") and err.count("\n") == 1 and named in err
+    left = {str(p.relative_to(out)): p.read_text() for p in out.rglob("*") if p.is_file()}
+    assert left == earlier
+
+
 def test_train_refuses_non_square_digit_images_before_touching_the_run(tmp_path, capsys):
     paths = data._mnist_paths(tmp_path / "digits")
     os.makedirs(tmp_path / "digits")
@@ -184,21 +205,23 @@ def test_train_refuses_non_square_digit_images_before_touching_the_run(tmp_path,
                   IdxFile(IMAGE_MAGIC, (n, 20, 30), np.zeros(n * 600, dtype=np.uint8)))
         write_idx(paths[f"{split}_labels"],
                   IdxFile(LABEL_MAGIC, (n,), np.arange(n, dtype=np.uint8) % 10))
-    out = tmp_path / "out"
-    earlier = {"metrics.csv": "earlier run", "confusion.csv": "earlier run",
-               "checkpoint.bin": "earlier run", "probe/manifest.txt": "earlier run"}
-    for name, text in earlier.items():
-        (out / name).parent.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text)
-    config = _config_file(tmp_path, '{"dataset": "mnist", "scheme": {"scheme": "gan", '
-                                    '"n_classes": 10, "epochs": 1}}')
-    rc = main(["train", "--config", str(config), "--out", str(out),
-               "--mnist-dir", str(tmp_path / "digits")])
-    assert rc == 2
-    err = capsys.readouterr()[1]
-    assert err.startswith("auxgan: error: ") and err.count("\n") == 1 and "20x30" in err
-    left = {str(p.relative_to(out)): p.read_text() for p in out.rglob("*") if p.is_file()}
-    assert left == earlier
+    _train_is_refused_before_touching_the_run(tmp_path, capsys, "", "20x30", {
+        "metrics.csv": "earlier run", "confusion.csv": "earlier run",
+        "checkpoint.bin": "earlier run", "probe/manifest.txt": "earlier run"})
+
+
+@pytest.mark.parametrize("corpus, batch_size, named", [
+    ((256, 64), 300, "batch_size"),  # a batch larger than the training split
+    ((200, 200), 64, "floor"),  # too few images for the probe to reach its floor
+])
+def test_train_refuses_a_bad_batch_size_or_probe_before_touching_the_run(
+        corpus, batch_size, named, tmp_path, capsys):
+    # the planted files stay the only ones: no probe/ is written
+    write_synthetic_digit_files(tmp_path / "digits", *corpus)
+    _train_is_refused_before_touching_the_run(tmp_path, capsys, f', "batch_size": {batch_size}',
+                                              named, {"metrics.csv": "earlier run",
+                                                      "confusion.csv": "earlier run",
+                                                      "checkpoint.bin": "earlier run"})
 
 
 def test_eval_image_checkpoint_needs_probe(image_checkpoint, capsys):

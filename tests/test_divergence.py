@@ -298,13 +298,13 @@ def test_random_family_respects_probability_floor():
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _import_divergence_afresh(**preset):
-    """(auxgan modules loaded, BLAS thread variables) after `import auxgan.divergence`."""
+def _load_afresh(statement="import auxgan.divergence", **preset):
+    """(auxgan modules loaded, BLAS thread variables) after `statement` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(auxgan.__file__))
     code = "\n".join([
         "import os, sys",
         f"sys.path.insert(0, {src!r})",
-        "import auxgan.divergence",
+        statement,
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'auxgan'))",
         f"print(*(os.environ[v] for v in {BLAS_THREAD_VARS!r}))",
     ])
@@ -316,6 +316,16 @@ def _import_divergence_afresh(**preset):
 
 
 def test_the_exact_library_loads_no_training_code_and_still_pins_blas():
-    assert _import_divergence_afresh() == (["auxgan", "auxgan.divergence"], ["1", "1", "1"])
+    assert _load_afresh() == (["auxgan", "auxgan.divergence"], ["1", "1", "1"])
     # a variable the environment sets is left as it is
-    assert _import_divergence_afresh(OPENBLAS_NUM_THREADS="3")[1] == ["3", "1", "1"]
+    assert _load_afresh(OPENBLAS_NUM_THREADS="3")[1] == ["3", "1", "1"]
+
+
+def test_verify_identities_loads_only_the_cli_and_the_exact_library():
+    statement = "\n".join([
+        "import contextlib, io",
+        "from auxgan import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    cli.main(['verify-identities', '--n', '3', '--support', '4', '--trials', '2'])",
+    ])
+    assert _load_afresh(statement)[0] == ["auxgan", "auxgan.cli", "auxgan.divergence"]

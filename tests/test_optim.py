@@ -304,7 +304,7 @@ def test_a_refused_step_changes_nothing(optimizer):
     for fault, named in ((None, "no gradient"), (np.zeros(3), "a gradient outside its buffer"),
                          (np.zeros(4), "a gradient outside its buffer")):
         for p in params[:-1]:
-            p.zero_grad()
+            p.grad = None
             p.accumulate_grad(rng.normal(size=p.shape))
         params[-1].grad = fault
         before = snapshot()
@@ -326,7 +326,7 @@ def test_a_segment_whose_arrays_do_not_fit_its_parameters_is_refused(optimizer):
 
 def _helper_takes_a_block(monkeypatch):
     """Make every shared step hand the helper a block: the first waits until the second started."""
-    share = optim.share
+    share = optim._share
 
     def forcing(helper, tasks):
         started = threading.Event()
@@ -341,7 +341,7 @@ def _helper_takes_a_block(monkeypatch):
 
         return share(helper, [first, second, *tasks[2:]])
 
-    monkeypatch.setattr(optim, "share", forcing)
+    monkeypatch.setattr(optim, "_share", forcing)
 
 
 def _state(params, opt):
@@ -365,7 +365,7 @@ def test_a_shared_step_equals_the_serial_step_bit_for_bit_over_50_steps(
     assert len(shared[1]._blocks) == 5
     if forced:
         _helper_takes_a_block(monkeypatch)
-    on_helper, share = [], optim.share
+    on_helper, share = [], optim._share
 
     def counting(helper, tasks):
         def count(task):
@@ -375,7 +375,7 @@ def test_a_shared_step_equals_the_serial_step_bit_for_bit_over_50_steps(
             return run
         return share(helper, [count(task) for task in tasks])
 
-    monkeypatch.setattr(optim, "share", counting)
+    monkeypatch.setattr(optim, "_share", counting)
     rng, interval = np.random.default_rng(9), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -5,7 +5,6 @@ import tempfile
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +193,8 @@ def test_gradient_routing_through_classifier_term():
     def grads_for(theta, zeta):
         loss_cfg = SchemeConfig(scheme="vacgan", n_classes=2, noise_dim=4,
                                 theta=theta, zeta=zeta)
-        trio.generator.zero_grad()
+        for p in trio.generator.params():
+            p.grad = None
         with Tape(wrt=trio.g_opt.params) as tape:
             fake = trio.generator(z)
             class_loss = generator_class_loss(trio.classifier(fake), labels, loss_cfg)
@@ -206,7 +206,8 @@ def test_gradient_routing_through_classifier_term():
     assert any(np.abs(g).max() > 0.0 for g in cce_only)
 
     bce_only = grads_for(theta=1.0, zeta=0.0)
-    trio.generator.zero_grad()
+    for p in trio.generator.params():
+        p.grad = None
     with Tape(wrt=trio.g_opt.params) as tape:
         plain = bce_loss(trio.discriminator(trio.generator(z)), 1.0)
     tape.backward(plain)
@@ -244,8 +245,8 @@ def test_generator_gradient_through_classifier_matches_finite_differences():
         return cce_loss(classifier(generator(z)), labels)
 
     for param in generator.params():
-        generator.zero_grad()
-        classifier.zero_grad()
+        for p in generator.params() + classifier.params():
+            p.grad = None
         check_param_gradient(make_loss, param)
 
 
@@ -524,7 +525,7 @@ def test_the_helper_thread_changes_no_bit_of_a_digit_width_step(scheme, monkeypa
     for helper_min_params in SERIAL_THEN_HELPER:
         assert _three_digit_steps(set_helper_min_params, scheme, train_step,
                                   helper_min_params) == reference
-    assert len(threads) == 2  # the helper ran G(z_d)
+    assert len(threads) == 2  # the helper ran a forward pass
 
 
 @pytest.mark.parametrize("scheme", ["vacgan", "acgan"])
@@ -535,18 +536,19 @@ def test_a_one_argument_step_wrapper_gives_the_serial_bits_with_the_helper_on(
     for cls in (Adam, NesterovMomentum):
         monkeypatch.setattr(cls, "step", lambda opt, step=cls.step: step(opt))
     serial = _three_digit_steps(set_helper_min_params, scheme, train_step, float("inf"))
-    blocks, share = [], optim.share
+    blocks, share = [], optim._share
 
     def counting(helper, tasks):
         blocks.append(len(tasks))
         return share(helper, tasks)
 
-    monkeypatch.setattr(optim, "share", counting)
+    monkeypatch.setattr(optim, "_share", counting)
     threads = _record_forward_threads(monkeypatch)
     assert _three_digit_steps(set_helper_min_params, scheme, train_step, 0) == serial
-    assert len(threads) == 2  # the helper ran G(z_d)
-    # D's and G's Adam steps, and acgan's C step after the join, shared their blocks
-    assert len(blocks) == 3 * (3 if scheme == "acgan" else 2) and min(blocks) > 1
+    assert len(threads) == 2  # the helper ran a forward pass
+    # G's Adam step, acgan's C step after the join, and whichever of D's Adam
+    # step and vacgan's C step ran on the calling thread shared their blocks
+    assert len(blocks) >= 3 * 2 and min(blocks) > 1
 
 
 def _forward_threads(monkeypatch, *trios):
@@ -566,55 +568,62 @@ def _forward_threads(monkeypatch, *trios):
     return calls
 
 
-def test_vacgan_steps_its_classifier_on_the_helper_only_at_image_width(monkeypatch):
-    # at image width G's two forward passes, C's step and C on the generated
-    # batch run on the helper, and every D forward on the calling thread;
-    # at ring width all of them run on the calling thread
-    threads = []
-    c_step = schemes.classifier_step
+def test_vacgan_steps_its_classifier_on_the_helper_only_at_image_width(monkeypatch,
+                                                                      set_helper_min_params):
+    # at ring width C's step and every forward pass run on the calling
+    # thread; at image width the helper may take any of them, and the step
+    # does the same work and gives the serial bits whichever thread runs what
+    c_steps, c_step = [], schemes.classifier_step
 
     def recording(network, opt, batch):
-        threads.append(threading.current_thread())
+        c_steps.append(threading.current_thread())
         return c_step(network, opt, batch)
 
     monkeypatch.setattr(schemes, "classifier_step", recording)
     cfg = SchemeConfig(scheme="vacgan", n_classes=10, noise_dim=16)
-    image_trio = build_trio(cfg, 784, rng=np.random.default_rng(42), **_IMAGE_ARCH)
-    assert image_trio.generator.param_buffer.size >= tensor.HELPER_MIN_PARAMS
+    image_trios = [build_trio(cfg, 784, rng=np.random.default_rng(42), **_IMAGE_ARCH)
+                   for _ in SERIAL_THEN_HELPER]
+    assert image_trios[0].generator.param_buffer.size >= tensor.HELPER_MIN_PARAMS
     monkeypatch.setitem(sys.modules, "tracemalloc", tracemalloc)
-    assert schemes._helper_for(image_trio.generator) is None  # loaded: no helper
-    monkeypatch.delitem(sys.modules, "tracemalloc")
+    assert schemes._helper_for(image_trios[0].generator) is None  # loaded: no helper
+    set_helper_min_params(tensor.HELPER_MIN_PARAMS)
     ring_cfg, ring_trio = _mixture_setup("vacgan")  # a ring-width generator: serial
-    forwards = _forward_threads(monkeypatch, ring_trio, image_trio)
+    assert schemes._helper_for(ring_trio.generator) is None
+    assert schemes._helper_for(image_trios[0].generator) is tensor._helper()
+    forwards = _forward_threads(monkeypatch, ring_trio, *image_trios)
     _run(ring_cfg, ring_trio, 1)
-    ring_forwards = forwards[:]
-    del forwards[:]
-    rng = np.random.default_rng(43)
-    real = LabeledBatch(features=rng.random((64, 784)), labels=rng.integers(0, 10, 64))
-    train_step(real, rng.integers(0, 10, 64), image_trio, cfg, rng)
-    assert threads[0] is threading.main_thread()
-    assert threads[1] is not threading.main_thread()
-    for calls in (ring_forwards, forwards):
-        assert sorted(name for name, _ in calls) == ["C", "C", "D", "D", "D", "G", "G"]
-    assert {thread for _, thread in ring_forwards} == {threading.main_thread()}
-    for name, thread in forwards:
-        assert (thread is threading.main_thread()) is (name == "D"), name
+    assert {thread for _, thread in forwards} | set(c_steps) == {threading.main_thread()}
+    work = sorted(name for name, _ in forwards)
+    assert work == ["C", "C", "D", "D", "D", "G", "G"] and len(c_steps) == 1
+    results = []
+    for trio, helper_min_params in zip(image_trios, SERIAL_THEN_HELPER):
+        set_helper_min_params(helper_min_params)
+        del forwards[:], c_steps[:]
+        rng = np.random.default_rng(43)
+        real = LabeledBatch(features=rng.random((64, 784)), labels=rng.integers(0, 10, 64))
+        results.append((train_step(real, rng.integers(0, 10, 64), trio, cfg, rng),
+                        _state_bytes(trio)))
+        assert sorted(name for name, _ in forwards) == work and len(c_steps) == 1
+    assert results[1] == results[0]
 
 
 def test_a_discriminator_error_before_the_fake_batch_arrives_waits_for_the_helper(
         monkeypatch, set_helper_min_params):
-    # D fails on the real batch while the helper still makes G(z_d), which
-    # then fails too: the step joins the helper and raises D's error
+    # D fails on the real batch once G(z_d) has started, whichever threads
+    # the two run on; G(z_d) then fails too, later: the step joins it and
+    # raises D's error, the first in task order
     set_helper_min_params(0)
     cfg, trio = _mixture_setup("vacgan")
-    generated, forward = [], MLP.forward
+    generating, generated, forward = threading.Event(), [], MLP.forward
 
     def failing(network, x, upto=None):
         if network is trio.discriminator:
+            assert generating.wait(timeout=10)
             raise ValueError("D failed on the real batch")
-        if network is trio.generator and not generated:
+        if network is trio.generator and not generating.is_set():
+            generating.set()
             time.sleep(0.05)
-            generated.append(threading.current_thread())
+            generated.append(1)
             raise RuntimeError("G(z_d) failed")
         return forward(network, x, upto)
 
@@ -622,43 +631,9 @@ def test_a_discriminator_error_before_the_fake_batch_arrives_waits_for_the_helpe
     monkeypatch.setattr(MLP, "__call__", failing)
     with pytest.raises(ValueError, match="D failed on the real batch"):
         _run(cfg, trio, 1)
-    assert len(generated) == 1 and generated[0] is not threading.main_thread()
+    assert generated == [1]  # G(z_d) had finished when the step raised
     _assert_no_helper_work_left(trio, _state_bytes(trio))
     assert all(p.grad is None for p in trio.all_params())
-
-
-def test_run_beside_joins_the_side_and_raises_the_main_error_first():
-    finished, order = [], []
-
-    def main(fetch):
-        raise ValueError("main failed")
-
-    def failing(name):
-        def call():
-            time.sleep(0.05)
-            finished.append(name)
-            raise RuntimeError(f"{name} failed")
-        return call
-
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        with pytest.raises(ValueError, match="main failed"):
-            schemes._run_beside(helper, main, failing("side"), lead=failing("lead"))
-        assert finished == ["lead", "side"]
-        with pytest.raises(RuntimeError, match="side failed"):
-            schemes._run_beside(helper, lambda fetch: None, failing("side"))
-        with pytest.raises(RuntimeError, match="lead failed"):
-            schemes._run_beside(helper, lambda fetch: fetch(), lambda: None, lead=failing("lead"))
-        # a lead's error is raised even when main never fetched it, before side's
-        for side in (lambda: None, failing("side")):
-            with pytest.raises(RuntimeError, match="lead failed"):
-                schemes._run_beside(helper, lambda fetch: None, side, lead=failing("lead"))
-    with pytest.raises(RuntimeError, match="lead failed"):
-        schemes._run_beside(None, lambda fetch: None, lambda: None, lead=failing("lead"))
-    # without a helper: lead, main, side, in that order, and main reads lead's result
-    result = schemes._run_beside(None, lambda fetch: order.append("main") or fetch(),
-                                 lambda: order.append("side") or "s",
-                                 lead=lambda: order.append("lead") or "l")
-    assert result == ("l", "s") and order == ["lead", "main", "side"]
 
 
 @pytest.mark.parametrize("failing_thread", ["calling", "helper"])
@@ -670,7 +645,7 @@ def test_a_product_that_fails_in_the_generators_backward_pass_leaves_no_helper_w
     set_helper_min_params(tensor.HELPER_MIN_PARAMS)
     cfg, trio = _digit_setup("vacgan")
     g_before = trio.generator.param_buffer.tobytes()
-    shared, done = tensor.share, []
+    shared, done = tensor._share, []
 
     def failing(helper, tasks):
         barrier = threading.Barrier(2)
@@ -688,7 +663,7 @@ def test_a_product_that_fails_in_the_generators_backward_pass_leaves_no_helper_w
 
         return shared(helper, [meeting(task) for task in tasks])
 
-    monkeypatch.setattr(tensor, "share", failing)
+    monkeypatch.setattr(tensor, "_share", failing)
     with pytest.raises(RuntimeError, match=f"on the {failing_thread} thread failed"):
         _digit_run(cfg, trio, 1)
     assert len(done) == 1  # the other product had finished when the step raised

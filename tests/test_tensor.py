@@ -4,7 +4,7 @@ import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from scipy import special
 from auxgan import tensor
 from auxgan.nn import MLP
 from auxgan.tensor import (ACTIVATIONS, Tape, Tensor, add, bce_loss, cce_loss, concat_cols,
-                           dense, mul, parameters, share)
+                           _share, dense, mul, parameters)
 from gradcheck import (check_input_gradient, check_param_gradient, relative_error,
                        weighted_sum)
 
@@ -103,7 +103,7 @@ def test_tape_wrt_matches_full_backward_on_listed_leaves_only():
     tape.backward(full_loss)
     full = [p.grad for p in first]
     for p in first + second:
-        p.zero_grad()
+        p.grad = None
 
     with Tape(wrt=first) as tape:
         partial_loss = loss()
@@ -142,7 +142,8 @@ def test_threads_record_on_their_own_tapes_and_give_the_serial_gradients():
                 loss = bce_loss(net(x), 1.0)
             tape.backward(loss)
             out.append(net.grad_buffer.copy())
-            net.zero_grad()
+            for p in net.params():
+                p.grad = None
         return out
 
     serial = [gradients(net, x) for net, x in zip(nets, xs)]
@@ -371,12 +372,29 @@ def test_dense_backward_of_one_use_allocates_no_weight_gradient():
     assert np.shares_memory(layer.weights.grad, layer.weights.grad_view)
 
 
+def test_share_without_a_helper_runs_the_tasks_here_in_order_and_stops_at_the_first_error():
+    ran = []
+
+    def task(name, fails=False):
+        def run():
+            ran.append((name, threading.current_thread()))
+            if fails:
+                raise ValueError(f"{name} failed")
+            return name
+        return run
+
+    assert _share(None, [task("a"), task("b"), task("c")]) == ["a", "b", "c"]
+    with pytest.raises(ValueError, match="b failed"):
+        _share(None, [task("d"), task("b", fails=True), task("e", fails=True)])
+    assert ran == [(name, threading.main_thread()) for name in "abcdb"]
+
+
 def test_share_beside_a_busy_helper_runs_every_task_here_without_waiting():
     release, ran = threading.Event(), []
     with ThreadPoolExecutor(max_workers=1) as helper:
         blocked = helper.submit(release.wait, 10)
-        results = share(helper, [lambda i=i: ran.append(threading.current_thread()) or i
-                                 for i in range(4)])
+        results = _share(helper, [lambda i=i: ran.append(threading.current_thread()) or i
+                                  for i in range(4)])
         assert not release.is_set()  # returned while the helper was still blocked
         release.set()
         assert blocked.result(timeout=60)
@@ -384,34 +402,57 @@ def test_share_beside_a_busy_helper_runs_every_task_here_without_waiting():
     assert ran == [threading.current_thread()] * 4
 
 
-def test_share_joins_the_helpers_task_and_raises_this_threads_error_first():
-    # each thread runs one of the first two tasks; the helper's fails late
+class _Placing:
+    """A helper that starts the share's task number `index` on `worker` and no other.
+
+    `submit` returns once that task has started, so this thread finds it
+    taken and runs every other task itself, unless a task has failed.
+    """
+
+    def __init__(self, worker, index):
+        self.worker, self.index, self.given = worker, index, 0
+
+    def submit(self, task):
+        self.given += 1
+        if self.given - 1 != self.index:
+            return Future()  # pending until this thread cancels it
+        started = threading.Event()
+        future = self.worker.submit(lambda: started.set() or task())
+        assert started.wait(timeout=10)
+        return future
+
+
+@pytest.mark.parametrize("on_helper", [0, 1])
+def test_share_joins_started_tasks_and_raises_the_first_failing_task_in_task_order(on_helper):
+    # tasks 0 and 1 meet at a barrier, one on each thread, and task 0 ends
+    # late: whether it fails too or task 1 fails alone, the share joins it
+    # and raises the first failure in task order, and task 2 never starts
     finished, never = [], []
 
-    def meeting(barrier, here_fails):
+    def meeting(barrier, fails, late):
         def task():
             barrier.wait(timeout=10)
-            if threading.current_thread() is threading.main_thread():
-                if here_fails:
-                    raise ValueError("here failed")
-                return
-            time.sleep(0.05)
-            finished.append(1)
-            raise RuntimeError("helper failed")
+            if late:
+                time.sleep(0.05)
+                finished.append(threading.current_thread())
+            if fails:
+                raise RuntimeError(f"task {int(not late)} failed")
         return task
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for first_fails in (True, False):
+            barrier = threading.Barrier(2)
+            tasks = [meeting(barrier, fails=first_fails, late=True),
+                     meeting(barrier, fails=True, late=False), lambda: never.append(1)]
+            with pytest.raises(RuntimeError, match=f"task {int(not first_fails)} failed"):
+                _share(_Placing(worker, on_helper), tasks)
+            assert len(finished) == 1  # the late task 0 was joined before raising
+            assert (finished.pop() is threading.main_thread()) is (on_helper == 1)
+            assert never == []  # nothing starts here after an error
         barrier = threading.Barrier(2)
-        task = meeting(barrier, here_fails=True)
-        with pytest.raises(ValueError, match="here failed"):
-            share(helper, [task, task, lambda: never.append(1)])
-        assert finished == [1]  # joined before raising
-        assert never == []  # nothing starts after this thread's error
-        # the helper's error, once this thread has run the rest
-        task = meeting(threading.Barrier(2), here_fails=False)
-        with pytest.raises(RuntimeError, match="helper failed"):
-            share(helper, [task, task, lambda: never.append(2)])
-        assert finished == [1, 1] and never == [2]
+        tasks = [meeting(barrier, fails=False, late=True), meeting(barrier, fails=False, late=False),
+                 lambda: threading.current_thread()]
+        assert _share(_Placing(worker, on_helper), tasks)[2] is threading.main_thread()
 
 
 def test_helper_for_gives_no_helper_below_the_threshold_under_tracemalloc_or_on_the_helper(
@@ -429,7 +470,7 @@ def test_a_dense_rule_needing_both_products_of_a_wide_weight_shares_them_and_cha
         monkeypatch, set_helper_min_params):
     # a digit-width generator: only the last layer needs both products, and
     # its weight is wide enough for the helper, which computes one of them
-    threads, calls, shared = [], [], tensor.share
+    threads, calls, shared = [], [], tensor._share
 
     def recording(helper, tasks):
         started = threading.Event()
@@ -446,7 +487,7 @@ def test_a_dense_rule_needing_both_products_of_a_wide_weight_shares_them_and_cha
         calls.append(len(tasks))
         return shared(helper, [on(task, i == 0) for i, task in enumerate(tasks)])
 
-    monkeypatch.setattr(tensor, "share", recording)
+    monkeypatch.setattr(tensor, "_share", recording)
     net = MLP((26, 256, 784), ("relu", "sigmoid"), rng=np.random.default_rng(7))
     assert net.layers[0].weights.data.size < tensor.HELPER_MIN_PARAMS
     x = Tensor(np.random.default_rng(8).normal(size=(64, 26)))
@@ -481,8 +522,7 @@ def test_dense_gradients(kind):
 
         check_input_gradient(loss, x0)
         for param in (w, b):
-            w.zero_grad()
-            b.zero_grad()
+            w.grad = b.grad = None
             check_param_gradient(lambda: loss(Tensor(x0)), param)
 
 
