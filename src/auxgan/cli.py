@@ -52,6 +52,7 @@ def _cmd_verify_identities(args):
 
 
 def _cmd_eval(args):
+    from .data import write_file
     from .harness import PROBE_DIR, Probe, evaluate
     from .schemes import load_checkpoint, load_probe_checkpoint
     trio, info = load_checkpoint(args.checkpoint)
@@ -75,8 +76,7 @@ def _cmd_eval(args):
     print("confusion (rows = requested class):")
     print(confusion.to_csv(), end="")
     if args.out is not None:
-        with open(args.out, "w") as f:
-            f.write(confusion.to_csv())
+        write_file(args.out, confusion.to_csv().encode())
     return 0
 
 
@@ -85,9 +85,8 @@ def _cmd_grid(args):
     from .schemes import load_checkpoint
     trio, info = load_checkpoint(args.checkpoint)
     out = args.out or GRID_NAME.format(f"{info['step']:04d}")
-    rng = rng_stream(info["seed"], "grid", info["step"])
-    emit_sample_grid(trio.generator, trio.partition, args.cols, out, rng)
-    print(out)
+    print(emit_sample_grid(trio.generator, trio.partition, args.cols, out,
+                           rng_stream(info["seed"], "grid", info["step"])))
     return 0
 
 

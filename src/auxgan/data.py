@@ -44,6 +44,15 @@ class IdxFile:
             raise ValueError(f"dims {self.dims} do not match payload length {self.payload.size}")
 
 
+def write_file(path, *chunks):
+    """Write the bytes-like `chunks` to `path`.tmp, then rename it over `path` whole."""
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+    os.replace(tmp, path)
+
+
 def read_idx(path):
     """Parse one IDX file (unsigned-byte payload, big-endian headers)."""
     with open(path, "rb") as f:
@@ -72,10 +81,7 @@ def write_idx(path, idx):
     rank = len(idx.dims)
     if idx.magic & 0xFF != rank:
         raise ValueError(f"magic {idx.magic} encodes rank {idx.magic & 0xFF}, dims have rank {rank}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">I", idx.magic))
-        f.write(struct.pack(f">{rank}I", *idx.dims))
-        f.write(idx.payload)
+    write_file(path, struct.pack(f">I{rank}I", idx.magic, *idx.dims), idx.payload)
 
 
 @dataclass

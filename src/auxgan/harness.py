@@ -1,7 +1,9 @@
 """Experiment runner: trains a scheme, measures conditional fidelity, emits artifacts.
 
-A run is driven by an ExperimentConfig (JSON on disk) and a seed.  It
-writes, under the output directory:
+A run is driven by an ExperimentConfig (JSON on disk) and a seed.  Once its
+input (and on image runs its probe) passes its checks, it removes these files
+of an earlier run in the output directory, probe/'s too, then writes each,
+all but the streamed metrics.csv renamed into place by `data.write_file`:
 
 * ``metrics.csv``     one row per evaluation step (see MetricsRecord)
 * ``confusion.csv``   requested-class x assigned-class counts at the end
@@ -27,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .data import (GaussianMixtureSpec, _mnist_paths, load_mnist, minibatches,
-                   sample_mixture, write_synthetic_digit_files)
+                   sample_mixture, write_file, write_synthetic_digit_files)
 from .divergence import DistributionFamily, generalized_jsd
 from .nn import MLP
 from .optim import Adam
@@ -68,7 +70,8 @@ SAMPLES_PER_CLASS = {"ring": 500, "probe": 200}  # of one evaluation, by its rea
 GRID_NAME = "samples_step{}.pgm"
 PROBE_DIR = "probe"
 # The files of a finished run, which a new run in its directory removes first.
-_FINISHED = (MANIFEST_NAME, PAYLOAD_NAME, "confusion.csv", GRID_NAME.format("*"))
+_FINISHED = (MANIFEST_NAME, PAYLOAD_NAME, "confusion.csv", "metrics.csv", GRID_NAME.format("*"),
+             os.path.join(PROBE_DIR, MANIFEST_NAME), os.path.join(PROBE_DIR, PAYLOAD_NAME))
 
 
 @dataclass
@@ -332,14 +335,8 @@ def emit_sample_grid(generator, partition, rows_per_class, path, rng):
     if side * side != x.shape[2]:
         raise ValueError(f"generator emits {x.shape[2]} features, not a square image")
     pixels = np.clip(np.rint(x * 255.0), 0, 255).astype(np.uint8)
-    tiles = pixels.reshape(n, rows_per_class, side, side)
-    canvas = tiles.transpose(0, 2, 1, 3).reshape(n * side, rows_per_class * side)
-    header = f"P5\n{canvas.shape[1]} {canvas.shape[0]}\n255\n".encode("ascii")
-    try:
-        with open(path, "wb") as f:
-            f.write(header + canvas.tobytes())
-    except OSError as e:
-        raise OSError(f"could not write sample grid to {path}: {e}") from e
+    canvas = pixels.reshape(n, -1, side, side).transpose(0, 2, 1, 3).reshape(n * side, -1)
+    write_file(path, f"P5\n{canvas.shape[1]} {canvas.shape[0]}\n255\n".encode("ascii"), canvas)
     return path
 
 
@@ -401,20 +398,23 @@ def run_experiment(config, mnist_dir=None, log=print):
     An mnist run reads the four IDX files in `mnist_dir`, or without one
     trains on a synthetic digit corpus it writes under the output directory.
     Once its input is read and, on mnist, its probe trained and checked, it
-    removes an earlier run's finished files there.
+    removes an earlier run's finished files there before it writes any.
     Returns the final MetricsRecord.  If a loss turns non-finite the partial
     metrics.csv is kept and the TrainingDiverged propagates to the caller.
     """
     t0 = time.time()
     scheme_cfg = config.scheme
+    train_rng = rng_stream(config.seed, "train")
 
-    mixture_spec = None
     probe = None
-    train_set = None
     if config.dataset == "mixture2d":
-        mixture_spec = _ring_spec(scheme_cfg.n_classes)
+        spec = _ring_spec(scheme_cfg.n_classes)
         steps_per_epoch = scheme_cfg.steps_per_epoch
-        data_dim, arch = mixture_spec.means.shape[1], {}
+        data_dim, arch = spec.means.shape[1], {}
+
+        def epoch_batches():
+            return (sample_mixture(spec, train_rng, scheme_cfg.batch_size)
+                    for _ in range(steps_per_epoch))
     else:
         paths = _resolve_mnist_files(config, mnist_dir)
         train_set = load_mnist(paths["train_images"], paths["train_labels"])
@@ -428,29 +428,33 @@ def run_experiment(config, mnist_dir=None, log=print):
         if n_classes != scheme_cfg.n_classes:
             raise ValueError(f"dataset has {n_classes} classes, "
                              f"config says {scheme_cfg.n_classes}")
+        if test_set.labels.max() >= n_classes:
+            raise ValueError(f"test labels {paths['test_labels']} hold class "
+                             f"{test_set.labels.max()}, the training split has {n_classes}")
         check_field("batch_size", scheme_cfg.batch_size, int, 1, train_set.labels.size)
         probe = train_probe(train_set, test_set, config.probe_hidden,
                             config.probe_epochs, rng_stream(config.seed, "probe"))
         log(f"probe test accuracy: {probe.test_accuracy:.4f}")
         _check_probe(probe)
-        save_probe_checkpoint(os.path.join(config.output_dir, PROBE_DIR),
-                              probe.network, probe.test_accuracy, config.seed)
         # one epoch = one full shuffled pass over the real training set
         steps_per_epoch = train_set.labels.size // scheme_cfg.batch_size
         data_dim, arch = side * side, _IMAGE_ARCH
+        epoch_batches = functools.partial(minibatches, train_set, scheme_cfg.batch_size,
+                                          train_rng)
 
     os.makedirs(config.output_dir, exist_ok=True)
     for name in _FINISHED:
         for path in glob.glob(os.path.join(glob.escape(config.output_dir), name)):
             os.remove(path)
+    if probe is not None:
+        save_probe_checkpoint(os.path.join(config.output_dir, PROBE_DIR),
+                              probe.network, probe.test_accuracy, config.seed)
 
     trio = build_trio(scheme_cfg, data_dim, rng=rng_stream(config.seed, "build"), **arch)
-    train_rng = rng_stream(config.seed, "train")
     total_steps = steps_per_epoch * scheme_cfg.epochs
-    metrics_path = os.path.join(config.output_dir, "metrics.csv")
 
     record = confusion = None
-    with open(metrics_path, "w") as metrics_file:
+    with open(os.path.join(config.output_dir, "metrics.csv"), "w") as metrics_file:
         metrics_file.write(",".join(MetricsRecord.CSV_FIELDS) + "\n")
 
         def emit(step, losses):
@@ -473,12 +477,7 @@ def run_experiment(config, mnist_dir=None, log=print):
         emit(0, None)
         losses = None
         for epoch in range(scheme_cfg.epochs):
-            if config.dataset == "mixture2d":
-                batches = (sample_mixture(mixture_spec, train_rng, scheme_cfg.batch_size)
-                           for _ in range(steps_per_epoch))
-            else:
-                batches = minibatches(train_set, scheme_cfg.batch_size, train_rng)
-            for real in batches:
+            for real in epoch_batches():
                 labels_fake = train_rng.integers(0, scheme_cfg.n_classes,
                                                  size=scheme_cfg.batch_size)
                 losses = train_step(real, labels_fake, trio, scheme_cfg, train_rng)
@@ -487,8 +486,7 @@ def run_experiment(config, mnist_dir=None, log=print):
         if record.step != total_steps:
             emit(total_steps, losses)
 
-    with open(os.path.join(config.output_dir, "confusion.csv"), "w") as f:
-        f.write(confusion.to_csv())
+    write_file(os.path.join(config.output_dir, "confusion.csv"), confusion.to_csv().encode())
     save_checkpoint(config.output_dir, trio, config.seed)
     if config.dataset == "mnist":
         emit_sample_grid(trio.generator, trio.partition, 8,

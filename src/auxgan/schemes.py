@@ -46,6 +46,7 @@ from typing import Optional
 
 import numpy as np
 
+from .data import write_file
 from .nn import MLP
 from .optim import Adam, NesterovMomentum
 from .tensor import Tape, Tensor, _share, bce_loss, cce_loss, concat_cols, helper_for
@@ -413,27 +414,21 @@ class _Manifest(dict):
 def _write_bundle(directory, kind, keys, networks):
     """Write one bundle; `keys` and `networks` are dicts in manifest order.
 
-    Each file is renamed into place from a .tmp file, the payload first: a
-    crash between the renames leaves an old manifest that refuses the payload.
+    Each file goes through `write_file`, the payload first: a crash between
+    the renames leaves an old manifest that refuses the payload.
     """
     import hashlib
     os.makedirs(directory, exist_ok=True)
-    payload = os.path.join(directory, PAYLOAD_NAME)
+    buffers = [net.param_buffer.astype("<f8", copy=False) for net in networks.values()]
     digest = hashlib.sha256()
-    with open(payload + ".tmp", "wb") as f:
-        for net in networks.values():
-            buffer = net.param_buffer.astype("<f8", copy=False)
-            digest.update(buffer)
-            f.write(buffer)
-    os.replace(payload + ".tmp", payload)
+    for buffer in buffers:
+        digest.update(buffer)
+    write_file(os.path.join(directory, PAYLOAD_NAME), *buffers)
     lines = [f"format {_FORMAT_LINE}", f"kind {kind}"]
     lines += [f"{key} {value}" for key, value in keys.items()]
     lines += [f"payload {PAYLOAD_NAME}", f"payload_sha256 {digest.hexdigest()}"]
     lines += [f"network {name} {net.spec()}" for name, net in networks.items()]
-    manifest = os.path.join(directory, MANIFEST_NAME)
-    with open(manifest + ".tmp", "w") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(manifest + ".tmp", manifest)
+    write_file(os.path.join(directory, MANIFEST_NAME), ("\n".join(lines) + "\n").encode())
 
 
 def _read_bundle(path, kind):

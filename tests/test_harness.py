@@ -1,7 +1,10 @@
+import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +18,8 @@ import auxgan.harness as harness
 import auxgan.schemes as schemes
 import auxgan.tensor as tensor
 from auxgan.cli import main
-from auxgan.data import GaussianMixtureSpec, write_synthetic_digit_files
+from auxgan.data import (LABEL_MAGIC, GaussianMixtureSpec, IdxFile, read_idx, write_idx,
+                         write_synthetic_digit_files)
 from auxgan.harness import (JSD_BINS, JSD_BOX, JSD_EDGES, ConfusionMatrix, ExperimentConfig,
                             MetricsRecord, Probe, class_histograms, class_match_rate,
                             emit_sample_grid, jsd_snapshot, probe_label_jsd,
@@ -652,9 +656,10 @@ def test_a_run_that_diverges_leaves_no_artifact_of_the_run_before_it(tmp_path, m
     assert main(["eval", "--checkpoint", str(out)]) == 2
 
 
-def test_a_run_removes_finished_files_of_an_earlier_run_but_not_its_input_or_probe(tmp_path):
+def test_a_run_removes_every_finished_file_of_an_earlier_run_but_no_other_file(tmp_path):
     out = tmp_path / "run"
-    planted = ["samples_step9999.pgm", "confusion.csv", "data/keep", "probe/keep"]
+    planted = ["samples_step9999.pgm", "confusion.csv", "probe/manifest.txt",
+               "probe/checkpoint.bin", "data/keep", "probe/keep"]
     for name in planted:
         (out / name).parent.mkdir(parents=True, exist_ok=True)
         (out / name).write_text("earlier run")
@@ -663,6 +668,8 @@ def test_a_run_removes_finished_files_of_an_earlier_run_but_not_its_input_or_pro
     run_experiment(cfg, log=lambda *_: None)
     assert not (out / "samples_step9999.pgm").exists()
     assert (out / "confusion.csv").read_text() != "earlier run"
+    assert not (out / "probe" / "manifest.txt").exists()
+    assert not (out / "probe" / "checkpoint.bin").exists()
     assert (out / "data" / "keep").exists() and (out / "probe" / "keep").exists()
 
 
@@ -706,6 +713,88 @@ def test_run_mnist_writes_probe_grid_and_metrics(tmp_path, digits_dir, capsys):
              for manifest in (out / "manifest.txt", out / "probe" / "manifest.txt")
              for line in manifest.read_text().splitlines() if line.startswith("network ")]
     assert heads == ["sigmoid", "linear", "linear", "linear"]
+
+
+def _digests(directory):
+    """{path relative to `directory`: sha256} of every file under it but its corpus."""
+    found = {}
+    for parent, dirs, files in os.walk(directory):
+        dirs[:] = [d for d in dirs if d != "data"]
+        for name in files:
+            path = Path(parent, name)
+            found[str(path.relative_to(directory))] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return found
+
+
+@pytest.mark.parametrize("dataset, renames", [("mixture2d", 3), ("mnist", 6)])
+def test_a_run_cut_at_any_rename_leaves_no_earlier_file_and_only_whole_ones(
+        tmp_path, monkeypatch, digits_dir, dataset, renames):
+    # each run starts in the directory of a finished run of another seed, and
+    # the k-th rename of the new run fails, for every k.  The earlier digit run
+    # takes more steps: after 10 steps every seed's digit confusion is the same.
+    def run(seed, out, batch_size=256):
+        if dataset == "mixture2d":
+            cfg = _config(scheme_kw={"n_classes": 2, "noise_dim": 4, "steps_per_epoch": 5,
+                                     "epochs": 1}, seed=seed, output_dir=str(out))
+        else:
+            cfg = ExperimentConfig(
+                dataset="mnist", seed=seed, output_dir=str(out), probe_epochs=6,
+                scheme=SchemeConfig(scheme="vacgan", n_classes=10, noise_dim=16,
+                                    batch_size=batch_size, epochs=1))
+        run_experiment(cfg, mnist_dir=str(digits_dir), log=lambda *_: None)
+
+    earlier, whole = tmp_path / "earlier", tmp_path / "whole"
+    run(1, earlier, batch_size=32)
+    replace, calls = os.replace, []
+
+    def cut(source, target):
+        calls.append(target)
+        if len(calls) == k:
+            raise OSError("cut")
+        replace(source, target)
+
+    k = 0  # the uncut run counts its renames
+    monkeypatch.setattr(os, "replace", cut)
+    run(2, whole)
+    monkeypatch.undo()
+    assert len(calls) == renames
+    old, new = _digests(earlier), _digests(whole)
+    assert not set(old.values()) & set(new.values())  # every file tells the two runs apart
+    for k in range(1, renames + 1):
+        out, calls = tmp_path / f"cut{k}", []
+        shutil.copytree(earlier, out)
+        monkeypatch.setattr(os, "replace", cut)
+        with pytest.raises(OSError, match="cut"):
+            run(2, out)
+        monkeypatch.undo()
+        present = _digests(out)
+        assert not set(present.values()) & set(old.values()), k
+        for name, digest in present.items():
+            if name == "manifest.txt":
+                load_checkpoint(out)
+            elif name == os.path.join("probe", "manifest.txt"):
+                load_probe_checkpoint(out / "probe")
+            elif name == "confusion.csv" or name.endswith(".pgm"):
+                assert digest == new[name], (k, name)
+
+
+def test_run_mnist_refuses_test_labels_outside_the_training_classes_before_any_work(
+        tmp_path, monkeypatch):
+    corpus = write_synthetic_digit_files(tmp_path / "corpus", n_train=200, n_test=50)
+    labels = read_idx(corpus["test_labels"]).payload.copy()
+    labels[7] = 10  # the training split has classes 0-9
+    write_idx(corpus["test_labels"], IdxFile(LABEL_MAGIC, labels.shape, labels))
+
+    def never(*_):
+        raise AssertionError("the probe trained on a corpus it cannot score")
+
+    monkeypatch.setattr(harness, "train_probe", never)
+    out = tmp_path / "run"
+    cfg = ExperimentConfig(dataset="mnist", output_dir=str(out),
+                           scheme=SchemeConfig(scheme="vacgan", n_classes=10, batch_size=32))
+    with pytest.raises(ValueError, match="test labels .*t10k-labels-idx1-ubyte hold class 10"):
+        run_experiment(cfg, mnist_dir=str(tmp_path / "corpus"), log=lambda *_: None)
+    assert not out.exists()
 
 
 def test_run_mnist_rejects_class_count_mismatch(tmp_path, digits_dir):

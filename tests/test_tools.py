@@ -28,6 +28,7 @@ def test_artifact_digests_repeat_line_for_line():
     for run_name in ("digits", "digits-gan", "digits-cgan", "digits-acgan"):
         assert any(name.startswith(f"{run_name}/samples_step") for name in names)
     assert not any("idx" in name for name in names)  # the corpus is an input
+    assert not any(name.endswith(".tmp") for name in names)  # every file renamed into place
     assert all(len(line.split()[1]) == 64 for line in first)
 
 
