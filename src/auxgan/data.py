@@ -12,6 +12,7 @@ row block of noise in float64 and writes it into the uint8 images,
 one batch at a time by `ImageSet.rows`.
 """
 
+import contextlib
 import math
 import os
 import struct
@@ -45,12 +46,20 @@ class IdxFile:
 
 
 def write_file(path, *chunks):
-    """Write the bytes-like `chunks` to `path`.tmp, then rename it over `path` whole."""
+    """Write the bytes-like `chunks` to `path`.tmp, then rename it over `path` whole.
+
+    A write or rename that raises removes the `.tmp` before the error goes on.
+    """
     tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        for chunk in chunks:
-            f.write(chunk)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the tmp may never have been made
+            os.remove(tmp)
+        raise
 
 
 def read_idx(path):

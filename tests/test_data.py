@@ -36,6 +36,23 @@ def test_idx_round_trip(tmp_path):
     assert np.array_equal(back.payload, payload)
 
 
+@pytest.mark.parametrize("fault", ["write", "rename"])
+def test_write_file_that_raises_leaves_no_tmp_and_the_old_file_whole(tmp_path, monkeypatch, fault):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+    chunks = [b"new", b"more"]
+    if fault == "write":
+        chunks.append("not bytes")  # f.write raises TypeError on the third chunk
+    else:
+        def cut(source, target):
+            raise OSError("cut")
+        monkeypatch.setattr(os, "replace", cut)
+    with pytest.raises(TypeError if fault == "write" else OSError):
+        data.write_file(path, *chunks)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+    assert path.read_bytes() == b"old"
+
+
 def test_idx_malformed_magic_reports_offset(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(struct.pack(">I", 0xDEADBEEF) + b"\x00" * 8)

@@ -4,8 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import auxgan
+from auxgan import divergence
 from auxgan.divergence import (AbsoluteContinuityWarning, ClassifierTable,
                                DiscreteDistribution, DistributionFamily,
                                cce_of_classifier, generalized_jsd,
@@ -106,6 +110,92 @@ def test_family_validation():
         DistributionFamily(np.array([[1.0, 0.0]]))  # one member
     with pytest.raises(ValueError):
         _family([0.5, 0.5], [0.5, 0.5], weights=[0.9, 0.2])
+
+
+@pytest.mark.parametrize("members, message", [
+    ([[1.0, 0.0]], r"at least two members, got 1"),
+    ([[0.5, 0.5], [[0.5, 0.5]]], r"member 1 is not 1-D"),
+    ([[0.5, 0.5], 0.5], r"member 1 is not 1-D"),
+    ([[0.5, 0.5], [0.5, 0.5], []], r"member 2 is empty"),
+    ([[0.5, 0.5], [0.5, 0.5], [1.0]], r"member 2 has size 1, member 0 has size 2"),
+    (np.array([[0.5, 0.5], [0.5, 0.5], [NAN, 1.0]]), r"member 2 has a NaN entry"),
+    (np.array([[0.5, 0.5], [1.5, -0.5]]), r"member 1 has a negative entry"),
+    (np.array([[0.5, 0.5], [0.5, 0.6]]), r"member 1 must sum to 1 within 1e-12, got 1.1"),
+    ([[0.5, 0.6], [1.5, -0.5]], r"member 0 must sum to 1"),  # the first bad member is named
+    ([DiscreteDistribution([0.5, 0.5]), [0.2, 0.7]], r"member 1 must sum to 1"),
+], ids=["one-member", "2d-member", "scalar-member", "empty", "size", "nan", "negative",
+        "sum", "first-bad-member", "distribution-and-row"])
+def test_a_bad_family_names_its_first_bad_member_and_the_failed_check(members, message):
+    with pytest.raises(ValueError, match=message):
+        DistributionFamily(members)
+
+
+def _reference_entropy(probs):
+    positive = probs[probs > 0.0]
+    return -(positive * np.log(positive)).sum()
+
+
+def _reference_jsd(family):
+    """generalized_jsd one member at a time, as the library once computed it."""
+    mixture = family.weights @ family.members
+    member = sum(w * _reference_entropy(m) for w, m in zip(family.weights, family.members))
+    return max(0.0, float(_reference_entropy(mixture / mixture.sum()) - member))
+
+
+@st.composite
+def _families(draw, zeros):
+    n, s = draw(st.integers(2, 10)), draw(st.integers(1, 64))
+    raw = draw(hnp.arrays(np.float64, (n, s), elements=st.floats(1e-3, 1.0)))
+    if zeros:  # zero entries anywhere but one kept entry per row
+        raw *= draw(hnp.arrays(np.bool_, (n, s)))
+        raw[np.arange(n), draw(hnp.arrays(np.intp, n, elements=st.integers(0, s - 1)))] = 0.5
+    weights = None
+    if draw(st.booleans()):
+        raw_weights = draw(hnp.arrays(np.float64, n, elements=st.floats(1e-3, 1.0)))
+        weights = raw_weights / raw_weights.sum()
+    return DistributionFamily(raw / raw.sum(axis=1, keepdims=True), weights=weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=_families(zeros=False))
+def test_jsd_without_zero_entries_equals_the_per_member_sum_bit_for_bit(family):
+    assert generalized_jsd(family) == _reference_jsd(family)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=_families(zeros=True))
+def test_jsd_with_zero_entries_equals_the_per_member_sum_within_1e_14(family):
+    assert abs(generalized_jsd(family) - _reference_jsd(family)) <= 1e-14
+
+
+def test_a_family_keeps_its_own_copy_of_the_members():
+    rows = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
+    listed = [rows[0].copy(), DiscreteDistribution(rows[1].copy()), list(rows[2])]
+    families = [DistributionFamily(rows), DistributionFamily(listed)]
+    jsd = generalized_jsd(families[0])
+    rows[:] = [[1.0, 0.0]] * 3
+    listed[0][:] = 0.5
+    listed[1].probs[:] = 0.5
+    for family in families:
+        assert family.members.tolist() == [[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]]
+        assert generalized_jsd(family) == jsd
+
+
+def test_verify_identity_calls_the_module_generalized_jsd_exactly_once(monkeypatch):
+    # the benchmark times the identity workload's eval_ms by rebinding this name
+    real, seen = divergence.generalized_jsd, []
+
+    def counted(family):
+        seen.append(family)
+        return real(family)
+
+    monkeypatch.setattr(divergence, "generalized_jsd", counted)
+    rng = np.random.default_rng(11)
+    for calls in range(1, 6):
+        family = random_family(int(rng.integers(2, 8)), int(rng.integers(2, 32)), rng)
+        report = verify_identity(family)
+        assert len(seen) == calls and seen[-1] is family
+        assert report.jsd == real(family)
 
 
 def test_jsd_identical_members_is_zero():

@@ -769,6 +769,7 @@ def test_a_run_cut_at_any_rename_leaves_no_earlier_file_and_only_whole_ones(
         monkeypatch.undo()
         present = _digests(out)
         assert not set(present.values()) & set(old.values()), k
+        assert not list(out.rglob("*.tmp")), k  # the cut write took its tmp with it
         for name, digest in present.items():
             if name == "manifest.txt":
                 load_checkpoint(out)
