@@ -23,6 +23,11 @@ zero entry the JSD has the bits of the per-member sum over each member's
 positive entries; where some do, the row sums group their terms otherwise
 and the value may move in its last bits (the tests bound the move at 1e-14
 for supports up to 64).
+
+The cross-entropy reads one support-major (K, N) copy of the members at the
+K points with mass; C* is that copy over the point totals, and the terms are
+summed in its memory order.  `verify_identity` builds no `ClassifierTable`,
+and `optimal_classifier`'s table, made from a checked family, is not re-checked.
 """
 
 import warnings
@@ -132,14 +137,17 @@ class DistributionFamily:
 class ClassifierTable:
     """Per-support-point classifier outputs, one column per class.
 
-    `support` holds the indices of the family support the rows refer to;
-    `excluded` lists points dropped because no member puts mass there.
+    `support` holds the distinct indices of the family support the rows
+    refer to; `excluded` lists points dropped because no member puts mass
+    there.
     """
 
     def __init__(self, outputs, support=None, excluded=()):
         outputs = np.asarray(outputs, dtype=np.float64)
         if outputs.ndim != 2:
             raise ValueError(f"classifier table must be a matrix, got shape {outputs.shape}")
+        if outputs.shape[0] == 0:
+            raise ValueError("classifier table has no rows")
         if not outputs.min() >= 0.0:  # a NaN output fails too
             raise ValueError("classifier outputs must be non-negative")
         if not np.all(np.abs(outputs.sum(axis=1) - 1.0) <= SUM_TOL):
@@ -147,14 +155,34 @@ class ClassifierTable:
         if support is None:
             support = np.arange(outputs.shape[0])
         self.outputs = outputs
-        self.support = np.asarray(support, dtype=np.intp)
+        self.support = _support_indices(support, outputs.shape[0])
         self.excluded = np.asarray(excluded, dtype=np.intp)
-        if self.support.shape != (outputs.shape[0],):
-            raise ValueError("support indices must match the number of rows")
 
     @property
     def n_classes(self):
         return self.outputs.shape[1]
+
+
+def _support_indices(support, rows):
+    """`support` as distinct non-negative intp indices, one per row.
+
+    A refusal names the first bad row or the point it repeats.
+    """
+    support = np.asarray(support)
+    if support.shape != (rows,):
+        raise ValueError("support indices must match the number of rows")
+    if support.dtype.kind not in "iu":
+        raise ValueError(f"support indices must be integers; row 0 holds {support[0]}")
+    indices = support.astype(np.intp)
+    if indices.min() < 0:
+        row = int(np.argmax(indices < 0))
+        raise ValueError(f"support index {indices[row]} on row {row} is negative")
+    order = np.argsort(indices, kind="stable")
+    repeats = np.flatnonzero(np.diff(indices[order]) == 0)
+    if repeats.size:
+        first, second = order[repeats[0]], order[repeats[0] + 1]
+        raise ValueError(f"support point {indices[first]} is on rows {first} and {second}")
+    return indices
 
 
 class IdentityReport(NamedTuple):
@@ -213,37 +241,61 @@ def generalized_jsd(family):
 # ---------------------------------------------------------------------------
 # classifier tables and the cross-entropy identity
 
+def _optimal(members):
+    """(kept, mass, C*) of a checked (N, S) member matrix at the K points with mass.
+
+    `mass` is members.T[kept], (K, N), in the memory order of members[:, kept].
+    """
+    totals = members.sum(axis=0)
+    kept = np.flatnonzero(totals > 0.0)
+    mass = members.T[kept]
+    return kept, mass, mass / totals[kept, None]
+
+
+def _cross_entropy(mass, outputs):
+    """cce_of_classifier's sum over (K, N) support-major mass and outputs, in memory order."""
+    outputs = np.where(mass > 0.0, outputs, 1.0)  # a term without mass is 0 * log 1
+    if not outputs.min() > 0.0:
+        warnings.warn("cross-entropy is +inf: the table gives zero where a member has mass",
+                      AbsoluteContinuityWarning, stacklevel=3)
+        return float("inf")
+    return float(-(mass * np.log(outputs)).sum())
+
+
 def optimal_classifier(family):
     """Pointwise-optimal table C*[x][c] = p_c(x) / sum_i p_i(x).
 
     Support points where every member has zero mass are excluded from the
     table (they carry no probability) and reported in `excluded`.
     """
-    totals = family.members.sum(axis=0)
-    kept = np.flatnonzero(totals > 0.0)
-    excluded = np.flatnonzero(totals == 0.0)
-    outputs = (family.members[:, kept] / totals[kept]).T
-    return ClassifierTable(outputs, support=kept, excluded=excluded)
+    kept, _, outputs = _optimal(family.members)
+    table = ClassifierTable.__new__(ClassifierTable)  # rows of a checked family: no re-check
+    table.outputs, table.support = outputs, kept
+    table.excluded = np.flatnonzero(~family.members.any(axis=0))
+    return table
 
 
 def cce_of_classifier(family, table):
     """Categorical cross-entropy -sum_i sum_x p_i(x) log(table[x][i]).
 
+    The table must cover every support point where a member has mass.
     Zero-mass terms contribute exactly zero; a zero output where the mass is
     positive gives +inf with AbsoluteContinuityWarning.
     """
     if table.n_classes != family.n_members:
         raise ValueError(f"table has {table.n_classes} classes, family has {family.n_members}")
-    if table.support.size and table.support.max() >= family.support_size:
-        raise ValueError("table support indices exceed the family support")
-    mass = family.members[:, table.support]  # (N, S_kept)
-    # (S_kept, N), 1.0 where a member has no mass: its term is 0 * log 1
-    outputs = np.where(mass.T > 0.0, table.outputs, 1.0)
-    if not outputs.min() > 0.0:
-        warnings.warn("cross-entropy is +inf: the table gives zero where a member has mass",
-                      AbsoluteContinuityWarning, stacklevel=2)
-        return float("inf")
-    return float(-(mass * np.log(outputs).T).sum())
+    support, size = table.support, family.support_size
+    if support.max() >= size:
+        row = int(np.argmax(support >= size))
+        raise ValueError(f"table row {row} is for support point {support[row]}, "
+                         f"outside the family's {size} points")
+    covered = np.zeros(size, dtype=bool)
+    covered[support] = True
+    missing = np.flatnonzero(family.members.any(axis=0) & ~covered)
+    if missing.size:
+        raise ValueError(f"the table leaves out support point {missing[0]}, "
+                         "where a member has mass")
+    return _cross_entropy(family.members.T[support], table.outputs)
 
 
 def verify_identity(family):
@@ -256,7 +308,8 @@ def verify_identity(family):
     if not family.has_uniform_weights():
         raise ValueError("identity requires uniform mixture weights 1/N")
     n = family.n_members
-    cce = cce_of_classifier(family, optimal_classifier(family))
+    _, mass, outputs = _optimal(family.members)
+    cce = _cross_entropy(mass, outputs)
     jsd = generalized_jsd(family)
     residual = abs(cce - (n * np.log(n) - n * jsd))
     return IdentityReport(cce=cce, jsd=jsd, residual=float(residual))

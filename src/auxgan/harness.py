@@ -69,9 +69,12 @@ SAMPLES_PER_CLASS = {"ring": 500, "probe": 200}  # of one evaluation, by its rea
 # the probe bundle of an image run.
 GRID_NAME = "samples_step{}.pgm"
 PROBE_DIR = "probe"
-# The files of a finished run, which a new run in its directory removes first.
-_FINISHED = (MANIFEST_NAME, PAYLOAD_NAME, "confusion.csv", "metrics.csv", GRID_NAME.format("*"),
-             os.path.join(PROBE_DIR, MANIFEST_NAME), os.path.join(PROBE_DIR, PAYLOAD_NAME))
+# The files of a finished run, which a new run in its directory removes first,
+# each with the `.tmp` that a process killed inside `data.write_file` leaves.
+_FINISHED = tuple(name + tail for name in (
+    MANIFEST_NAME, PAYLOAD_NAME, "confusion.csv", "metrics.csv", GRID_NAME.format("*"),
+    os.path.join(PROBE_DIR, MANIFEST_NAME), os.path.join(PROBE_DIR, PAYLOAD_NAME))
+    for tail in ("", ".tmp"))
 
 
 @dataclass

@@ -314,6 +314,36 @@ def test_cce_shape_mismatch():
         cce_of_classifier(fam, bad)
 
 
+_OVERLAP = ([0.5, 0.5, 0.0], [0.0, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("outputs, support, message", [
+    ([[0.5, 0.5], [0.5, 0.5]], [-1, 1], "support index -1 on row 0 is negative"),
+    ([[0.5, 0.5], [0.5, 0.5]], [1, 1], "support point 1 is on rows 0 and 1"),
+    ([[0.5, 0.5]], [0.7], "must be integers; row 0 holds 0.7"),
+    (np.zeros((0, 2)), None, "no rows"),
+], ids=["negative", "repeated", "not-an-integer", "no-rows"])
+def test_a_table_refuses_a_bad_support_naming_the_index(outputs, support, message):
+    with pytest.raises(ValueError, match=message):
+        ClassifierTable(outputs, support=support)
+
+
+@pytest.mark.parametrize("support, message", [
+    ([0, 1], "leaves out support point 2, where a member has mass"),
+    ([0, 1, 3], "row 2 is for support point 3, outside the family's 3 points"),
+], ids=["missing-mass", "out-of-range"])
+def test_cce_refuses_a_table_that_does_not_fit_the_family_support(support, message):
+    table = ClassifierTable(np.full((len(support), 2), 0.5), support=support)
+    with pytest.raises(ValueError, match=message):
+        cce_of_classifier(_family(*_OVERLAP), table)
+
+
+def test_cce_reads_a_table_that_leaves_out_only_points_without_mass():
+    fam = _family([0.5, 0.0, 0.5], [0.5, 0.0, 0.5])
+    table = ClassifierTable([[0.5, 0.5], [0.5, 0.5]], support=[2, 0])
+    assert cce_of_classifier(fam, table) == 2.0 * np.log(2.0)
+
+
 def test_cce_matches_direct_summation():
     rng = np.random.default_rng(6)
     fam = random_family(3, 5, rng)
@@ -352,6 +382,56 @@ def test_identity_on_random_families():
     for _ in range(100):
         fam = random_family(int(rng.integers(2, 8)), int(rng.integers(2, 32)), rng)
         assert verify_identity(fam).residual <= 1e-9
+
+
+def _reference_identity(family):
+    """verify_identity in two steps: C*'s table, then its cross-entropy over a second copy."""
+    members, n = family.members, family.n_members
+    totals = members.sum(axis=0)
+    kept = np.flatnonzero(totals > 0.0)
+    outputs = (members[:, kept] / totals[kept]).T
+    mass = members[:, kept]
+    outputs = np.where(mass.T > 0.0, outputs, 1.0)
+    cce = float(-(mass * np.log(outputs).T).sum()) if outputs.min() > 0.0 else float("inf")
+    jsd = generalized_jsd(family)
+    return divergence.IdentityReport(cce, jsd, float(abs(cce - (n * np.log(n) - n * jsd))))
+
+
+@st.composite
+def _uniform_families(draw):
+    """Families of N 2-10 on supports 1-300, some with zero entries and all-zero points."""
+    n, s = draw(st.integers(2, 10)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random((n, s)) + 1e-3
+    if draw(st.booleans()):
+        raw *= rng.random((n, s)) < draw(st.floats(0.1, 0.9))
+    alive = np.ones(s, dtype=bool)
+    if draw(st.booleans()):
+        alive = rng.random(s) < draw(st.floats(0.1, 0.9))
+        alive[rng.integers(s)] = True
+    raw[:, ~alive] = 0.0
+    kept = rng.choice(np.flatnonzero(alive), size=n)  # one entry with mass per row
+    raw[np.arange(n), kept] = np.maximum(raw[np.arange(n), kept], 0.5)
+    return DistributionFamily(raw / raw.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=_uniform_families())
+def test_verify_identity_equals_the_two_step_reference_bit_for_bit(family):
+    assert verify_identity(family) == _reference_identity(family)
+
+
+def test_verify_identity_builds_no_checked_table(monkeypatch):
+    def refuse(*_, **__):
+        raise AssertionError("verify_identity checked a table it built itself")
+
+    monkeypatch.setattr(ClassifierTable, "__init__", refuse)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        family = random_family(int(rng.integers(2, 11)), int(rng.integers(1, 300)), rng)
+        assert verify_identity(family) == _reference_identity(family)
+    fam = _family(*_OVERLAP)
+    assert cce_of_classifier(fam, optimal_classifier(fam)) == verify_identity(fam).cce
 
 
 def test_optimal_beats_random_tables():

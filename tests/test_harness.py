@@ -658,19 +658,21 @@ def test_a_run_that_diverges_leaves_no_artifact_of_the_run_before_it(tmp_path, m
 
 def test_a_run_removes_every_finished_file_of_an_earlier_run_but_no_other_file(tmp_path):
     out = tmp_path / "run"
-    planted = ["samples_step9999.pgm", "confusion.csv", "probe/manifest.txt",
-               "probe/checkpoint.bin", "data/keep", "probe/keep"]
-    for name in planted:
+    # the .tmp files are what a process killed inside data.write_file leaves
+    finished = ["samples_step9999.pgm", "probe/manifest.txt", "probe/checkpoint.bin",
+                "confusion.csv.tmp", "samples_step0040.pgm.tmp", "probe/checkpoint.bin.tmp"]
+    kept = ["data/keep", "probe/keep", "data/x.tmp", "notes.tmp"]
+    for name in finished + kept + ["confusion.csv"]:
         (out / name).parent.mkdir(parents=True, exist_ok=True)
         (out / name).write_text("earlier run")
     cfg = _config(scheme_kw={"steps_per_epoch": 5, "epochs": 1}, output_dir=str(out),
                   eval_every=5)
     run_experiment(cfg, log=lambda *_: None)
-    assert not (out / "samples_step9999.pgm").exists()
     assert (out / "confusion.csv").read_text() != "earlier run"
-    assert not (out / "probe" / "manifest.txt").exists()
-    assert not (out / "probe" / "checkpoint.bin").exists()
-    assert (out / "data" / "keep").exists() and (out / "probe" / "keep").exists()
+    for name in finished:
+        assert not (out / name).exists(), name
+    for name in kept:
+        assert (out / name).read_text() == "earlier run", name
 
 
 @pytest.fixture(scope="module")

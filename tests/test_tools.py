@@ -22,7 +22,8 @@ def test_artifact_digests_repeat_line_for_line():
         for artifact in ("metrics.csv", "checkpoint.bin", "manifest.txt", "confusion.csv"):
             assert f"{run_name}/{artifact}" in names
     for name in ("ring/eval.stdout", "acgan/eval.stdout", "digits/eval.stdout",
-                 "identity/verify.stdout", "digits/probe/checkpoint.bin",
+                 "identity/verify.stdout", "identity/verify-wide.stdout",
+                 "digits/probe/checkpoint.bin",
                  "digits/probe/manifest.txt"):
         assert name in names
     for run_name in ("digits", "digits-gan", "digits-cgan", "digits-acgan"):

@@ -8,8 +8,9 @@ configurations (`ring` and `digits`, built by perfbench/workloads.py),
 `gan`, `cgan` and `acgan` runs on the smoke test's tiny digit corpus
 (`digits-gan` and so on), then `auxgan eval` on the ring, `acgan` and digit
 checkpoints, which recounts each run's last evaluation (on digits with the
-probe bundle that the run saved beside its checkpoint), and README's
-`auxgan verify-identities --n 5 --support 32 --trials 100 --seed SEED`.
+probe bundle that the run saved beside its checkpoint), README's
+`auxgan verify-identities --n 5 --support 32 --trials 100 --seed SEED` and
+`auxgan verify-identities --n 9 --support 3000 --trials 20 --seed SEED`.
 Prints one `name sha256` line per file a run writes (metrics.csv,
 checkpoint.bin, manifest.txt, confusion.csv, the sample grid and the probe
 bundle; not the digit corpus) and per command's stdout, sorted by name.
@@ -43,6 +44,9 @@ from auxgan import cli, harness, tensor  # noqa: E402
 from auxgan.data import write_synthetic_digit_files  # noqa: E402
 
 CORPUS_DIR = "data"  # the synthetic digit corpus, an input rather than an artifact
+# (name, --n, --support, --trials) of each `auxgan verify-identities` run; the
+# wide one sums over supports large enough to show a change of summation order
+VERIFY_RUNS = (("verify", 5, 32, 100), ("verify-wide", 9, 3000, 20))
 
 
 def _sha256(data):
@@ -96,9 +100,10 @@ def digests(seed, tiny=False):
             if name in ("ring", "acgan", "digits"):
                 eval_argv = ["eval", "--checkpoint", config.output_dir]
                 lines.append((f"{name}/eval.stdout", _sha256(_cli_stdout(eval_argv))))
-    verify_argv = ["verify-identities", "--n", "5", "--support", "32", "--trials", "100",
-                   "--seed", str(seed)]
-    lines.append(("identity/verify.stdout", _sha256(_cli_stdout(verify_argv))))
+    for name, n, support, trials in VERIFY_RUNS:
+        verify_argv = ["verify-identities", "--n", str(n), "--support", str(support),
+                       "--trials", str(trials), "--seed", str(seed)]
+        lines.append((f"identity/{name}.stdout", _sha256(_cli_stdout(verify_argv))))
     return sorted(lines)
 
 
