@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .tensor import ACTIVATIONS, Tensor, _check_leaky_slope, dense, parameters
+from .tensor import ACTIVATIONS, Tensor, _chain, _check_leaky_slope, dense, parameters
 
 
 def glorot_uniform(fan_in, fan_out, rng):
@@ -60,7 +60,7 @@ class MLP:
         if len(activations) != len(dims) - 1:
             raise ValueError(f"{len(dims) - 1} layers need {len(dims) - 1} activations, "
                              f"got {len(activations)}")
-        self._kinds = [_parse_activation(name) for name in activations]
+        kinds = [_parse_activation(name) for name in activations]
         shapes = [shape for n_in, n_out in zip(dims, dims[1:])
                   for shape in ((n_in, n_out), (n_out,))]
         size = sum(n_in * n_out + n_out for n_in, n_out in zip(dims, dims[1:]))
@@ -70,6 +70,9 @@ class MLP:
         self.param_buffer, self.grad_buffer = allocate(size), np.empty(size)
         views = parameters(shapes, self.param_buffer, self.grad_buffer)
         self.layers = [DenseLayer(w, b) for w, b in zip(views[::2], views[1::2])]
+        # what `forward` chains: each layer's (w, b, kind, alpha)
+        self._layers = tuple((layer.weights, layer.bias, *kind)
+                             for layer, kind in zip(self.layers, kinds))
         if rng is not None:
             for layer in self.layers:  # in layer order, so a seed pins every weight
                 layer.weights.data[...] = glorot_uniform(*layer.weights.shape, rng)
@@ -78,13 +81,15 @@ class MLP:
         self.activations = activations
 
     def forward(self, x, upto=None):
-        """Forward pass; `upto` stops after that many layers (trunk reuse)."""
+        """Forward pass as one tape record (`tensor._chain`); `upto` stops after that many layers.
+
+        `upto` slices the layers like a list (the acgan classifier reuses the
+        discriminator's trunk with upto=-1); with no layers the pass returns
+        its input Tensor itself.
+        """
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        n = len(self.layers) if upto is None else upto
-        for layer, (kind, alpha) in zip(self.layers[:n], self._kinds[:n]):
-            x = dense(x, layer.weights, layer.bias, kind, alpha)
-        return x
+        return _chain(x, self._layers if upto is None else self._layers[:upto])
 
     __call__ = forward
 

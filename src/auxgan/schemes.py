@@ -49,7 +49,8 @@ import numpy as np
 from .data import write_file
 from .nn import MLP
 from .optim import Adam, NesterovMomentum
-from .tensor import Tape, Tensor, _share, bce_loss, cce_loss, concat_cols, helper_for
+from .tensor import (Tape, Tensor, _class_labels, _share, bce_loss, cce_loss, concat_cols,
+                     helper_for)
 
 SCHEMES = ("gan", "cgan", "acgan", "vacgan")
 
@@ -76,20 +77,21 @@ class LatentPartition:
     noise_dim: int
 
     def one_hot(self, labels):
-        labels = np.asarray(labels)
-        if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
-            raise ValueError(f"labels must lie in [0, {self.n_classes})")
-        out = np.zeros((labels.size, self.n_classes))
+        return self._encode(labels, 0)
+
+    def _encode(self, labels, width):
+        """The labels' one-hot rows followed by `width` zero columns, as one new array."""
+        labels = _class_labels(labels, self.n_classes, "labels")
+        out = np.zeros((labels.size, self.n_classes + width))
         out[np.arange(labels.size), labels] = 1.0
         return out
 
 
 def sample_latent(partition, class_labels, rng):
     """Draw one latent row per label: one_hot(label) ++ standard-normal noise."""
-    class_labels = np.asarray(class_labels)
-    encoded = partition.one_hot(class_labels)
-    noise = rng.standard_normal((class_labels.size, partition.noise_dim))
-    return Tensor(np.concatenate([encoded, noise], axis=1))
+    z = partition._encode(class_labels, partition.noise_dim)
+    z[:, partition.n_classes:] = rng.standard_normal((z.shape[0], partition.noise_dim))
+    return Tensor(z)
 
 
 def cgan_condition(real_or_fake, labels, n_classes):
@@ -270,7 +272,7 @@ def _check_finite(t, name, step=None):
 
     A NaN or infinite entry always makes the sum non-finite.
     """
-    if not math.isfinite(t.data.sum() if t.data.ndim else t.data):
+    if not math.isfinite(np.add.reduce(t.data, axis=None)):
         at = "" if step is None else f" at step {step}"
         raise TrainingDiverged(f"{name} is not finite{at}")
     return t

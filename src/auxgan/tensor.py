@@ -6,9 +6,11 @@ replays the records in exact reverse order.  Every tape names the leaves it
 differentiates, `Tape(wrt=params)`: it writes .grad only on those and
 computes only the backward products that lead to them.  A gradient lives
 until the optimizer step that reads it clears it.  Only the operations the
-GAN schemes record are provided: a dense layer, act(x @ W + b), as one op
-and one tape record (`dense`), a feature concat for the conditional input,
-BCE and CCE on logits, and scalar `add`/`mul` to combine losses.
+GAN schemes record are provided: a chain of dense layers, each
+act(x @ W + b), as one op and one tape record (`_chain`: a network's
+forward pass is one chain, and `dense` is the one-layer case), a feature
+concat for the conditional input, BCE and CCE on logits, and scalar
+`add`/`mul` to combine losses.
 
 Everything is float64.  Ops are pure functions of their inputs apart from
 appending a backward rule to the active tape.
@@ -20,25 +22,27 @@ entered again on another, and its records stay in execution order.
 
 `helper_for(size)` alone decides what work goes to the helper thread, and
 `_share(helper, tasks)` is the one way work runs beside the calling thread.
-A `dense` rule that needs both the input and the weight gradient asks with
-its weight's size; given the helper, it computes the two products as two
-tasks of `_share`.  Each product is written to its own array and the
-gradients are accumulated after the share, in the serial order, so the
-results are the same bits.
+A chain's rule asks for each layer that needs both the input and the
+weight gradient, with that layer's weight size; given the helper, it
+computes the layer's two products as two tasks of `_share`.  Each product
+is written to its own array and the gradients are accumulated after the
+share, in the serial order, so the results are the same bits.
 
 Ownership: `Tensor(a)` wraps a float64 array `a` without copying, so the
 tensor and the caller share memory; ops never write into their inputs.  A
 parameter made by `parameters` lives in a flat buffer its network owns: its
 .data is a view into one buffer, its .grad_view a view into a gradient
 buffer, and neither is ever rebound.  The optimizers update .data in place.
-A parameter's gradient is written into its .grad_view: `dense` builds the
-first weight and bias gradient there (`out=`), later terms are added in
-place, and .grad is None until the first write.  Other backward
-products live in arrays the rules own.  `dense` owns its pre-activation
-z = x @ W + b: the bias is added into it in place, once, the activation's
-forward kernel may use it as scratch, and the backward rule overwrites it
-with the activation's product.  It is handed out only as the output of a
-`linear` layer, whose rule does not write it.
+A parameter's gradient is written into its .grad_view: a chain builds a
+layer's first weight and bias gradient there (`out=`), later terms are
+added in place, and .grad is None until the first write.  Other backward
+products live in arrays the rules own.  A chain owns each layer's
+pre-activation z = x @ W + b: the bias is added into it in place, once,
+the activation's forward kernel may use it as scratch, and the backward
+rule overwrites it with the activation's product.  It is handed out only
+as the output of a `linear` layer, whose rule does not write it.  The
+outputs of a chain's inner layers are arrays, not Tensors: the rule hands
+each layer's input gradient straight to the layer below.
 """
 
 import functools
@@ -249,7 +253,7 @@ class Tape:
         if self._spent:
             raise RuntimeError("tape already replayed; build a fresh tape per step")
         self._spent = True
-        loss.accumulate_grad(np.ones_like(loss.data))
+        loss.accumulate_grad(np.ones(()))
         for backward_fn in reversed(self._records):
             backward_fn()
 
@@ -266,11 +270,12 @@ def _track(out, inputs, backward_fn):
     """
     tapes = _ACTIVE.stack
     if not tapes:
-        return (False,) * len(inputs)
+        return [False] * len(inputs)
     tape = tapes[-1]
-    needs = tuple(t in tape._needed for t in inputs)
-    if any(needs):
-        tape._needed.add(out)
+    needed = tape._needed
+    needs = [t in needed for t in inputs]
+    if True in needs:
+        needed.add(out)
         tape._record(backward_fn)
     return needs
 
@@ -335,9 +340,9 @@ def concat_cols(a, b):
 
 # ---------------------------------------------------------------------------
 # dense layers.  ACTIVATIONS maps each kind to the (forward, backward) kernel
-# pair `dense` runs on its pre-activation z: forward(z, alpha) returns a new
-# y and may use z as scratch; backward(g, z, y, alpha) returns g * dy/dz,
-# written into z (linear returns g itself).
+# pair a chain runs on a layer's pre-activation z: forward(z, alpha) returns
+# a new y and may use z as scratch; backward(g, z, y, alpha) returns
+# g * dy/dz, written into z (linear returns g itself).
 
 def _check_leaky_slope(alpha):
     """Return `alpha`; raise ValueError naming it unless 0 < alpha <= 1.
@@ -384,46 +389,90 @@ def _input_grad(g, w):
 
 
 def _weight_grad(x, g, w):
-    return np.matmul(x.data.T, g, out=w.grad_slot())
+    """x.T @ g for the layer of weight `w` whose input array is `x`."""
+    return np.matmul(x.T, g, out=w.grad_slot())
+
+
+def _chain(x, layers):
+    """`x` through `layers` in order as one tape record; `x` itself if there are none.
+
+    Each layer is a (w, b, kind, alpha) tuple and computes act(x @ w + b):
+    `kind` is a key of ACTIVATIONS, `alpha` the leaky_relu slope.  The rule
+    replays the layers in reverse, each one the bias gradient, then the
+    input product, then the weight product, and stops at the first layer
+    below which nothing needs a gradient.
+    """
+    a, inputs, steps = x.data, [x], []
+    for w, b, kind, alpha in layers:
+        wd, bd = w.data, b.data
+        if a.ndim != 2 or wd.ndim != 2 or a.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
+            raise ValueError(f"dense shape mismatch: {a.shape} @ {wd.shape} + {bd.shape}")
+        forward, backward = ACTIVATIONS[kind]
+        z = a @ wd
+        z += bd  # the rounding of x @ w + b
+        y = forward(z, alpha)
+        steps.append((a, z, y, backward))
+        inputs += (w, b)
+        a = y
+    if not steps:
+        return x
+    out = Tensor(a)
+
+    def bwd():
+        g = out.grad
+        for i in range(len(steps) - 1, -1, -1):
+            # the layer's input needs a gradient if x or a parameter below it does
+            need_x, need_w, need_b = True in needs[:2 * i + 1], needs[2 * i + 1], needs[2 * i + 2]
+            if not (need_x or need_w or need_b):
+                break
+            a, z, y, backward = steps[i]
+            w, b, _, alpha = layers[i]
+            g = backward(g, z, y, alpha)
+            if need_b:
+                b.accumulate_grad(np.add.reduce(g, axis=0, out=b.grad_slot()))
+            # asked here, not when recording: a tape may be recorded on the helper thread
+            helper = helper_for(w.data.size) if need_x and need_w else None
+            if helper is None:
+                gx = _input_grad(g, w) if need_x else None
+                gw = _weight_grad(a, g, w) if need_w else None
+            else:  # both are needed, and the helper may take one
+                gx, gw = _share(helper, (functools.partial(_input_grad, g, w),
+                                         functools.partial(_weight_grad, a, g, w)))
+            if need_x and i == 0:
+                x.accumulate_grad(gx)
+            if need_w:
+                w.accumulate_grad(gw)
+            g = gx
+
+    needs = _track(out, inputs, bwd)
+    return out
 
 
 def dense(x, w, b, kind="linear", alpha=None):
-    """act(x @ w + b) as one tape record.
+    """act(x @ w + b) as one tape record: the one-layer `_chain`.
 
     `kind` is a key of ACTIVATIONS, `alpha` the leaky_relu slope.
     """
-    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
-            or b.shape != w.shape[1:]):
-        raise ValueError(f"dense shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
-    forward, backward = ACTIVATIONS[kind]
-    z = x.data @ w.data
-    z += b.data  # the rounding of x @ w + b
-    y = forward(z, alpha)
-    out = Tensor(y)
-
-    def bwd():
-        g = backward(out.grad, z, y, alpha)
-        if need_b:
-            b.accumulate_grad(g.sum(axis=0, out=b.grad_slot()))
-        # asked here, not when recording: a tape may be recorded on the helper thread
-        helper = helper_for(w.data.size) if need_x and need_w else None
-        if helper is None:
-            gx = _input_grad(g, w) if need_x else None
-            gw = _weight_grad(x, g, w) if need_w else None
-        else:  # both are needed, and the helper may take one
-            gx, gw = _share(helper, (functools.partial(_input_grad, g, w),
-                                     functools.partial(_weight_grad, x, g, w)))
-        if need_x:
-            x.accumulate_grad(gx)
-        if need_w:
-            w.accumulate_grad(gw)
-
-    need_x, need_w, need_b = _track(out, (x, w, b), bwd)
-    return out
+    return _chain(x, ((w, b, kind, alpha),))
 
 
 # ---------------------------------------------------------------------------
 # losses on logits: the sigmoid and the softmax are part of the loss, and nothing is clamped
+
+def _class_labels(labels, n_classes, name):
+    """`labels` as an array; ValueError naming `name` unless they are integers in [0, n_classes).
+
+    A bool array would index as a column mask and a float array fails to
+    index, so only signed and unsigned integer dtypes pass.
+    """
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {labels.dtype}")
+    if labels.size and (np.minimum.reduce(labels, axis=None) < 0
+                        or np.maximum.reduce(labels, axis=None) >= n_classes):
+        raise ValueError(f"{name} must lie in [0, {n_classes})")
+    return labels
+
 
 def bce_loss(logits, target):
     """Mean binary cross-entropy of sigmoid(logits) against a target of 0 or 1.
@@ -438,7 +487,8 @@ def bce_loss(logits, target):
     sign = 1.0 - 2.0 * target
     s = np.multiply(logits.data, sign)
     e = np.exp(np.negative(np.abs(s)))
-    out = Tensor((np.maximum(s, 0.0) + np.log1p(e)).mean())
+    losses = np.maximum(s, 0.0) + np.log1p(e)
+    out = Tensor(np.add.reduce(losses, axis=None) / losses.size)  # .mean(), bit for bit
 
     def bwd():
         # sigmoid(s): the numerator is 1 where s >= 0 and e elsewhere
@@ -458,21 +508,21 @@ def cce_loss(logits, labels):
     log-sum-exp minus the label's logit, and the gradient is
     (softmax(logits) - onehot(labels)) / batch.
     """
-    if logits.data.ndim != 2:
-        raise ValueError(f"cce_loss needs (batch, classes) logits, got {logits.shape}")
-    labels = np.asarray(labels)
-    batch, n_classes = logits.shape
+    z = logits.data
+    if z.ndim != 2:
+        raise ValueError(f"cce_loss needs (batch, classes) logits, got {z.shape}")
+    batch, n_classes = z.shape
+    labels = _class_labels(labels, n_classes, "cce_loss labels")
     if labels.shape != (batch,):
         raise ValueError(f"cce_loss labels shape {labels.shape} does not match batch {batch}")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError(f"cce_loss labels must lie in [0, {n_classes})")
     rows = np.arange(batch)
-    top = logits.data.max(axis=1, keepdims=True)
+    top = np.maximum.reduce(z, axis=1, keepdims=True)
     # z - top is 0 at the max, left unwritten: a +inf row loses 0 or inf, never inf - inf
-    shifted = np.subtract(logits.data, top, out=np.zeros(logits.shape), where=logits.data != top)
+    shifted = np.subtract(z, top, out=np.zeros(z.shape), where=z != top)
     e = np.exp(shifted)
-    total = e.sum(axis=1)
-    out = Tensor((np.log(total) - shifted[rows, labels]).mean())
+    total = np.add.reduce(e, axis=1)
+    losses = np.log(total) - shifted[rows, labels]
+    out = Tensor(np.add.reduce(losses, axis=None) / batch)  # .mean(), bit for bit
 
     def bwd():
         g = np.divide(e, total[:, None], out=e)

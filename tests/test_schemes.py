@@ -1,3 +1,4 @@
+import gc
 import re
 import shutil
 import sys
@@ -91,6 +92,31 @@ def test_latent_label_out_of_range():
     partition = LatentPartition(n_classes=3, noise_dim=2)
     with pytest.raises(ValueError):
         sample_latent(partition, np.array([3]), np.random.default_rng(0))
+
+
+def test_one_hot_refuses_labels_that_are_not_integers():
+    # a bool array would index as a column mask and give [[0, 1], [0, 1]]
+    partition = LatentPartition(n_classes=2, noise_dim=0)
+    assert partition.one_hot(np.array([0, 1])).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    for labels in (np.array([False, True]), np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match=f"integers, got dtype {labels.dtype}"):
+            partition.one_hot(labels)
+
+
+def test_a_latent_batch_is_the_one_hot_block_then_the_noise_draws():
+    partition = LatentPartition(n_classes=3, noise_dim=4)
+    labels = np.array([2, 0, 1, 2])
+    z = sample_latent(partition, labels, np.random.default_rng(5)).data
+    noise = np.random.default_rng(5).standard_normal((4, 4))
+    assert z.tobytes() == np.concatenate([partition.one_hot(labels), noise], axis=1).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_finite_raises_on_a_nan_or_infinite_entry(bad):
+    assert schemes._check_finite(Tensor(np.ones((3, 2))), "x") is not None
+    for t in (Tensor(bad), Tensor(np.array([[1.0, bad], [0.0, 2.0]]))):
+        with pytest.raises(TrainingDiverged, match="x is not finite at step 7"):
+            schemes._check_finite(t, "x", 7)
 
 
 def test_cgan_condition_appends_one_hot():
@@ -440,6 +466,46 @@ def test_train_step_leaves_no_gradient_behind(scheme):
     assert {id(p) for p in every} == {id(p) for p in params}
     _run(cfg, trio, 2)
     assert all(p.grad is None for p in params)
+
+
+def test_a_ring_step_stays_within_its_interpreter_call_and_tape_record_budget():
+    """Guards the ring step's bottleneck, per-call interpreter overhead.
+
+    One `vacgan` step of the acceptance ring configuration (4 classes, the
+    mixture widths, batch 64) made 604 Python-level calls, counted as here,
+    and 25 tape records when each dense layer was its own record; with one
+    record per network pass and no numpy Python wrappers on the step path
+    it makes 346 calls and 15 records, the same count on every step.
+    """
+    cfg = SchemeConfig(scheme="vacgan", n_classes=4, noise_dim=8, theta=0.2, zeta=0.8,
+                       batch_size=64)
+    trio = build_trio(cfg, data_dim=2, rng=np.random.default_rng(0))
+    spec = GaussianMixtureSpec.ring(n_classes=4)
+    rng = np.random.default_rng(1)
+
+    def step():
+        real, labels = sample_mixture(spec, rng, 64), rng.integers(0, 4, size=64)
+        return real, labels, trio, cfg, rng
+
+    for _ in range(3):  # warm up
+        train_step(*step())
+    args, calls = step(), []
+    record = tensor.Tape._record.__code__
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    gc.collect()
+    gc.disable()  # a collection could run finalizers inside the step
+    sys.setprofile(profile)
+    try:
+        train_step(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert len(calls) <= 400
+    assert calls.count(record) == 15
 
 
 def test_train_step_deterministic():

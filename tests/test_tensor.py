@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special
 
-from auxgan import tensor
+from auxgan import nn, tensor
 from auxgan.nn import MLP
 from auxgan.tensor import (ACTIVATIONS, Tape, Tensor, add, bce_loss, cce_loss, concat_cols,
                            _share, dense, mul, parameters)
@@ -507,6 +507,73 @@ def test_a_dense_rule_needing_both_products_of_a_wide_weight_shares_them_and_cha
     assert len(set(threads)) == 2
 
 
+_NAMES = {kind: "leaky_relu:0.3" if kind == "leaky_relu" else kind for kind in ACTIVATIONS}
+
+
+def _pass_bytes(net, upto, wrt, chained):
+    """Output, parameter and input gradient bytes (None where not written) of one pass.
+
+    `chained` runs the pass as one `dense` call per layer instead of the
+    network's forward.  The parameter gradients are cleared afterwards.
+    """
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(5, net.dims[0])))
+    layers = net.layers[:upto]
+    leaves = {"x": [x], "all": [x] + net.params(), "last": layers[-1].params(),
+              "middle": layers[1].params()}[wrt]
+    with Tape(wrt=leaves) as tape:
+        if chained:
+            out = x
+            for layer, name in zip(layers, net.activations):
+                out = dense(out, layer.weights, layer.bias, *nn._parse_activation(name))
+        else:
+            out = net(x, upto=upto)
+        loss = weighted_sum(out, rng.normal(size=out.shape))
+    tape.backward(loss)
+    grads = [None if t.grad is None else t.grad.tobytes() for t in [x] + net.params()]
+    for p in net.params():
+        p.grad = None
+    return [out.data.tobytes()] + grads
+
+
+@pytest.mark.parametrize("helper_min_params", [float("inf"), 1])
+@pytest.mark.parametrize("kind", sorted(ACTIVATIONS))
+def test_a_network_pass_equals_one_dense_call_per_layer_bit_for_bit(kind, helper_min_params,
+                                                                    set_helper_min_params):
+    set_helper_min_params(helper_min_params)
+    net = MLP((3, 4, 6, 4, 2), (_NAMES[kind],) * 4, rng=np.random.default_rng(10))
+    for upto, wrt in itertools.product((None, -1), ("all", "x", "last", "middle")):
+        fused = _pass_bytes(net, upto, wrt, chained=False)
+        assert fused == _pass_bytes(net, upto, wrt, chained=True)
+        # every wrt writes some gradient; "x" writes no parameter's
+        assert any(fused[1:]) and (wrt != "x" or not any(fused[2:]))
+
+
+def test_a_network_pass_is_one_record_and_none_without_a_gradient_to_take():
+    net = MLP((3, 4, 4, 2), ("relu", "tanh", "linear"), rng=np.random.default_rng(12))
+    x = Tensor(np.ones((2, 3)))
+    with Tape(wrt=net.params()) as tape:
+        net(x)
+        assert len(tape._records) == 1
+        net(x, upto=-1)
+        assert len(tape._records) == 2
+    with Tape(wrt=[Tensor(0.0)]) as tape:
+        net(x)
+    assert tape._records == []
+
+
+def test_a_pass_through_no_layers_returns_its_input_and_passes_the_gradient_to_it():
+    net = MLP((3, 4, 2), ("relu", "linear"), rng=np.random.default_rng(13))
+    x = Tensor(np.ones((2, 3)))
+    upstream = np.random.default_rng(14).normal(size=(2, 3))
+    with Tape(wrt=[x]) as tape:
+        out = net(x, upto=0)
+        assert out is x
+        loss = weighted_sum(out, upstream)
+    tape.backward(loss)
+    assert x.grad.tobytes() == upstream.tobytes()
+
+
 @pytest.mark.parametrize("kind", ACTIVATIONS)
 def test_dense_gradients(kind):
     rng = np.random.default_rng(24)
@@ -638,6 +705,69 @@ def test_cce_validation():
         cce_loss(logits, np.array([[0], [1]]))  # labels not a vector
     with pytest.raises(ValueError):
         cce_loss(Tensor(np.zeros(3)), np.array([0]))  # rank
+
+
+def test_cce_refuses_labels_that_are_not_integers():
+    # a bool array would index as a column mask and read 2.5067 here
+    logits = Tensor([[5.0, 0.0], [0.0, 5.0]])
+    assert cce_loss(logits, np.array([0, 1])).item() == pytest.approx(0.0067, abs=1e-4)
+    for labels in (np.array([False, True]), np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match=f"integers, got dtype {labels.dtype}"):
+            cce_loss(logits, labels)
+    assert cce_loss(logits, np.array([0, 1], dtype=np.uint8)).item() == pytest.approx(0.0067,
+                                                                                      abs=1e-4)
+
+
+def _bce_reference(z, target):
+    """bce_loss's value and gradient by its formulas, with ndarray.mean."""
+    sign = 1.0 - 2.0 * target
+    s = np.multiply(z, sign)
+    e = np.exp(np.negative(np.abs(s)))
+    value = (np.maximum(s, 0.0) + np.log1p(e)).mean()
+    g = np.maximum(e, s >= 0.0)
+    g /= np.add(e, 1.0, out=e)
+    g *= sign * np.ones_like(value) / s.size
+    return value, g
+
+
+def _cce_reference(z, labels):
+    """cce_loss's value and gradient by its formulas, with ndarray.max, .sum and .mean."""
+    rows = np.arange(z.shape[0])
+    top = z.max(axis=1, keepdims=True)
+    shifted = np.subtract(z, top, out=np.zeros(z.shape), where=z != top)
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    value = (np.log(total) - shifted[rows, labels]).mean()
+    g = np.divide(e, total[:, None], out=e)
+    g[rows, labels] -= 1.0
+    g *= np.ones_like(value) / z.shape[0]
+    return value, g
+
+
+def _loss_bytes(loss, z, *args):
+    logits = Tensor(z.copy())
+    with Tape(wrt=[logits]) as tape:
+        out = loss(logits, *args)
+    tape.backward(out)
+    return out.data.tobytes(), logits.grad.tobytes()
+
+
+_LOGITS = st.one_of(st.sampled_from([np.inf, -np.inf, 0.0, -0.0]), st.floats(-800.0, 800.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 4))
+def test_the_losses_equal_their_formulas_with_ndarray_mean_bit_for_bit(data, rows, cols):
+    with np.errstate(all="ignore"):
+        for shape in ((rows,), (rows, 1), (rows, cols)):
+            z = data.draw(hnp.arrays(np.float64, shape, elements=_LOGITS), label=str(shape))
+            for target in (0.0, 1.0):
+                value, grad = _bce_reference(z, target)
+                assert _loss_bytes(bce_loss, z, target) == (value.tobytes(), grad.tobytes())
+        labels = np.asarray(data.draw(st.lists(st.integers(0, cols - 1), min_size=rows,
+                                               max_size=rows), label="labels"))
+        value, grad = _cce_reference(z.copy(), labels)
+        assert _loss_bytes(cce_loss, z, labels) == (value.tobytes(), grad.tobytes())
 
 
 def test_cce_rows_need_not_sum_to_one():
