@@ -26,8 +26,16 @@ for supports up to 64).
 
 The cross-entropy reads one support-major (K, N) copy of the members at the
 K points with mass; C* is that copy over the point totals, and the terms are
-summed in its memory order.  `verify_identity` builds no `ClassifierTable`,
-and `optimal_classifier`'s table, made from a checked family, is not re-checked.
+summed in its memory order.  `verify_identity` takes one of two paths to it,
+with the same bits.  A family whose smallest entry is positive keeps every
+point and has mass in every term, so its copy is all of members.T, with no
+point mask, gather or `where`; a family with a zero entry keeps the mask.
+Either way a C* entry that underflows to 0 gives +inf with
+AbsoluteContinuityWarning.  `verify_identity` builds no `ClassifierTable`, and
+`optimal_classifier`'s table, made from a checked family, is not re-checked.
+`verify_identity` and its helpers call ufuncs and their `reduce` directly,
+not numpy's Python-level wrappers (`ndarray.sum`, `np.all`,
+`np.flatnonzero`, ...).
 """
 
 import warnings
@@ -131,7 +139,8 @@ class DistributionFamily:
         return self.members.shape[1]
 
     def has_uniform_weights(self):
-        return bool(np.all(np.abs(self.weights - 1.0 / self.n_members) <= SUM_TOL))
+        spread = np.absolute(self.weights - 1.0 / self.members.shape[0])
+        return bool(np.maximum.reduce(spread) <= SUM_TOL)  # False on a NaN weight too
 
 
 class ClassifierTable:
@@ -196,7 +205,7 @@ class IdentityReport(NamedTuple):
 
 def _entropy(probs):
     positive = probs[probs > 0.0]
-    return float(-(positive * np.log(positive)).sum())
+    return float(-np.add.reduce(positive * np.log(positive)))
 
 
 def shannon_entropy(p):
@@ -229,11 +238,12 @@ def generalized_jsd(family):
     """H(sum_i pi_i p_i) - sum_i pi_i H(p_i); in [0, H(pi)], 0 iff members equal."""
     members, weights = family.members, family.weights
     mixture = weights @ members
-    mixture_entropy = _entropy(mixture / mixture.sum())
+    mixture_entropy = _entropy(mixture / np.add.reduce(mixture))
     # every member's p*log(p) in one scratch matrix, with 0*log(0) = 0
-    terms = np.log(members, out=np.zeros_like(members), where=members > 0.0)
+    terms = np.log(members, out=np.zeros(members.shape), where=members > 0.0)
     terms *= members
-    member_entropy = sum(w * -h for w, h in zip(weights, terms.sum(axis=1)))
+    # the weighted member entropies summed left to right, as a loop over the members would
+    member_entropy = np.add.accumulate(weights * -np.add.reduce(terms, axis=1))[-1]
     # Exact value is non-negative; rounding may leave a tiny negative residue.
     return max(0.0, float(mixture_entropy - member_entropy))
 
@@ -246,8 +256,8 @@ def _optimal(members):
 
     `mass` is members.T[kept], (K, N), in the memory order of members[:, kept].
     """
-    totals = members.sum(axis=0)
-    kept = np.flatnonzero(totals > 0.0)
+    totals = np.add.reduce(members, axis=0)
+    kept = (totals > 0.0).nonzero()[0]
     mass = members.T[kept]
     return kept, mass, mass / totals[kept, None]
 
@@ -255,11 +265,35 @@ def _optimal(members):
 def _cross_entropy(mass, outputs):
     """cce_of_classifier's sum over (K, N) support-major mass and outputs, in memory order."""
     outputs = np.where(mass > 0.0, outputs, 1.0)  # a term without mass is 0 * log 1
-    if not outputs.min() > 0.0:
+    return _mass_log_sum(mass, outputs)
+
+
+def _positive_cross_entropy(members):
+    """_cross_entropy of C* for an (N, S) member matrix with no zero entry.
+
+    Every point is kept and every term has mass, so there is no point mask,
+    no gather and no `where`: the mass is one C-order copy of members.T,
+    (S, N) in the memory order of the general path's members.T[kept], and
+    its sum pairs the same terms.
+    """
+    mass = members.T.copy()
+    outputs = np.divide(mass, np.add.reduce(members, axis=0)[:, None])
+    return _mass_log_sum(mass, outputs)
+
+
+def _mass_log_sum(mass, outputs):
+    """-sum mass * log(outputs) in memory order; +inf with AbsoluteContinuityWarning on a 0 output.
+
+    `outputs` must read 1 wherever the mass is 0, and is overwritten as
+    scratch.  The warning names the caller of the public function two calls up.
+    """
+    if not np.minimum.reduce(outputs, axis=None) > 0.0:  # also where a C* entry underflowed
         warnings.warn("cross-entropy is +inf: the table gives zero where a member has mass",
-                      AbsoluteContinuityWarning, stacklevel=3)
+                      AbsoluteContinuityWarning, stacklevel=4)
         return float("inf")
-    return float(-(mass * np.log(outputs)).sum())
+    terms = np.log(outputs, out=outputs)
+    terms *= mass
+    return float(-np.add.reduce(terms, axis=None))
 
 
 def optimal_classifier(family):
@@ -307,9 +341,13 @@ def verify_identity(family):
     """
     if not family.has_uniform_weights():
         raise ValueError("identity requires uniform mixture weights 1/N")
-    n = family.n_members
-    _, mass, outputs = _optimal(family.members)
-    cce = _cross_entropy(mass, outputs)
+    members = family.members
+    n = members.shape[0]
+    if np.minimum.reduce(members, axis=None) > 0.0:
+        cce = _positive_cross_entropy(members)
+    else:
+        _, mass, outputs = _optimal(members)
+        cce = _cross_entropy(mass, outputs)
     jsd = generalized_jsd(family)
     residual = abs(cce - (n * np.log(n) - n * jsd))
     return IdentityReport(cce=cce, jsd=jsd, residual=float(residual))

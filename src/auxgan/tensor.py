@@ -342,7 +342,9 @@ def concat_cols(a, b):
 # dense layers.  ACTIVATIONS maps each kind to the (forward, backward) kernel
 # pair a chain runs on a layer's pre-activation z: forward(z, alpha) returns
 # a new y and may use z as scratch; backward(g, z, y, alpha) returns
-# g * dy/dz, written into z (linear returns g itself).
+# g * dy/dz, written into z (linear returns g itself).  The kernels take the
+# leaky_relu slope as checked: `dense` checks it, and an `nn.MLP` checks each
+# layer's slope once, when it is built.
 
 def _check_leaky_slope(alpha):
     """Return `alpha`; raise ValueError naming it unless 0 < alpha <= 1.
@@ -375,7 +377,7 @@ ACTIVATIONS = {
     "relu": (lambda z, alpha: np.maximum(z, 0.0),
              lambda g, z, y, alpha: np.multiply(g, z > 0.0, out=z)),
     # with 0 < alpha <= 1 the max is z for z > 0 and alpha * z otherwise, bit for bit
-    "leaky_relu": (lambda z, alpha: np.maximum(z, _check_leaky_slope(alpha) * z),
+    "leaky_relu": (lambda z, alpha: np.maximum(z, alpha * z),
                    lambda g, z, y, alpha: np.multiply(g, np.maximum(z > 0.0, alpha), out=z)),
     "sigmoid": (_sigmoid_forward, _sigmoid_backward),
     "tanh": (lambda z, alpha: np.tanh(z),
@@ -453,6 +455,8 @@ def dense(x, w, b, kind="linear", alpha=None):
 
     `kind` is a key of ACTIVATIONS, `alpha` the leaky_relu slope.
     """
+    if kind == "leaky_relu":
+        _check_leaky_slope(alpha)
     return _chain(x, ((w, b, kind, alpha),))
 
 

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -432,6 +434,69 @@ def test_verify_identity_builds_no_checked_table(monkeypatch):
         assert verify_identity(family) == _reference_identity(family)
     fam = _family(*_OVERLAP)
     assert cce_of_classifier(fam, optimal_classifier(fam)) == verify_identity(fam).cce
+
+
+def _refuse(*_):
+    raise AssertionError("this path must not run")
+
+
+def test_a_family_without_zero_entries_takes_the_direct_path(monkeypatch):
+    monkeypatch.setattr(divergence, "_optimal", _refuse)
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        family = random_family(int(rng.integers(2, 11)), int(rng.integers(1, 300)), rng)
+        assert verify_identity(family) == _reference_identity(family)
+    with pytest.raises(AssertionError, match="must not run"):
+        verify_identity(_family(*_OVERLAP))
+
+
+def test_a_family_with_a_zero_entry_takes_the_general_path(monkeypatch):
+    monkeypatch.setattr(divergence, "_positive_cross_entropy", _refuse)
+    fam = _family([0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8])
+    assert verify_identity(fam) == _reference_identity(fam)
+
+
+def test_an_optimal_output_that_underflows_on_the_direct_path_gives_inf():
+    # every entry is positive, but C*[0][0] = 5e-324 / 2.7 rounds to 0
+    fam = _family([5e-324, 1.0], [0.9, 0.1], [0.9, 0.1], [0.9, 0.1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = verify_identity(fam)
+    assert report.cce == float("inf") and report == _reference_identity(fam)
+    assert [w.category for w in caught] == [AbsoluteContinuityWarning]  # no numpy RuntimeWarning
+    assert caught[0].filename == __file__
+
+
+def test_verify_identity_stays_within_its_interpreter_call_budget():
+    """Guards `verify_identity` against numpy's Python-level wrappers.
+
+    On a family of 10 members, counted as here, it made 42 Python-level
+    calls, 22 of them inside numpy (`ndarray.sum`/`min`, `np.all`,
+    `np.flatnonzero`, `np.where`, `np.zeros_like`) and 11 in the generator
+    that summed the member entropies.  Calling ufuncs and their `reduce`
+    directly, with the direct path for a family without zero entries, it
+    makes 7: the module's own functions and IdentityReport's constructor.
+    """
+    family = random_family(10, 300, np.random.default_rng(14))
+    verify_identity(family)  # warm up
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    gc.collect()
+    gc.disable()  # a collection could run finalizers inside the call
+    sys.setprofile(profile)
+    try:
+        verify_identity(family)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    report_new = divergence.IdentityReport.__new__.__code__
+    assert [code.co_name for code in calls
+            if code.co_filename != divergence.__file__ and code is not report_new] == []
+    assert len(calls) <= 7
 
 
 def test_optimal_beats_random_tables():

@@ -475,7 +475,9 @@ def test_a_ring_step_stays_within_its_interpreter_call_and_tape_record_budget():
     mixture widths, batch 64) made 604 Python-level calls, counted as here,
     and 25 tape records when each dense layer was its own record; with one
     record per network pass and no numpy Python wrappers on the step path
-    it makes 346 calls and 15 records, the same count on every step.
+    it made 346 calls and 15 records, the same count on every step.  Each
+    network checks its leaky_relu slopes once, when it is built, so a step
+    makes no slope check and 340 calls.
     """
     cfg = SchemeConfig(scheme="vacgan", n_classes=4, noise_dim=8, theta=0.2, zeta=0.8,
                        batch_size=64)
@@ -506,6 +508,7 @@ def test_a_ring_step_stays_within_its_interpreter_call_and_tape_record_budget():
         gc.enable()
     assert len(calls) <= 400
     assert calls.count(record) == 15
+    assert tensor._check_leaky_slope.__code__ not in calls
 
 
 def test_train_step_deterministic():
