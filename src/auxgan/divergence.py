@@ -24,18 +24,17 @@ positive entries; where some do, the row sums group their terms otherwise
 and the value may move in its last bits (the tests bound the move at 1e-14
 for supports up to 64).
 
-The cross-entropy reads one support-major (K, N) copy of the members at the
-K points with mass; C* is that copy over the point totals, and the terms are
-summed in its memory order.  `verify_identity` takes one of two paths to it,
-with the same bits.  A family whose smallest entry is positive keeps every
-point and has mass in every term, so its copy is all of members.T, with no
-point mask, gather or `where`; a family with a zero entry keeps the mask.
-Either way a C* entry that underflows to 0 gives +inf with
-AbsoluteContinuityWarning.  `verify_identity` builds no `ClassifierTable`, and
-`optimal_classifier`'s table, made from a checked family, is not re-checked.
-`verify_identity` and its helpers call ufuncs and their `reduce` directly,
-not numpy's Python-level wrappers (`ndarray.sum`, `np.all`,
-`np.flatnonzero`, ...).
+A classifier table is an (S, N) matrix, one row per support point and one
+column per class.  C* and every cross-entropy read one C-order (S, N) copy
+of the members, the mass: C* is the mass over the point totals, with the
+uniform row 1/N at a point where no member has mass, and a cross-entropy
+sums -mass * log(table) in the mass's memory order, a term without mass
+counting as 0.  An output of 0 where a member has mass, a C* entry that
+underflowed to 0 included, gives +inf with AbsoluteContinuityWarning.
+`verify_identity` builds no `ClassifierTable`, and `optimal_classifier`'s
+table, made from a checked family, is not re-checked.  `verify_identity`
+and its helpers call ufuncs and their `reduce` directly, not numpy's
+Python-level wrappers (`ndarray.sum`, `np.all`, ...).
 """
 
 import warnings
@@ -144,54 +143,15 @@ class DistributionFamily:
 
 
 class ClassifierTable:
-    """Per-support-point classifier outputs, one column per class.
+    """Classifier outputs as an (S, N) matrix: one row per support point, one column per class."""
 
-    `support` holds the distinct indices of the family support the rows
-    refer to; `excluded` lists points dropped because no member puts mass
-    there.
-    """
-
-    def __init__(self, outputs, support=None, excluded=()):
+    def __init__(self, outputs):
         outputs = np.asarray(outputs, dtype=np.float64)
-        if outputs.ndim != 2:
-            raise ValueError(f"classifier table must be a matrix, got shape {outputs.shape}")
-        if outputs.shape[0] == 0:
-            raise ValueError("classifier table has no rows")
-        if not outputs.min() >= 0.0:  # a NaN output fails too
-            raise ValueError("classifier outputs must be non-negative")
-        if not np.all(np.abs(outputs.sum(axis=1) - 1.0) <= SUM_TOL):
-            raise ValueError(f"classifier rows must sum to 1 within {SUM_TOL}")
-        if support is None:
-            support = np.arange(outputs.shape[0])
+        if outputs.ndim != 2 or outputs.size == 0:
+            raise ValueError(f"classifier table must be a non-empty matrix, "
+                             f"got shape {outputs.shape}")
+        _check_rows(outputs, "classifier row {}")
         self.outputs = outputs
-        self.support = _support_indices(support, outputs.shape[0])
-        self.excluded = np.asarray(excluded, dtype=np.intp)
-
-    @property
-    def n_classes(self):
-        return self.outputs.shape[1]
-
-
-def _support_indices(support, rows):
-    """`support` as distinct non-negative intp indices, one per row.
-
-    A refusal names the first bad row or the point it repeats.
-    """
-    support = np.asarray(support)
-    if support.shape != (rows,):
-        raise ValueError("support indices must match the number of rows")
-    if support.dtype.kind not in "iu":
-        raise ValueError(f"support indices must be integers; row 0 holds {support[0]}")
-    indices = support.astype(np.intp)
-    if indices.min() < 0:
-        row = int(np.argmax(indices < 0))
-        raise ValueError(f"support index {indices[row]} on row {row} is negative")
-    order = np.argsort(indices, kind="stable")
-    repeats = np.flatnonzero(np.diff(indices[order]) == 0)
-    if repeats.size:
-        first, second = order[repeats[0]], order[repeats[0] + 1]
-        raise ValueError(f"support point {indices[first]} is on rows {first} and {second}")
-    return indices
 
 
 class IdentityReport(NamedTuple):
@@ -252,84 +212,59 @@ def generalized_jsd(family):
 # classifier tables and the cross-entropy identity
 
 def _optimal(members):
-    """(kept, mass, C*) of a checked (N, S) member matrix at the K points with mass.
+    """(mass, C*) of a checked (N, S) member matrix, both (S, N) in C order.
 
-    `mass` is members.T[kept], (K, N), in the memory order of members[:, kept].
-    """
-    totals = np.add.reduce(members, axis=0)
-    kept = (totals > 0.0).nonzero()[0]
-    mass = members.T[kept]
-    return kept, mass, mass / totals[kept, None]
-
-
-def _cross_entropy(mass, outputs):
-    """cce_of_classifier's sum over (K, N) support-major mass and outputs, in memory order."""
-    outputs = np.where(mass > 0.0, outputs, 1.0)  # a term without mass is 0 * log 1
-    return _mass_log_sum(mass, outputs)
-
-
-def _positive_cross_entropy(members):
-    """_cross_entropy of C* for an (N, S) member matrix with no zero entry.
-
-    Every point is kept and every term has mass, so there is no point mask,
-    no gather and no `where`: the mass is one C-order copy of members.T,
-    (S, N) in the memory order of the general path's members.T[kept], and
-    its sum pairs the same terms.
+    `mass` is a copy of members.T and C* is the mass over the point totals;
+    a point where no member has mass gets the uniform row 1/N.
     """
     mass = members.T.copy()
-    outputs = np.divide(mass, np.add.reduce(members, axis=0)[:, None])
-    return _mass_log_sum(mass, outputs)
+    totals = np.add.reduce(members, axis=0)[:, None]
+    if np.minimum.reduce(totals, axis=None) > 0.0:
+        return mass, np.divide(mass, totals)
+    uniform = np.full(mass.shape, 1.0 / members.shape[0])
+    return mass, np.divide(mass, totals, out=uniform, where=totals > 0.0)
 
 
 def _mass_log_sum(mass, outputs):
-    """-sum mass * log(outputs) in memory order; +inf with AbsoluteContinuityWarning on a 0 output.
+    """-sum mass * log(outputs) over (S, N) arrays in memory order; a term without mass is 0.
 
-    `outputs` must read 1 wherever the mass is 0, and is overwritten as
-    scratch.  The warning names the caller of the public function two calls up.
+    An output of 0 where the mass is positive gives +inf with
+    AbsoluteContinuityWarning, which names the caller of the public function
+    that called this one.  `outputs` is overwritten as scratch.
     """
-    if not np.minimum.reduce(outputs, axis=None) > 0.0:  # also where a C* entry underflowed
-        warnings.warn("cross-entropy is +inf: the table gives zero where a member has mass",
-                      AbsoluteContinuityWarning, stacklevel=4)
-        return float("inf")
+    if not np.minimum.reduce(outputs, axis=None) > 0.0:  # a 0 output, or a C* that underflowed
+        outputs = np.where(mass > 0.0, outputs, 1.0)  # a term without mass is 0 * log 1
+        if not np.minimum.reduce(outputs, axis=None) > 0.0:
+            warnings.warn("cross-entropy is +inf: the table gives zero where a member has mass",
+                          AbsoluteContinuityWarning, stacklevel=3)
+            return float("inf")
     terms = np.log(outputs, out=outputs)
     terms *= mass
     return float(-np.add.reduce(terms, axis=None))
 
 
 def optimal_classifier(family):
-    """Pointwise-optimal table C*[x][c] = p_c(x) / sum_i p_i(x).
+    """Pointwise-optimal table C*[x][c] = p_c(x) / sum_i p_i(x), one row per support point.
 
-    Support points where every member has zero mass are excluded from the
-    table (they carry no probability) and reported in `excluded`.
+    A point where no member has mass gets the uniform row 1/N.
     """
-    kept, _, outputs = _optimal(family.members)
     table = ClassifierTable.__new__(ClassifierTable)  # rows of a checked family: no re-check
-    table.outputs, table.support = outputs, kept
-    table.excluded = np.flatnonzero(~family.members.any(axis=0))
+    table.outputs = _optimal(family.members)[1]
     return table
 
 
 def cce_of_classifier(family, table):
     """Categorical cross-entropy -sum_i sum_x p_i(x) log(table[x][i]).
 
-    The table must cover every support point where a member has mass.
+    The table has one row per support point and one column per member.
     Zero-mass terms contribute exactly zero; a zero output where the mass is
     positive gives +inf with AbsoluteContinuityWarning.
     """
-    if table.n_classes != family.n_members:
-        raise ValueError(f"table has {table.n_classes} classes, family has {family.n_members}")
-    support, size = table.support, family.support_size
-    if support.max() >= size:
-        row = int(np.argmax(support >= size))
-        raise ValueError(f"table row {row} is for support point {support[row]}, "
-                         f"outside the family's {size} points")
-    covered = np.zeros(size, dtype=bool)
-    covered[support] = True
-    missing = np.flatnonzero(family.members.any(axis=0) & ~covered)
-    if missing.size:
-        raise ValueError(f"the table leaves out support point {missing[0]}, "
-                         "where a member has mass")
-    return _cross_entropy(family.members.T[support], table.outputs)
+    mass = family.members.T.copy()
+    if table.outputs.shape != mass.shape:
+        raise ValueError(f"table has shape {table.outputs.shape}, the family needs {mass.shape}: "
+                         "one row per support point, one column per member")
+    return _mass_log_sum(mass, table.outputs.copy())
 
 
 def verify_identity(family):
@@ -341,13 +276,9 @@ def verify_identity(family):
     """
     if not family.has_uniform_weights():
         raise ValueError("identity requires uniform mixture weights 1/N")
-    members = family.members
-    n = members.shape[0]
-    if np.minimum.reduce(members, axis=None) > 0.0:
-        cce = _positive_cross_entropy(members)
-    else:
-        _, mass, outputs = _optimal(members)
-        cce = _cross_entropy(mass, outputs)
+    n = family.members.shape[0]
+    # C*'s two (S, N) arrays die with this call, before the JSD allocates its own
+    cce = _mass_log_sum(*_optimal(family.members))
     jsd = generalized_jsd(family)
     residual = abs(cce - (n * np.log(n) - n * jsd))
     return IdentityReport(cce=cce, jsd=jsd, residual=float(residual))

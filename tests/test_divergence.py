@@ -258,12 +258,11 @@ def test_optimal_classifier_formula():
     assert np.abs(table.outputs.sum(axis=1) - 1.0).max() <= 1e-12
 
 
-def test_optimal_classifier_excludes_zero_mass_points():
+def test_optimal_classifier_gives_a_point_without_mass_the_uniform_row():
     fam = _family([0.5, 0.5, 0.0], [0.3, 0.7, 0.0])
     table = optimal_classifier(fam)
-    assert tuple(table.excluded) == (2,)
-    assert table.outputs.shape == (2, 2)
-    assert tuple(table.support) == (0, 1)
+    assert table.outputs.shape == (3, 2)
+    assert table.outputs.tolist() == [[0.5 / 0.8, 0.3 / 0.8], [0.5 / 1.2, 0.7 / 1.2], [0.5, 0.5]]
 
 
 def test_per_point_maximizer_matches_grid_search():
@@ -312,38 +311,28 @@ def test_cce_reads_zero_outputs_without_mass_and_tiny_outputs_unclamped():
 def test_cce_shape_mismatch():
     fam = _family([0.5, 0.5], [0.4, 0.6])
     bad = ClassifierTable(np.full((2, 3), 1.0 / 3.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"shape \(2, 3\), the family needs \(2, 2\)"):
         cce_of_classifier(fam, bad)
+    # a table must have a row for every support point, with mass or not
+    with pytest.raises(ValueError, match=r"shape \(2, 2\), the family needs \(3, 2\)"):
+        cce_of_classifier(_family([0.5, 0.5, 0.0], [0.5, 0.5, 0.0]),
+                          ClassifierTable(np.full((2, 2), 0.5)))
 
 
 _OVERLAP = ([0.5, 0.5, 0.0], [0.0, 0.5, 0.5])
 
 
-@pytest.mark.parametrize("outputs, support, message", [
-    ([[0.5, 0.5], [0.5, 0.5]], [-1, 1], "support index -1 on row 0 is negative"),
-    ([[0.5, 0.5], [0.5, 0.5]], [1, 1], "support point 1 is on rows 0 and 1"),
-    ([[0.5, 0.5]], [0.7], "must be integers; row 0 holds 0.7"),
-    (np.zeros((0, 2)), None, "no rows"),
-], ids=["negative", "repeated", "not-an-integer", "no-rows"])
-def test_a_table_refuses_a_bad_support_naming_the_index(outputs, support, message):
+@pytest.mark.parametrize("outputs, message", [
+    (np.zeros((0, 2)), r"non-empty matrix, got shape \(0, 2\)"),
+    (np.zeros((2, 0)), r"non-empty matrix, got shape \(2, 0\)"),
+    ([0.5, 0.5], r"non-empty matrix, got shape \(2,\)"),
+    ([[0.5, 0.5], [NAN, 1.0]], r"classifier row 1 has a NaN entry"),
+    ([[0.5, 0.5], [1.5, -0.5]], r"classifier row 1 has a negative entry"),
+    ([[0.5, 0.5], [0.5, 0.6]], r"classifier row 1 must sum to 1 within 1e-12, got 1.1"),
+], ids=["empty", "no-columns", "1d", "nan", "negative", "sum"])
+def test_a_bad_table_is_refused_naming_what_is_wrong(outputs, message):
     with pytest.raises(ValueError, match=message):
-        ClassifierTable(outputs, support=support)
-
-
-@pytest.mark.parametrize("support, message", [
-    ([0, 1], "leaves out support point 2, where a member has mass"),
-    ([0, 1, 3], "row 2 is for support point 3, outside the family's 3 points"),
-], ids=["missing-mass", "out-of-range"])
-def test_cce_refuses_a_table_that_does_not_fit_the_family_support(support, message):
-    table = ClassifierTable(np.full((len(support), 2), 0.5), support=support)
-    with pytest.raises(ValueError, match=message):
-        cce_of_classifier(_family(*_OVERLAP), table)
-
-
-def test_cce_reads_a_table_that_leaves_out_only_points_without_mass():
-    fam = _family([0.5, 0.0, 0.5], [0.5, 0.0, 0.5])
-    table = ClassifierTable([[0.5, 0.5], [0.5, 0.5]], support=[2, 0])
-    assert cce_of_classifier(fam, table) == 2.0 * np.log(2.0)
+        ClassifierTable(outputs)
 
 
 def test_cce_matches_direct_summation():
@@ -390,11 +379,10 @@ def _reference_identity(family):
     """verify_identity in two steps: C*'s table, then its cross-entropy over a second copy."""
     members, n = family.members, family.n_members
     totals = members.sum(axis=0)
-    kept = np.flatnonzero(totals > 0.0)
-    outputs = (members[:, kept] / totals[kept]).T
-    mass = members[:, kept]
-    outputs = np.where(mass.T > 0.0, outputs, 1.0)
-    cce = float(-(mass * np.log(outputs).T).sum()) if outputs.min() > 0.0 else float("inf")
+    outputs = np.ascontiguousarray((members / np.where(totals > 0.0, totals, 1.0)).T)
+    mass = np.ascontiguousarray(members.T)  # (S, N): the terms are summed point by point
+    outputs = np.where(mass > 0.0, outputs, 1.0)
+    cce = float(-(mass * np.log(outputs)).sum()) if outputs.min() > 0.0 else float("inf")
     jsd = generalized_jsd(family)
     return divergence.IdentityReport(cce, jsd, float(abs(cce - (n * np.log(n) - n * jsd))))
 
@@ -423,6 +411,12 @@ def test_verify_identity_equals_the_two_step_reference_bit_for_bit(family):
     assert verify_identity(family) == _reference_identity(family)
 
 
+@settings(max_examples=300, deadline=None)
+@given(family=_uniform_families())
+def test_cce_of_the_optimal_table_is_verify_identity_cce_bit_for_bit(family):
+    assert cce_of_classifier(family, optimal_classifier(family)) == verify_identity(family).cce
+
+
 def test_verify_identity_builds_no_checked_table(monkeypatch):
     def refuse(*_, **__):
         raise AssertionError("verify_identity checked a table it built itself")
@@ -436,35 +430,58 @@ def test_verify_identity_builds_no_checked_table(monkeypatch):
     assert cce_of_classifier(fam, optimal_classifier(fam)) == verify_identity(fam).cce
 
 
-def _refuse(*_):
-    raise AssertionError("this path must not run")
+def _count_where(monkeypatch):
+    """The list that gets one entry per np.where call from here on."""
+    real, calls = np.where, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(np, "where", counted)
+    return calls
 
 
 def test_a_family_without_zero_entries_takes_the_direct_path(monkeypatch):
-    monkeypatch.setattr(divergence, "_optimal", _refuse)
     rng = np.random.default_rng(13)
-    for _ in range(20):
-        family = random_family(int(rng.integers(2, 11)), int(rng.integers(1, 300)), rng)
-        assert verify_identity(family) == _reference_identity(family)
-    with pytest.raises(AssertionError, match="must not run"):
-        verify_identity(_family(*_OVERLAP))
+    families = [random_family(int(rng.integers(2, 11)), int(rng.integers(1, 300)), rng)
+                for _ in range(20)]
+    references = [_reference_identity(family) for family in families]
+    calls = _count_where(monkeypatch)
+    assert [verify_identity(family) for family in families] == references
+    assert calls == []
+    verify_identity(_family(*_OVERLAP))
+    assert len(calls) == 1
 
 
 def test_a_family_with_a_zero_entry_takes_the_general_path(monkeypatch):
-    monkeypatch.setattr(divergence, "_positive_cross_entropy", _refuse)
     fam = _family([0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8])
-    assert verify_identity(fam) == _reference_identity(fam)
+    reference = _reference_identity(fam)
+    calls = _count_where(monkeypatch)
+    assert verify_identity(fam) == reference
+    assert len(calls) == 1
 
 
-def test_an_optimal_output_that_underflows_on_the_direct_path_gives_inf():
+@pytest.mark.parametrize("family, table", [
     # every entry is positive, but C*[0][0] = 5e-324 / 2.7 rounds to 0
-    fam = _family([5e-324, 1.0], [0.9, 0.1], [0.9, 0.1], [0.9, 0.1])
+    (_family([5e-324, 1.0], [0.9, 0.1], [0.9, 0.1], [0.9, 0.1]), None),
+    # member 3 has a zero entry, and C*[0][0] = 5e-324 / 2.8 rounds to 0
+    (_family([5e-324, 1.0], [0.9, 0.1], [0.9, 0.1], [1.0, 0.0]), None),
+    (_family([0.5, 0.5], [0.0, 1.0]), ClassifierTable([[1.0, 0.0], [0.0, 1.0]])),
+], ids=["positive-family", "zero-entry-family", "hand-made-table"])
+def test_a_zero_output_with_mass_warns_once_naming_the_caller(family, table):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = verify_identity(fam)
-    assert report.cce == float("inf") and report == _reference_identity(fam)
+        if table is None:
+            report = verify_identity(family)
+            cce = report.cce
+        else:
+            cce = cce_of_classifier(family, table)
+    assert cce == float("inf")
     assert [w.category for w in caught] == [AbsoluteContinuityWarning]  # no numpy RuntimeWarning
     assert caught[0].filename == __file__
+    if table is None:
+        assert report == _reference_identity(family)
 
 
 def test_verify_identity_stays_within_its_interpreter_call_budget():
